@@ -29,6 +29,7 @@ from .words import (
     SymbolicWord,
     TransitionLabel,
     letter_key,
+    sessions,
 )
 
 _TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -155,30 +156,32 @@ def simulate(a: Automaton, word: DataWord) -> bool:
 
     A configuration is (state, register assignment); the set of values read
     so far is determined by the prefix, so it needs no tracking per branch.
+    Right after a value's last occurrence every register holding it is
+    emptied (set to None, which equals no value): no later letter can reuse
+    it, and no later local or fresh check depends on it.  Configurations that
+    differ only in dead values thereby merge, so after each letter there are
+    at most |Q|·(b+1)^k of them, where b = bound(word), and the run takes time
+    linear in the word length for a fixed automaton and session bound.
     """
     for label, _ in word:
         if label not in a.alphabet:
             raise UnknownLabel(f"label {label!r} is not in the alphabet of {a.name}")
-    k = a.registers
-    confs: set[tuple[str, tuple]] = {(a.initial, (None,) * k)}
+    spans = sessions(word)
+    confs: set[tuple[str, tuple]] = {(a.initial, (None,) * a.registers)}
     used: set[int] = set()
-    for label, d in word:
+    for i, (label, d) in enumerate(word, 1):
         nxt: set[tuple[str, tuple]] = set()
         for state, regs in confs:
             for kind, reg, target in a._moves.get((state, label), ()):
                 if kind is OpKind.REUSE:
-                    if regs[reg - 1] != d:
-                        continue
-                    nxt.add((target, regs))
-                elif kind is OpKind.LOCAL:
-                    if d in regs:
-                        continue
-                    nxt.add((target, regs[: reg - 1] + (d,) + regs[reg:]))
-                else:
-                    if d in used:
-                        continue
+                    if regs[reg - 1] == d:
+                        nxt.add((target, regs))
+                # local needs d outside the registers, fresh outside the whole prefix
+                elif d not in (regs if kind is OpKind.LOCAL else used):
                     nxt.add((target, regs[: reg - 1] + (d,) + regs[reg:]))
         used.add(d)
+        if spans[d][1] == i:
+            nxt = {(state, tuple(None if v == d else v for v in regs)) for state, regs in nxt}
         confs = nxt
         if not confs:
             return False

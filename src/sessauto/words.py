@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import NotWellFormed, UnsupportedOp, ValueAbsent
 
@@ -100,15 +101,10 @@ def symbolic_alphabet(labels, max_register: int) -> frozenset[TransitionLabel]:
 
 def occurrence_bounds(word: DataWord, value: int) -> tuple[int, int]:
     """1-based positions of the first and last occurrence of a value."""
-    first = last = 0
-    for i, (_, d) in enumerate(word, 1):
-        if d == value:
-            if not first:
-                first = i
-            last = i
-    if not first:
-        raise ValueAbsent(f"value {value} does not occur in the word")
-    return first, last
+    try:
+        return sessions(word)[value]
+    except KeyError:
+        raise ValueAbsent(f"value {value} does not occur in the word") from None
 
 
 def _pattern(word: DataWord) -> tuple:
@@ -140,14 +136,17 @@ def sessions(word: DataWord) -> dict[int, tuple[int, int]]:
 
 
 def bound(word: DataWord) -> int:
-    """Largest number of sessions any single position belongs to (0 for the empty word)."""
-    spans = list(sessions(word).values())
-    best = 0
-    for i in range(1, len(word) + 1):
-        covering = sum(1 for lo, hi in spans if lo <= i <= hi)
-        if covering > best:
-            best = covering
-    return best
+    """Largest number of sessions any single position belongs to (0 for the empty word).
+
+    One sweep over the session endpoints: a session opens (+1) at its first
+    position and closes (-1) right after its last, and the bound is the
+    largest running total.
+    """
+    change = [0] * (len(word) + 2)
+    for first, last in sessions(word).values():
+        change[first] += 1
+        change[last + 1] -= 1
+    return max(accumulate(change))
 
 
 def is_k_bounded(word: DataWord, k: int) -> bool:
@@ -206,23 +205,19 @@ def snf(word: DataWord) -> SymbolicWord:
     register becomes free again at the last occurrence of its value, so the
     number of registers used equals the session bound of the word.
     """
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, (_, d) in enumerate(word, 1):
-        first.setdefault(d, i)
-        last[d] = i
-
+    spans = sessions(word)
     # Free registers are `freed` plus everything >= next_new.
     freed: set[int] = set()
     next_new = 1
     assigned: dict[int, int] = {}
     out = []
     for i, (a, d) in enumerate(word, 1):
-        if first[d] == i:
+        first, last = spans[d]
+        if first == i:
             r = min(freed) if freed else next_new
             assigned[d] = r
             out.append(TransitionLabel(a, RegisterOp(OpKind.FRESH, r)))
-            if last[d] != i:
+            if last != i:
                 # The register stays busy until the value's last occurrence.
                 if freed:
                     freed.remove(r)
@@ -231,7 +226,7 @@ def snf(word: DataWord) -> SymbolicWord:
         else:
             r = assigned[d]
             out.append(TransitionLabel(a, RegisterOp(OpKind.REUSE, r)))
-            if last[d] == i:
+            if last == i:
                 freed.add(r)
     return tuple(out)
 

@@ -16,9 +16,12 @@ from sessauto import (
     SymbolicDfa,
     Transition,
     TransitionLabel,
+    UnknownLabel,
+    letter_key,
     parse_automaton,
     parse_data_word,
     parse_symbolic_word,
+    sessions,
     simulate,
 )
 
@@ -122,6 +125,101 @@ def random_session_automaton(
 def random_data_word(rng: Random, labels=("a", "b"), max_len=8, max_value=4):
     n = rng.randint(0, max_len)
     return tuple((rng.choice(labels), rng.randint(1, max_value)) for _ in range(n))
+
+
+def random_run_word(rng: Random, a: Automaton, length: int, pool: int | None = None):
+    """The letters read along one random run of ``a``, at most ``length`` of them.
+
+    With a ``pool``, values come from 1..pool and value v may occur only
+    before position (v + 2) * length / pool, so values die at staggered
+    points of the word.  Without one, every fresh or local move takes a value
+    never seen before, so a session ends once no register holds its value.
+    The run stops early when no move fits.
+    """
+    moves = sorted(a.transitions, key=lambda t: (t.source, letter_key(t.label), t.target))
+    state, regs, used, out = a.initial, [None] * a.registers, set(), []
+
+    def live(v, i):
+        return pool is None or i < (v + 2) * length // pool
+
+    for i in range(length):
+        options = []
+        for t in moves:
+            if t.source != state:
+                continue
+            kind, r = t.label.op.kind, t.label.op.register
+            if kind is OpKind.REUSE:
+                if regs[r - 1] is not None and live(regs[r - 1], i):
+                    options.append((t, regs[r - 1]))
+            elif pool is None:
+                options.append((t, len(out) + 1))
+            else:
+                taken = used if kind is OpKind.FRESH else regs
+                options.extend((t, v) for v in range(1, pool + 1) if live(v, i) and v not in taken)
+        if not options:
+            break
+        t, d = rng.choice(options)
+        if t.label.op.kind is not OpKind.REUSE:
+            regs[t.label.op.register - 1] = d
+        used.add(d)
+        state = t.target
+        out.append((t.label.label, d))
+    return tuple(out)
+
+
+def perturb(rng: Random, word):
+    """The word with one letter's value replaced by another value of the word (or itself)."""
+    if not word:
+        return word
+    i = rng.randrange(len(word))
+    return word[:i] + ((word[i][0], rng.choice(word)[1]),) + word[i + 1:]
+
+
+def reference_simulate(a: Automaton, word) -> bool:
+    """Membership by breadth-first search that keeps dead register contents.
+
+    The configuration set grows with every value still held in a register,
+    so this is only fast on words with few distinct values; it is the oracle
+    for ``simulate``, which forgets a value after its last occurrence.
+    """
+    for label, _ in word:
+        if label not in a.alphabet:
+            raise UnknownLabel(f"label {label!r} is not in the alphabet of {a.name}")
+    k = a.registers
+    confs: set[tuple[str, tuple]] = {(a.initial, (None,) * k)}
+    used: set[int] = set()
+    for label, d in word:
+        nxt: set[tuple[str, tuple]] = set()
+        for state, regs in confs:
+            for kind, reg, target in a._moves.get((state, label), ()):
+                if kind is OpKind.REUSE:
+                    if regs[reg - 1] != d:
+                        continue
+                    nxt.add((target, regs))
+                elif kind is OpKind.LOCAL:
+                    if d in regs:
+                        continue
+                    nxt.add((target, regs[: reg - 1] + (d,) + regs[reg:]))
+                else:
+                    if d in used:
+                        continue
+                    nxt.add((target, regs[: reg - 1] + (d,) + regs[reg:]))
+        used.add(d)
+        confs = nxt
+        if not confs:
+            return False
+    return any(state in a.finals for state, _ in confs)
+
+
+def reference_bound(word) -> int:
+    """Session bound by counting, at every position, the sessions that cover it."""
+    spans = list(sessions(word).values())
+    best = 0
+    for i in range(1, len(word) + 1):
+        covering = sum(1 for lo, hi in spans if lo <= i <= hi)
+        if covering > best:
+            best = covering
+    return best
 
 
 def permute_values(rng: Random, word):

@@ -1,18 +1,31 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import dw, permute_values, random_data_word, random_session_automaton, sw
+from helpers import (
+    dw,
+    permute_values,
+    perturb,
+    random_data_word,
+    random_run_word,
+    random_session_automaton,
+    reference_simulate,
+    sw,
+)
 from sessauto import (
     Automaton,
     AutomatonClass,
     NotSessionAutomaton,
+    OpKind,
     RegisterOp,
     Transition,
     TransitionLabel,
     UnknownLabel,
     accepts_symbolic,
     as_symbolic_nfa,
+    canonicalize,
     classify,
     from_symbolic_dfa,
     is_data_deterministic,
@@ -20,6 +33,7 @@ from sessauto import (
     minimize,
     determinize,
     simulate,
+    snf,
     validate,
 )
 
@@ -63,6 +77,74 @@ def test_membership_is_permutation_invariant():
         for _ in range(10):
             w = random_data_word(rng, max_len=6, max_value=3)
             assert simulate(a, w) == simulate(a, permute_values(rng, w))
+
+
+LABELS = ("a", "b")
+SESSION_OPS = (OpKind.FRESH, OpKind.REUSE)
+REGISTER_OPS = (OpKind.LOCAL, OpKind.REUSE)
+FRESH_REGISTER_OPS = (OpKind.FRESH, OpKind.LOCAL, OpKind.REUSE)
+
+
+@st.composite
+def automata(draw, kinds):
+    """Automata over {a, b} with k <= 3 and operations from ``kinds``.
+
+    Every state has a move of every kind, so random runs seldom get stuck.
+    """
+    k = draw(st.integers(1, 3))
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+
+    def moves(sources, ops):
+        letters = st.builds(TransitionLabel, st.sampled_from(LABELS),
+                            st.builds(RegisterOp, ops, st.integers(1, k)))
+        return st.builds(Transition, sources, letters, st.sampled_from(states))
+
+    backbone = {draw(moves(st.just(s), st.just(kind))) for s in states for kind in kinds}
+    extra = draw(st.frozensets(moves(st.sampled_from(states), st.sampled_from(kinds)), max_size=12))
+    return Automaton(
+        name="h",
+        alphabet=frozenset(LABELS),
+        registers=k,
+        states=frozenset(states),
+        initial="q0",
+        finals=draw(st.frozensets(st.sampled_from(states))),
+        transitions=frozenset(backbone) | extra,
+    )
+
+
+@pytest.mark.parametrize("kinds", [SESSION_OPS, REGISTER_OPS, FRESH_REGISTER_OPS],
+                         ids=["session", "register", "fresh-register"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_simulate_matches_unpruned_reference(kinds, data):
+    # At most 8 distinct values, so the reference's configuration sets stay small.
+    a = data.draw(automata(kinds))
+    rng = data.draw(st.randoms(use_true_random=True))
+    w = random_run_word(rng, a, data.draw(st.integers(100, 1000)), pool=data.draw(st.integers(1, 8)))
+    # One check per end state: a lone accept bit hides runs lost or gained on the way.
+    for x in (w, perturb(rng, w)):
+        for q in sorted(a.states):
+            b = replace(a, finals=frozenset({q}))
+            assert simulate(b, x) == reference_simulate(b, x)
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=automata(SESSION_OPS), rng=st.randoms(use_true_random=True), length=st.integers(1000, 3000))
+def test_simulate_matches_canonical_path_on_long_words(a, rng, length):
+    # Every fresh move takes a new value: many short sessions, too many values for the reference.
+    w = random_run_word(rng, a, length)
+    for x in (w, perturb(rng, w)):
+        assert simulate(a, x) == canonicalize(a).accepts(snf(x))
+
+
+def test_simulate_baseline_word_agrees_with_canonical_path(fig5a):
+    # a:1 b:1 ... a:2000 b:2000; a search that keeps dead values needs seconds here.
+    w = tuple(x for d in range(1, 2001) for x in (("a", d), ("b", d)))
+    canonical = canonicalize(fig5a)
+    assert simulate(fig5a, w) and canonical.accepts(snf(w))
+    # b must reuse a held value, and 2001 never occurred.
+    rejected = w[:-1] + (("b", 2001),)
+    assert not simulate(fig5a, rejected) and not canonical.accepts(snf(rejected))
 
 
 def test_classify(fig1a, fig1b, fig2b, fig3):

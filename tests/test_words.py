@@ -1,8 +1,9 @@
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import dw, permute_values, random_data_word, sw
+from helpers import dw, permute_values, random_data_word, reference_bound, sw
 from sessauto import (
     NotWellFormed,
     UnsupportedOp,
@@ -74,6 +75,15 @@ def test_sessions_and_bound():
 def test_bound_empty_word():
     assert bound(()) == 0
     assert is_k_bounded((), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 20)), max_size=80))
+@example([])
+@example([("a", 1)])
+def test_bound_matches_reference(letters):
+    word = tuple(letters)
+    assert bound(word) == reference_bound(word)
 
 
 def test_bound_disjoint_sessions():
