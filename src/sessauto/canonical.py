@@ -9,6 +9,13 @@ DFA of that set.  It is computed in three steps:
        its concretizations with some word A accepts (register relabeling),
     3. product of the two, determinized and minimized.
 
+When every symbolic word A accepts is already a normal form, snf(L(A)) is
+L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
+canonical automaton is just A determinized and minimized.  This holds for
+every hypothesis of the learner and every output of intersect and
+complement_bounded; accepts_only_normal_forms decides it by a walk over A and
+the normal-form DFA, without building a product.
+
 Two session automata accept the same data words exactly when their canonical
 forms coincide, which turns the boolean and decision operations into plain
 DFA constructions.
@@ -208,10 +215,54 @@ def tilde(a: Automaton) -> SymbolicNfa:
     )
 
 
+def accepts_only_normal_forms(a: Automaton) -> bool:
+    """Whether every symbolic word the automaton accepts is a normal form.
+
+    Walks the reachable pairs (state of a, state of the normal-form DFA),
+    following only states of a that can reach a final state, and stops at
+    the first letter the normal-form DFA cannot read or the first final state
+    of a paired with a non-final one.  Every normal-form state can reach a
+    final state, so a letter it cannot read starts no normal form at all.
+    """
+    nf = nf_automaton(a.registers, a.alphabet)
+    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
+    sources: dict[str, set[str]] = {}
+    for t in a.transitions:
+        moves.setdefault(t.source, []).append((t.label, t.target))
+        sources.setdefault(t.target, set()).add(t.source)
+    live = set(a.finals)
+    stack = list(live)
+    while stack:
+        for s in sources.get(stack.pop(), ()):
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    start = (a.initial, nf.initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        q, n = stack.pop()
+        if q in a.finals and n not in nf.finals:
+            return False
+        for letter, q2 in moves.get(q, ()):
+            if q2 not in live:
+                continue
+            n2 = nf.delta.get((n, letter))
+            if n2 is None:
+                return False
+            if (q2, n2) not in seen:
+                seen.add((q2, n2))
+                stack.append((q2, n2))
+    return True
+
+
 @lru_cache(maxsize=256)
 def canonicalize(a: Automaton) -> SymbolicDfa:
-    """Minimal DFA of snf(L(a)), the canonical form of the automaton's language."""
-    nf = nf_automaton(a.registers, a.alphabet)
-    out = minimize(determinize(product(nf, tilde(a))))
-    out.registers = a.registers
-    return out
+    """Minimal DFA of snf(L(a)), the canonical form of the automaton's language.
+
+    Automata that accept only normal forms skip the relabeling closure: their
+    symbolic language already is snf(L(a)).
+    """
+    if accepts_only_normal_forms(a):
+        return minimize(determinize(as_symbolic_nfa(a)))
+    return minimize(determinize(product(nf_automaton(a.registers, a.alphabet), tilde(a))))

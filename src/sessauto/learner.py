@@ -146,8 +146,9 @@ class MembershipOracle:
         return nf_automaton(max_register(word), self.labels).accepts(word)
 
     def __call__(self, word: SymbolicWord) -> bool:
-        if word in self.memo:
-            return self.memo[word]
+        answer = self.memo.get(word)
+        if answer is not None:
+            return answer
         self._charge()
         if self._is_normal_form(word):
             answer = self.teacher.membership(concretize(word))
@@ -164,20 +165,28 @@ class ObservationTable:
 
     ``upper`` is prefix-closed and its rows stay pairwise distinct; the lower
     part consists of all one-letter extensions of upper words.  Rows are read
-    through the oracle, which memoizes every cell.
+    through the oracle, which memoizes every cell.  Each word's row is cached
+    and only extended by the cells of columns added since it was last read,
+    which relies on columns never being removed or reordered.
     """
 
     def __init__(self, labels: frozenset[str], registers: int = 1):
         self.labels = labels
-        self.registers = registers
+        self.registers = 0
         self.upper: list[SymbolicWord] = [()]
         self.columns: list[SymbolicWord] = [()]
+        self._rows: dict[SymbolicWord, tuple[bool, ...]] = {}
+        self.extend_alphabet(registers)
 
-    def letters(self) -> list[TransitionLabel]:
-        return sorted(symbolic_alphabet(self.labels, self.registers), key=letter_key)
+    def letters(self) -> tuple[TransitionLabel, ...]:
+        return self._letters
 
     def row(self, word: SymbolicWord, oracle: MembershipOracle) -> tuple[bool, ...]:
-        return tuple(oracle(word + v) for v in self.columns)
+        row = self._rows.get(word, ())
+        if len(row) < len(self.columns):
+            row += tuple(oracle(word + v) for v in self.columns[len(row):])
+            self._rows[word] = row
+        return row
 
     def _lower_words(self):
         upper = set(self.upper)
@@ -213,6 +222,7 @@ class ObservationTable:
         if registers < self.registers:
             raise ValueError("the symbolic alphabet never shrinks")
         self.registers = registers
+        self._letters = tuple(sorted(symbolic_alphabet(self.labels, registers), key=letter_key))
 
     def add_column(self, suffix: SymbolicWord) -> None:
         if suffix in self.columns:

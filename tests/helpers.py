@@ -17,12 +17,17 @@ from sessauto import (
     Transition,
     TransitionLabel,
     UnknownLabel,
+    determinize,
     letter_key,
+    minimize,
+    nf_automaton,
     parse_automaton,
     parse_data_word,
     parse_symbolic_word,
+    product,
     sessions,
     simulate,
+    tilde,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -220,6 +225,18 @@ def reference_bound(word) -> int:
         if covering > best:
             best = covering
     return best
+
+
+def reference_canonicalize(a: Automaton) -> SymbolicDfa:
+    """Canonical DFA by the general construction only: nf × tilde, determinized, minimized.
+
+    ``canonicalize`` skips the relabeling closure for automata that accept
+    only normal forms; this is the oracle its shortcut is compared against.
+    """
+    nf = nf_automaton(a.registers, a.alphabet)
+    out = minimize(determinize(product(nf, tilde(a))))
+    out.registers = a.registers
+    return out
 
 
 def permute_values(rng: Random, word):

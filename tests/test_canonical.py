@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     dw,
@@ -8,28 +9,36 @@ from helpers import (
     fig5c_dfa,
     random_data_word,
     random_session_automaton,
+    reference_canonicalize,
     sw,
 )
 from sessauto import (
+    Automaton,
     NfState,
     PartialInjection,
     SymbolicDfa,
+    Transition,
     accepts_symbolic,
     as_nfa,
     canonicalize,
+    complement_bounded,
     concretize,
     determinize,
     from_symbolic_dfa,
+    intersect,
     is_well_formed,
     isomorphic,
     minimize,
     nf_automaton,
+    nf_violation_witness,
     simulate,
     snf,
     symbolic_alphabet,
     tilde,
     wf_automaton,
 )
+from sessauto.canonical import accepts_only_normal_forms
+from test_automata import SESSION_OPS, automata
 
 A = frozenset({"a"})
 AB = frozenset({"a", "b"})
@@ -220,3 +229,48 @@ def test_canonical_of_empty_language():
     can = canonicalize(empty)
     assert can.finals == frozenset()
     assert len(can.states) == 1
+
+
+EMPTY = Automaton("void", AB, 2, frozenset({"q0"}), "q0", frozenset(), frozenset())
+# The general construction takes seconds on some k = 3 draws and their complements
+# (ROADMAP item 2(b)); k = 3 normal-form automata come from the learner's tests.
+AUTOMATA_K2 = automata(SESSION_OPS).filter(lambda a: a.registers <= 2)
+
+
+def assert_canonical_path(a, only_normal_forms):
+    """canonicalize agrees with the general construction, and the walk with the witness search."""
+    assert canonicalize(a) == reference_canonicalize(a)
+    assert accepts_only_normal_forms(a) is (nf_violation_witness(a) is None)
+    if only_normal_forms:
+        assert accepts_only_normal_forms(a)
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=AUTOMATA_K2, b=AUTOMATA_K2)
+@example(a=EMPTY, b=EMPTY)
+def test_canonical_fast_path_on_normal_form_automata(a, b):
+    # Canonical forms, intersections and complements accept normal forms only.
+    assert_canonical_path(from_symbolic_dfa(canonicalize(a), "c", a.alphabet, a.registers), True)
+    assert_canonical_path(intersect(a, b), True)
+    assert_canonical_path(complement_bounded(a), True)
+
+
+def chain(*letters, final_only=True):
+    """Automaton reading the letters along q0, q1, ...: accepting at its end, or only at q0."""
+    steps = [sw(x)[0] for x in letters]
+    states = [f"q{i}" for i in range(len(steps) + 1)]
+    return Automaton(
+        "chain", AB, 2, frozenset(states), "q0",
+        frozenset({states[-1] if final_only else "q0"}),
+        frozenset(Transition(s, x, t) for s, x, t in zip(states, steps, states[1:])),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=AUTOMATA_K2)
+# Accepted while register 1 is still promised: only the final-state check sees it.
+@example(a=chain("a:*1", "a:*2"))
+# Not a normal form, but no final state follows it: only the live-state restriction passes it.
+@example(a=chain("a:^1", final_only=False))
+def test_canonical_general_path_on_random_automata(a):
+    assert_canonical_path(a, False)

@@ -1,8 +1,18 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import dw, random_session_automaton, sw
+from helpers import (
+    FIXTURES,
+    dw,
+    fixture,
+    perturb,
+    random_run_word,
+    random_session_automaton,
+    reference_canonicalize,
+    sw,
+)
 from sessauto import (
     Automaton,
     Learner,
@@ -12,16 +22,21 @@ from sessauto import (
     ObservationTable,
     QueryBudgetExceeded,
     RegisterOp,
+    Teacher,
     TeacherInconsistent,
     Transition,
     TransitionLabel,
+    canonicalize,
     equivalent,
     learn,
     nf_violation_witness,
     reference_teacher,
     scripted_teacher,
+    simulate,
+    snf,
     validate,
 )
+from sessauto.canonical import accepts_only_normal_forms
 
 SCRIPT = [dw("a:3 b:3"), dw("a:7 a:4 b:7"), dw("a:9 a:3 b:9 b:3")]
 
@@ -204,3 +219,61 @@ def test_nf_violation_witness_finds_ill_formed_acceptance():
 def test_nf_violation_witness_clean(fig5a):
     learned, _ = golden_run(fig5a)
     assert nf_violation_witness(learned) is None
+
+
+def test_fig5a_trace_is_pinned(fig5a):
+    # Every event and query in order, as recorded with rows recomputed on each read:
+    # caching rows must neither drop nor reorder a first-time query.
+    learner = Learner(reference_teacher(fig5a), {"a", "b"})
+    learner.run()
+    lines = [f"{e.event}\t{e.detail}\t{e.k}\t{e.upper_rows}\t{e.columns}" for e in learner.trace]
+    assert lines == (FIXTURES / "fig5a_learn_trace.tsv").read_text().splitlines()
+    assert learner.oracle.teacher_queries == 41
+    assert len(learner.oracle.memo) == 113
+
+
+@st.composite
+def targets(draw):
+    """Small random session automata over {a, b} with k <= 3 registers."""
+    rng = draw(st.randoms(use_true_random=True))
+    return random_session_automaton(rng, registers=draw(st.integers(1, 3)), name="target")
+
+
+class RecordingTeacher(Teacher):
+    """Reference teacher that keeps every hypothesis it is asked about."""
+
+    def __init__(self, target):
+        self.inner = reference_teacher(target)
+        self.hypotheses = []
+
+    def membership(self, word):
+        return self.inner.membership(word)
+
+    def equivalence(self, hypothesis):
+        self.hypotheses.append(hypothesis)
+        return self.inner.equivalence(hypothesis)
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=targets())
+def test_hypotheses_take_the_canonical_fast_path(target):
+    teacher = RecordingTeacher(target)
+    Learner(teacher, target.alphabet).run()
+    for hypothesis in teacher.hypotheses:
+        assert accepts_only_normal_forms(hypothesis)
+        assert canonicalize(hypothesis) == reference_canonicalize(hypothesis)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    target=st.sampled_from(["fig5a", "fig1b", "fig2b"]).map(fixture) | targets(),
+    rng=st.randoms(use_true_random=True),
+    length=st.integers(100, 1000),
+)
+def test_learned_simulated_and_canonical_membership_agree_on_long_words(target, rng, length):
+    learned = Learner(reference_teacher(target), target.alphabet).run()
+    canonical = canonicalize(target)
+    for a in (target, learned):
+        w = random_run_word(rng, a, length)
+        for x in (w, perturb(rng, w)):
+            assert simulate(learned, x) == simulate(target, x) == canonical.accepts(snf(x))
