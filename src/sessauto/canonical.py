@@ -9,6 +9,12 @@ DFA of that set.  It is computed in three steps:
        its concretizations with some word A accepts (register relabeling),
     3. product of the two, determinized and minimized.
 
+Step 3 never builds the product or tilde(A) itself: normal_form_table runs one
+breadth-first subset construction whose states pair a normal-form state with
+a set of tilde(A) states.  Tilde states are interned as ints and their moves
+computed once, when first needed, and letters are indices into the sorted
+alphabet; the resulting int table is minimized by Moore refinement on ints.
+
 When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
 canonical automaton is just A determinized and minimized.  This holds for
@@ -26,9 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .automata import Automaton, as_symbolic_nfa
-from .symbolic import SymbolicDfa, SymbolicNfa, determinize, minimize, product
-from .words import OpKind, RegisterOp, TransitionLabel
+from .automata import Automaton, Transition, as_symbolic_nfa
+from .symbolic import (
+    DfaTable,
+    SymbolicDfa,
+    SymbolicNfa,
+    determinize_table,
+    pooled_moves,
+    subset_construction,
+)
+from .words import OpKind, RegisterOp, TransitionLabel, letter_key
 
 
 @dataclass(frozen=True)
@@ -162,17 +175,37 @@ def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
     )
 
 
+def _relabelings(op: RegisterOp, inj: PartialInjection, k: int) -> list[tuple[int, PartialInjection]]:
+    """Output registers a transition with this operation may use, each with the injection after it.
+
+    A reuse reads the output register that holds its register's value, and
+    has no move when none does.  A fresh write may pick any output register;
+    whoever used that output register before loses it.
+    """
+    if op.kind is OpKind.REUSE:
+        mapped = inj.get(op.register)
+        return [] if mapped is None else [(mapped, inj)]
+    return [(r, inj.rewire(op.register, r)) for r in range(1, k + 1)]
+
+
+def _outgoing(a: Automaton) -> dict[str, list[Transition]]:
+    out: dict[str, list[Transition]] = {}
+    for t in a.transitions:
+        out.setdefault(t.source, []).append(t)
+    return out
+
+
 def tilde(a: Automaton) -> SymbolicNfa:
     """Register-relabeling closure of a session automaton's symbolic language.
 
     The result accepts exactly the well-formed words that denote the same
     data words as some word in L_symb(a).  States pair a state of ``a`` with
     a partial injection telling, for each register of ``a``, which output
-    register currently holds the same value.  A fresh write may pick any
-    output register; whoever used that output register before loses it.
+    register currently holds the same value (see ``_relabelings``).
     """
     k = a.registers
     nfa = as_symbolic_nfa(a)  # validates the session precondition
+    outgoing = _outgoing(a)
     start = (a.initial, PartialInjection())
     names = {start: f"{a.initial}|{start[1]}"}
     order = [start]
@@ -182,28 +215,13 @@ def tilde(a: Automaton) -> SymbolicNfa:
         state, inj = order[i]
         i += 1
         src = names[(state, inj)]
-        for t in a.transitions:
-            if t.source != state:
-                continue
-            op = t.label.op
-            if op.kind is OpKind.REUSE:
-                mapped = inj.get(op.register)
-                if mapped is None:
-                    continue
-                moves = [(TransitionLabel(t.label.label, RegisterOp(OpKind.REUSE, mapped)), inj)]
-            else:
-                moves = [
-                    (
-                        TransitionLabel(t.label.label, RegisterOp(OpKind.FRESH, r2)),
-                        inj.rewire(op.register, r2),
-                    )
-                    for r2 in range(1, k + 1)
-                ]
-            for letter, inj2 in moves:
+        for t in outgoing.get(state, ()):
+            for r, inj2 in _relabelings(t.label.op, inj, k):
                 key = (t.target, inj2)
                 if key not in names:
                     names[key] = f"{t.target}|{inj2}"
                     order.append(key)
+                letter = TransitionLabel(t.label.label, RegisterOp(t.label.op.kind, r))
                 transitions.add((src, letter, names[key]))
     return SymbolicNfa(
         alphabet=nfa.alphabet,
@@ -213,6 +231,61 @@ def tilde(a: Automaton) -> SymbolicNfa:
         transitions=frozenset(transitions),
         registers=k,
     )
+
+
+def normal_form_table(a: Automaton) -> DfaTable:
+    """determinize(product(nf_automaton, tilde(a))), a DFA of snf(L(a)), built without either NFA.
+
+    A subset is (normal-form state, set of tilde states): the normal-form DFA
+    is deterministic, so every reachable subset of the product pairs all its
+    members with one normal-form state.  Tilde states are interned as ints,
+    and the moves of each, as target ids by letter index, are computed once,
+    when a subset first contains it.  Only the letters the normal-form state
+    can read are pooled.
+    """
+    k = a.registers
+    alphabet = as_symbolic_nfa(a).alphabet  # validates the session precondition
+    letters = sorted(alphabet, key=letter_key)
+    index = {x: i for i, x in enumerate(letters)}
+    nf = DfaTable.of(nf_automaton(k, a.alphabet))
+    nf_letters = [[x for x, t in enumerate(row) if t >= 0] for row in nf.rows]
+    # Per source state: (letter index per output register, operation, target).
+    outgoing = {
+        q: [
+            ([index[TransitionLabel(t.label.label, RegisterOp(t.label.op.kind, r))]
+              for r in range(1, k + 1)], t.label.op, t.target)
+            for t in ts
+        ]
+        for q, ts in _outgoing(a).items()
+    }
+    keys = [(a.initial, PartialInjection())]
+    ids = {(a.initial, ()): 0}
+    tilde_rows: list[list[list[int]] | None] = [None]
+
+    def expand(s: int) -> list[list[int]]:
+        row = tilde_rows[s] = [[] for _ in letters]
+        q, inj = keys[s]
+        for slots, op, target in outgoing.get(q, ()):
+            for r, inj2 in _relabelings(op, inj, k):
+                key = (target, inj2.pairs)  # a plain tuple hashes in C
+                t = ids.get(key)
+                if t is None:
+                    t = ids[key] = len(keys)
+                    keys.append((target, inj2))
+                    tilde_rows.append(None)
+                row[slots[r - 1]].append(t)
+        return row
+
+    def successors(state):
+        n, subset = state
+        rows = [tilde_rows[s] or expand(s) for s in subset]
+        return [(x, (nf.rows[n][x], targets)) for x, targets in pooled_moves(rows, nf_letters[n])]
+
+    def accepting(state) -> bool:
+        n, subset = state
+        return nf.finals[n] and any(keys[s][0] in a.finals for s in subset)
+
+    return subset_construction((0, frozenset({0})), successors, accepting, alphabet, k)
 
 
 def accepts_only_normal_forms(a: Automaton) -> bool:
@@ -261,8 +334,10 @@ def canonicalize(a: Automaton) -> SymbolicDfa:
     """Minimal DFA of snf(L(a)), the canonical form of the automaton's language.
 
     Automata that accept only normal forms skip the relabeling closure: their
-    symbolic language already is snf(L(a)).
+    symbolic language already is snf(L(a)).  Others go through one lazy
+    subset construction over the normal-form DFA and tilde(a) (see
+    ``normal_form_table``).  Register automata raise NotSessionAutomaton.
     """
     if accepts_only_normal_forms(a):
-        return minimize(determinize(as_symbolic_nfa(a)))
-    return minimize(determinize(product(nf_automaton(a.registers, a.alphabet), tilde(a))))
+        return determinize_table(as_symbolic_nfa(a)).minimal()
+    return normal_form_table(a).minimal()

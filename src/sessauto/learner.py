@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Automaton, Transition, as_symbolic_nfa
-from .canonical import canonicalize, nf_automaton
+from .canonical import accepts_only_normal_forms, canonicalize, nf_automaton
 from .errors import (
     NoBreakpoint,
     NotClosed,
@@ -377,7 +377,7 @@ class Learner:
                 + "] columns=[" + ", ".join(format_symbolic_word(v) for v in table.columns) + "]",
             )
             hypothesis = table.build_hypothesis(oracle)
-            z = nf_violation_witness(hypothesis)
+            z = None if accepts_only_normal_forms(hypothesis) else nf_violation_witness(hypothesis)
             if z is not None:
                 self.oracle.equivalence_queries += 1
                 self._emit("NfViolation", format_symbolic_word(z))

@@ -5,12 +5,15 @@ values.  They carry the symbolic-language side of every construction: the
 data-word semantics never appears here.  States are strings; every operation
 that synthesizes states renumbers them canonically (breadth-first from the
 initial state, expanding letters in their total order), which makes minimal
-automata comparable by plain structural equality.
+automata comparable by plain structural equality.  Subset construction and
+minimization run on int transition tables (DfaTable), indexed once and
+translated back at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .words import SymbolicWord, TransitionLabel, letter_key, word_key
 
@@ -123,36 +126,193 @@ def isomorphic(d1: SymbolicDfa, d2: SymbolicDfa) -> bool:
     )
 
 
-def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
-    """Subset construction, reachable part only, canonically numbered."""
-    letters = _sorted_letters(nfa.alphabet)
-    delta = nfa.delta()
-    start = frozenset(nfa.initials)
-    names: dict[frozenset, str] = {start: "0"}
+@dataclass
+class DfaTable:
+    """A DFA on states 0..n-1, initial state 0, over letter indices.
+
+    Letter x is the x-th letter of the alphabet in ``letter_key`` order, and
+    ``rows[s][x]`` is the target of state s on it, or -1 when s has no move.
+    """
+
+    rows: list[list[int]]
+    finals: list[bool]
+    alphabet: frozenset[TransitionLabel]
+    registers: int
+
+    @classmethod
+    def of(cls, dfa: SymbolicDfa) -> "DfaTable":
+        """Index a DFA's states (initial first) and letters once."""
+        index = {x: i for i, x in enumerate(_sorted_letters(dfa.alphabet))}
+        ids = {dfa.initial: 0}
+        for s in dfa.states:
+            ids.setdefault(s, len(ids))
+        rows = [[-1] * len(index) for _ in ids]
+        for (s, x), t in dfa.delta.items():
+            if x in index:
+                rows[ids[s]][index[x]] = ids[t]
+        finals = [False] * len(ids)
+        for s in dfa.finals:
+            finals[ids[s]] = True
+        return cls(rows, finals, dfa.alphabet, dfa.registers)
+
+    def to_dfa(self) -> SymbolicDfa:
+        """The same DFA with states named "0", "1", ..."""
+        letters = _sorted_letters(self.alphabet)
+        names = [str(s) for s in range(len(self.rows))]
+        return SymbolicDfa(
+            alphabet=self.alphabet,
+            states=frozenset(names),
+            initial="0",
+            finals=frozenset(names[s] for s, final in enumerate(self.finals) if final),
+            delta={
+                (names[s], letters[x]): names[t]
+                for s, row in enumerate(self.rows)
+                for x, t in enumerate(row)
+                if t >= 0
+            },
+            registers=self.registers,
+        )
+
+    def minimal(self) -> SymbolicDfa:
+        """Minimal trim partial DFA for the language, canonically numbered.
+
+        Moore partition refinement on the table completed by a sink state,
+        appended last so that a missing move (-1) indexes it: blocks split by
+        (block, blocks of the successors) until their number stops growing.
+        The quotient keeps the blocks reachable from the initial block
+        through blocks that can reach a final one, numbered breadth-first
+        with letters in order.  The initial state survives even when the
+        language is empty, because a DFA needs one; ``complete`` tells
+        whether every kept state moves on every letter.
+        """
+        letters = _sorted_letters(self.alphabet)
+        rows = self.rows + [[-1] * len(letters)]
+        block = [int(final) for final in self.finals] + [0]
+        count = len(set(block))
+        while True:
+            signatures: dict[tuple, int] = {}
+            block = [
+                signatures.setdefault((block[s],) + tuple(map(block.__getitem__, row)),
+                                      len(signatures))
+                for s, row in enumerate(rows)
+            ]
+            if len(signatures) == count:
+                break
+            count = len(signatures)
+
+        q_rows: list[list[int] | None] = [None] * count
+        for s, row in enumerate(rows):
+            if q_rows[block[s]] is None:
+                q_rows[block[s]] = [block[t] for t in row]
+        q_finals = {block[s] for s, final in enumerate(self.finals) if final}
+        sources: list[list[int]] = [[] for _ in range(count)]
+        for b, row in enumerate(q_rows):
+            for t in row:
+                sources[t].append(b)
+        alive = set(q_finals)
+        stack = list(alive)
+        while stack:
+            for b in sources[stack.pop()]:
+                if b not in alive:
+                    alive.add(b)
+                    stack.append(b)
+
+        names = {block[0]: "0"}
+        order = [block[0]]
+        delta: dict[tuple[str, TransitionLabel], str] = {}
+        i = 0
+        while i < len(order):
+            b = order[i]
+            i += 1
+            for x, t in enumerate(q_rows[b]):
+                if t in alive:
+                    if t not in names:
+                        names[t] = str(len(order))
+                        order.append(t)
+                    delta[(names[b], letters[x])] = names[t]
+        return SymbolicDfa(
+            alphabet=self.alphabet,
+            states=frozenset(names.values()),
+            initial="0",
+            finals=frozenset(names[b] for b in order if b in q_finals),
+            delta=delta,
+            complete=len(delta) == len(order) * len(letters),
+            registers=self.registers,
+        )
+
+
+def subset_construction(start, successors, accepting, alphabet, registers: int) -> DfaTable:
+    """Breadth-first subset construction over letter indices, canonically numbered.
+
+    ``successors(subset)`` lists the (letter index, next subset) pairs that
+    leave a subset, by increasing letter index, and ``accepting(subset)``
+    tells whether it is final.  Subsets are numbered in the order they are
+    found, so the numbering does not depend on how their members are named.
+    ``determinize_table`` and the canonical general path both run on it.
+    """
+    width = len(alphabet)
+    names = {start: 0}
     order = [start]
-    out: dict[tuple[str, TransitionLabel], str] = {}
+    rows: list[list[int]] = []
     i = 0
     while i < len(order):
         subset = order[i]
         i += 1
-        for x in letters:
-            target = frozenset(t for s in subset for t in delta.get((s, x), ()))
-            if not target:
-                continue
-            if target not in names:
-                names[target] = str(len(order))
+        row = [-1] * width
+        for x, target in successors(subset):
+            t = names.get(target)
+            if t is None:
+                t = names[target] = len(order)
                 order.append(target)
-            out[(names[subset], x)] = names[target]
-    finals = frozenset(names[s] for s in order if s & nfa.finals)
-    return SymbolicDfa(
-        alphabet=nfa.alphabet,
-        states=frozenset(names.values()),
-        initial="0",
-        finals=finals,
-        delta=out,
-        complete=False,
-        registers=nfa.registers,
+            row[x] = t
+        rows.append(row)
+    return DfaTable(rows, [accepting(s) for s in order], alphabet, registers)
+
+
+def pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
+    """Targets a subset reaches by each letter index in ``letters``, where it reaches any.
+
+    ``rows`` holds one row per member of the subset: ``row[x]`` lists that
+    member's target ids by letter index x.
+    """
+    out = []
+    for x in letters:
+        targets = frozenset().union(*map(itemgetter(x), rows))
+        if targets:
+            out.append((x, targets))
+    return out
+
+
+def determinize_table(nfa: SymbolicNfa) -> DfaTable:
+    """The subset construction of ``determinize``, as an int table."""
+    every = range(len(nfa.alphabet))
+    index = {x: i for i, x in enumerate(_sorted_letters(nfa.alphabet))}
+    ids: dict[str, int] = {}
+    table: list[list[list[int]]] = []
+
+    def state_id(s: str) -> int:
+        if s not in ids:
+            ids[s] = len(table)
+            table.append([[] for _ in every])
+        return ids[s]
+
+    for src, x, dst in nfa.transitions:
+        if x in index:
+            table[state_id(src)][index[x]].append(state_id(dst))
+    start = frozenset(state_id(s) for s in nfa.initials)
+    finals = {ids[s] for s in nfa.finals if s in ids}
+    return subset_construction(
+        start,
+        lambda subset: pooled_moves([table[s] for s in subset], every),
+        lambda subset: not finals.isdisjoint(subset),
+        nfa.alphabet,
+        nfa.registers,
     )
+
+
+def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
+    """Subset construction, reachable part only, canonically numbered."""
+    return determinize_table(nfa).to_dfa()
 
 
 def _complete(dfa: SymbolicDfa, alphabet: frozenset[TransitionLabel]) -> tuple[SymbolicDfa, str]:
@@ -200,72 +360,10 @@ def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:
 def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
     """Minimal trim partial DFA for the language, canonically numbered.
 
-    Moore partition refinement on the completed automaton, then dead states
-    (those that cannot reach a final state) are removed again.  The initial
-    state survives even when the language is empty, because a DFA needs one.
+    States and letters are indexed once into a table of ints, minimized
+    there (see ``DfaTable.minimal``) and translated back at the end.
     """
-    total, _ = _complete(dfa, dfa.alphabet)
-    letters = _sorted_letters(total.alphabet)
-
-    block: dict[str, int] = {s: (1 if s in total.finals else 0) for s in total.states}
-    while True:
-        signature = {
-            s: (block[s], tuple(block[total.delta[(s, x)]] for x in letters))
-            for s in total.states
-        }
-        renamed: dict[tuple, int] = {}
-        for s in sorted(total.states):
-            renamed.setdefault(signature[s], len(renamed))
-        new_block = {s: renamed[signature[s]] for s in total.states}
-        if new_block == block:
-            break
-        block = new_block
-
-    # Quotient automaton on blocks.
-    q_initial = block[total.initial]
-    q_finals = {block[s] for s in total.finals}
-    q_delta = {
-        (block[s], x): block[total.delta[(s, x)]]
-        for s in total.states
-        for x in letters
-    }
-
-    # Keep blocks that are reachable from the initial and can reach a final.
-    reachable = {q_initial}
-    stack = [q_initial]
-    while stack:
-        b = stack.pop()
-        for x in letters:
-            t = q_delta[(b, x)]
-            if t not in reachable:
-                reachable.add(t)
-                stack.append(t)
-    alive = set(q_finals)
-    changed = True
-    while changed:
-        changed = False
-        for (b, _), t in q_delta.items():
-            if t in alive and b not in alive:
-                alive.add(b)
-                changed = True
-    keep = (reachable & alive) | {q_initial}
-
-    delta = {
-        (str(b), x): str(t)
-        for (b, x), t in q_delta.items()
-        if b in keep and t in keep and t in alive
-    }
-    out = SymbolicDfa(
-        alphabet=dfa.alphabet,
-        states=frozenset(str(b) for b in keep),
-        initial=str(q_initial),
-        finals=frozenset(str(b) for b in q_finals if b in keep),
-        delta=delta,
-        registers=dfa.registers,
-    )
-    out = renumber(out)
-    out.complete = all((s, x) in out.delta for s in out.states for x in letters)
-    return out
+    return DfaTable.of(dfa).minimal()
 
 
 def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:

@@ -14,6 +14,7 @@ from sessauto import (
     OpKind,
     RegisterOp,
     SymbolicDfa,
+    SymbolicNfa,
     Transition,
     TransitionLabel,
     UnknownLabel,
@@ -29,6 +30,7 @@ from sessauto import (
     simulate,
     tilde,
 )
+from sessauto.symbolic import _complete, _sorted_letters, renumber
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -237,6 +239,130 @@ def reference_canonicalize(a: Automaton) -> SymbolicDfa:
     out = minimize(determinize(product(nf, tilde(a))))
     out.registers = a.registers
     return out
+
+
+def reference_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
+    """Subset construction on string states and letter-keyed dicts.
+
+    ``determinize`` runs the same construction on int ids through the subset
+    kernel it shares with the canonical general path; this is its oracle.
+    """
+    letters = _sorted_letters(nfa.alphabet)
+    delta = nfa.delta()
+    start = frozenset(nfa.initials)
+    names: dict[frozenset, str] = {start: "0"}
+    order = [start]
+    out: dict[tuple[str, TransitionLabel], str] = {}
+    i = 0
+    while i < len(order):
+        subset = order[i]
+        i += 1
+        for x in letters:
+            target = frozenset(t for s in subset for t in delta.get((s, x), ()))
+            if not target:
+                continue
+            if target not in names:
+                names[target] = str(len(order))
+                order.append(target)
+            out[(names[subset], x)] = names[target]
+    finals = frozenset(names[s] for s in order if s & nfa.finals)
+    return SymbolicDfa(
+        alphabet=nfa.alphabet,
+        states=frozenset(names.values()),
+        initial="0",
+        finals=finals,
+        delta=out,
+        complete=False,
+        registers=nfa.registers,
+    )
+
+
+def reference_minimize(dfa: SymbolicDfa) -> SymbolicDfa:
+    """Moore refinement on string states and letter-keyed dicts.
+
+    ``minimize`` runs on an int transition table; this is its oracle, down
+    to the state numbering and the ``complete`` flag.
+    """
+    total, _ = _complete(dfa, dfa.alphabet)
+    letters = _sorted_letters(total.alphabet)
+
+    block: dict[str, int] = {s: (1 if s in total.finals else 0) for s in total.states}
+    while True:
+        signature = {
+            s: (block[s], tuple(block[total.delta[(s, x)]] for x in letters))
+            for s in total.states
+        }
+        renamed: dict[tuple, int] = {}
+        for s in sorted(total.states):
+            renamed.setdefault(signature[s], len(renamed))
+        new_block = {s: renamed[signature[s]] for s in total.states}
+        if new_block == block:
+            break
+        block = new_block
+
+    # Quotient automaton on blocks.
+    q_initial = block[total.initial]
+    q_finals = {block[s] for s in total.finals}
+    q_delta = {
+        (block[s], x): block[total.delta[(s, x)]]
+        for s in total.states
+        for x in letters
+    }
+
+    # Keep blocks that are reachable from the initial and can reach a final.
+    reachable = {q_initial}
+    stack = [q_initial]
+    while stack:
+        b = stack.pop()
+        for x in letters:
+            t = q_delta[(b, x)]
+            if t not in reachable:
+                reachable.add(t)
+                stack.append(t)
+    alive = set(q_finals)
+    changed = True
+    while changed:
+        changed = False
+        for (b, _), t in q_delta.items():
+            if t in alive and b not in alive:
+                alive.add(b)
+                changed = True
+    keep = (reachable & alive) | {q_initial}
+
+    delta = {
+        (str(b), x): str(t)
+        for (b, x), t in q_delta.items()
+        if b in keep and t in keep and t in alive
+    }
+    out = SymbolicDfa(
+        alphabet=dfa.alphabet,
+        states=frozenset(str(b) for b in keep),
+        initial=str(q_initial),
+        finals=frozenset(str(b) for b in q_finals if b in keep),
+        delta=delta,
+        registers=dfa.registers,
+    )
+    out = renumber(out)
+    out.complete = all((s, x) in out.delta for s in out.states for x in letters)
+    return out
+
+
+def universal(k: int, labels=("a", "b")) -> Automaton:
+    """One accepting state reading every fresh and reuse letter: every k-bounded data word."""
+    return Automaton(
+        name=f"univ{k}",
+        alphabet=frozenset(labels),
+        registers=k,
+        states=frozenset({"u"}),
+        initial="u",
+        finals=frozenset({"u"}),
+        transitions=frozenset(
+            Transition("u", TransitionLabel(x, RegisterOp(kind, r)), "u")
+            for x in labels
+            for kind in (OpKind.FRESH, OpKind.REUSE)
+            for r in range(1, k + 1)
+        ),
+    )
 
 
 def permute_values(rng: Random, word):

@@ -11,15 +11,18 @@ from helpers import (
     random_session_automaton,
     reference_canonicalize,
     sw,
+    universal,
 )
 from sessauto import (
     Automaton,
     NfState,
+    NotSessionAutomaton,
     PartialInjection,
     SymbolicDfa,
     Transition,
     accepts_symbolic,
     as_nfa,
+    as_symbolic_nfa,
     canonicalize,
     complement_bounded,
     concretize,
@@ -31,13 +34,14 @@ from sessauto import (
     minimize,
     nf_automaton,
     nf_violation_witness,
+    product,
     simulate,
     snf,
     symbolic_alphabet,
     tilde,
     wf_automaton,
 )
-from sessauto.canonical import accepts_only_normal_forms
+from sessauto.canonical import accepts_only_normal_forms, normal_form_table
 from test_automata import SESSION_OPS, automata
 
 A = frozenset({"a"})
@@ -274,3 +278,46 @@ def chain(*letters, final_only=True):
 @example(a=chain("a:^1", final_only=False))
 def test_canonical_general_path_on_random_automata(a):
     assert_canonical_path(a, False)
+
+
+def test_canonicalize_rejects_register_automata(fig1a):
+    # The general path must not read local letters as fresh ones.
+    with pytest.raises(NotSessionAutomaton):
+        canonicalize(fig1a)
+    with pytest.raises(NotSessionAutomaton):
+        normal_form_table(fig1a)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_canonical_universal_is_all_normal_forms(k):
+    can = canonicalize(universal(k))
+    assert len(can.states) == 2 ** k
+    if k <= 3:
+        assert can == reference_canonicalize(universal(k))
+
+
+# Two-state automata keep canonicalize below seconds at k = 3 (three-state ones
+# reach canonical forms of thousands of states).  The general path took ~2 s on
+# a 44-state k = 3 input and ran out of an 8 s limit on a 78-state one, so only
+# inputs of up to 20 states take it here.
+SMALL = automata(SESSION_OPS).filter(lambda a: len(a.states) <= 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=SMALL, b=SMALL)
+@example(a=EMPTY, b=EMPTY)
+@example(a=universal(3), b=universal(2))
+def test_general_path_matches_fast_path(a, b):
+    # All three accept normal forms only, so determinizing them gives snf(L) directly.
+    for c in (from_symbolic_dfa(canonicalize(a), "c", a.alphabet, a.registers),
+              intersect(a, b), complement_bounded(a)):
+        if len(c.states) <= 20:
+            assert normal_form_table(c).minimal() == minimize(determinize(as_symbolic_nfa(c)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=AUTOMATA_K2)
+@example(a=universal(3))
+def test_normal_form_table_is_the_determinized_product(a):
+    nf = nf_automaton(a.registers, a.alphabet)
+    assert normal_form_table(a).to_dfa() == determinize(product(nf, tilde(a)))

@@ -84,6 +84,10 @@ def test_canonical(tmp_path, capsys):
     assert "automaton can_fig5a" in capsys.readouterr().out
 
 
+def test_canonical_of_register_automaton_fails():
+    assert main(["canonical", FIG1A]) == 2
+
+
 def test_op_union_and_intersect(tmp_path):
     out = tmp_path / "out.sra"
     assert main(["op", "union", FIG2B, FIG5A, "-o", str(out)]) == 0

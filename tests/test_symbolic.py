@@ -1,7 +1,17 @@
 from random import Random
 
-from helpers import enumerate_symbolic_words, letter, nfa_accepts_brute, sw
+from hypothesis import example, given, settings, strategies as st
+
+from helpers import (
+    enumerate_symbolic_words,
+    letter,
+    nfa_accepts_brute,
+    reference_determinize,
+    reference_minimize,
+    sw,
+)
 from sessauto import (
+    SymbolicDfa,
     SymbolicNfa,
     complement,
     determinize,
@@ -205,3 +215,52 @@ def test_equivalence_witness_is_least_difference():
     )
     # languages differ first on the one-letter word a:*1
     assert symbolic_equivalence(x, y) == sw("a:*1")
+
+
+LETTERS = AB + (letter("a", "reuse", 1), letter("b", "fresh", 2))
+
+
+@st.composite
+def tables(draw):
+    """Random automata over up to four letters, as (states, alphabet, edges, finals)."""
+    states = [f"s{i}" for i in range(draw(st.integers(1, 6)))]
+    alphabet = draw(st.frozensets(st.sampled_from(LETTERS)))
+    edges = []
+    if alphabet:
+        edge = st.tuples(st.sampled_from(states), st.sampled_from(sorted(alphabet, key=str)),
+                         st.sampled_from(states))
+        edges = draw(st.lists(edge, max_size=4 * len(states)))
+    return states, alphabet, edges, draw(st.frozensets(st.sampled_from(states)))
+
+
+@st.composite
+def partial_dfas(draw):
+    states, alphabet, edges, finals = draw(tables())
+    return SymbolicDfa(alphabet, frozenset(states), "s0", finals,
+                       {(s, x): t for s, x, t in edges}, registers=1)
+
+
+@st.composite
+def nfas(draw):
+    states, alphabet, edges, finals = draw(tables())
+    initials = draw(st.frozensets(st.sampled_from(states)))
+    return SymbolicNfa(alphabet, frozenset(states), initials, finals, frozenset(edges), registers=1)
+
+
+ONE = frozenset({"s0"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfa=partial_dfas())
+# One state: empty language, every word over a complete loop, no letters at all.
+@example(dfa=SymbolicDfa(frozenset(AB), ONE, "s0", frozenset(), {(("s0", x)): "s0" for x in AB}))
+@example(dfa=SymbolicDfa(frozenset(AB), ONE, "s0", ONE, {(("s0", x)): "s0" for x in AB}))
+@example(dfa=SymbolicDfa(frozenset(), ONE, "s0", ONE, {}))
+def test_minimize_matches_reference(dfa):
+    assert minimize(dfa) == reference_minimize(dfa)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfa=nfas())
+def test_determinize_matches_reference(nfa):
+    assert determinize(nfa) == reference_determinize(nfa)
