@@ -74,7 +74,6 @@ from .symbolic import (
     determinize,
     isomorphic,
     minimize,
-    nfa_union,
     product,
     renumber,
     shortest_accepted,

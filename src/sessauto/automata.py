@@ -25,11 +25,11 @@ from .symbolic import SymbolicDfa, SymbolicNfa
 from .words import (
     DataWord,
     OpKind,
-    RegisterOp,
     SymbolicWord,
     TransitionLabel,
     letter_key,
     sessions,
+    symbolic_alphabet,
 )
 
 _TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -207,12 +207,7 @@ def as_symbolic_nfa(a: Automaton) -> SymbolicNfa:
     if classify(a) is not AutomatonClass.SESSION:
         raise NotSessionAutomaton("only session automata have a symbolic-language view")
     return SymbolicNfa(
-        alphabet=frozenset(
-            TransitionLabel(label, RegisterOp(kind, r))
-            for label in a.alphabet
-            for kind in (OpKind.FRESH, OpKind.REUSE)
-            for r in range(1, a.registers + 1)
-        ),
+        alphabet=symbolic_alphabet(a.alphabet, a.registers),
         states=a.states,
         initials=frozenset({a.initial}),
         finals=a.finals,

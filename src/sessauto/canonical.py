@@ -19,8 +19,11 @@ When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
 canonical automaton is just A determinized and minimized.  This holds for
 every hypothesis of the learner and every output of intersect and
-complement_bounded; accepts_only_normal_forms decides it by a walk over A and
-the normal-form DFA, without building a product.
+complement_bounded.  One breadth-first walk over A and the normal-form DFA,
+nf_violation_witness, finds the shortlex-least accepted word that is not a
+normal form without building a product or a complement; A accepts only
+normal forms when it finds none (accepts_only_normal_forms), and the learner
+returns its witness as a counterexample to its own hypothesis.
 
 Two session automata accept the same data words exactly when their canonical
 forms coincide, which turns the boolean and decision operations into plain
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .automata import Automaton, Transition, as_symbolic_nfa
+from .errors import NotSessionAutomaton
 from .symbolic import (
     DfaTable,
     SymbolicDfa,
@@ -41,7 +45,14 @@ from .symbolic import (
     pooled_moves,
     subset_construction,
 )
-from .words import OpKind, RegisterOp, TransitionLabel, letter_key
+from .words import (
+    OpKind,
+    RegisterOp,
+    SymbolicWord,
+    TransitionLabel,
+    letter_key,
+    symbolic_alphabet,
+)
 
 
 @dataclass(frozen=True)
@@ -123,12 +134,7 @@ def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
             for a in labels:
                 delta[(names[s], TransitionLabel(a, op))] = names[target]
     return SymbolicDfa(
-        alphabet=frozenset(
-            TransitionLabel(a, RegisterOp(kind, r))
-            for a in labels
-            for kind in (OpKind.FRESH, OpKind.REUSE)
-            for r in range(1, registers + 1)
-        ),
+        alphabet=symbolic_alphabet(labels, registers),
         states=frozenset(names.values()),
         initial=names[start],
         finals=frozenset(names[s] for s in order if not s.promised),
@@ -161,12 +167,7 @@ def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
                 for a in labels:
                     delta[(names[written], TransitionLabel(a, op))] = names[target]
     return SymbolicDfa(
-        alphabet=frozenset(
-            TransitionLabel(a, RegisterOp(kind, r))
-            for a in labels
-            for kind in (OpKind.FRESH, OpKind.REUSE)
-            for r in range(1, registers + 1)
-        ),
+        alphabet=symbolic_alphabet(labels, registers),
         states=frozenset(names.values()),
         initial=names[start],
         finals=frozenset(names.values()),
@@ -288,21 +289,29 @@ def normal_form_table(a: Automaton) -> DfaTable:
     return subset_construction((0, frozenset({0})), successors, accepting, alphabet, k)
 
 
-def accepts_only_normal_forms(a: Automaton) -> bool:
-    """Whether every symbolic word the automaton accepts is a normal form.
+def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
+    """Shortlex-least symbolic word the automaton accepts that is not a normal form, or None.
 
-    Walks the reachable pairs (state of a, state of the normal-form DFA),
-    following only states of a that can reach a final state, and stops at
-    the first letter the normal-form DFA cannot read or the first final state
-    of a paired with a non-final one.  Every normal-form state can reach a
-    final state, so a letter it cannot read starts no normal form at all.
+    Breadth-first walk over the reachable pairs (state of a, state of the
+    normal-form DFA or None), following only states of a that can reach a
+    final state and taking letters in their total order.  None stands for a
+    prefix that is no normal form any more: the normal-form DFA could not read
+    one of its letters.  Pairs are found in shortlex order of their least
+    access words, so the first accepting pair found, a final state of a paired
+    with None or with a non-final normal-form state, carries the witness,
+    spelled out from the letters that led to each pair.  Register automata
+    raise NotSessionAutomaton.
     """
     nf = nf_automaton(a.registers, a.alphabet)
-    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
+    moves: dict[str, list[tuple[tuple, str, TransitionLabel]]] = {}
     sources: dict[str, set[str]] = {}
     for t in a.transitions:
-        moves.setdefault(t.source, []).append((t.label, t.target))
+        if t.label.op.kind is OpKind.LOCAL:
+            raise NotSessionAutomaton(f"{a.name} is not a session automaton: it reads {t.label}")
+        moves.setdefault(t.source, []).append((letter_key(t.label), t.target, t.label))
         sources.setdefault(t.target, set()).add(t.source)
+    for out in moves.values():
+        out.sort()
     live = set(a.finals)
     stack = list(live)
     while stack:
@@ -311,22 +320,34 @@ def accepts_only_normal_forms(a: Automaton) -> bool:
                 live.add(s)
                 stack.append(s)
     start = (a.initial, nf.initial)
-    seen = {start}
-    stack = [start]
-    while stack:
-        q, n = stack.pop()
-        if q in a.finals and n not in nf.finals:
-            return False
-        for letter, q2 in moves.get(q, ()):
+    parent: dict[tuple, tuple | None] = {start: None}
+    queue = [start]
+    for pair in queue:
+        q, n = pair
+        for _, q2, letter in moves.get(q, ()):
             if q2 not in live:
                 continue
-            n2 = nf.delta.get((n, letter))
-            if n2 is None:
-                return False
-            if (q2, n2) not in seen:
-                seen.add((q2, n2))
-                stack.append((q2, n2))
-    return True
+            n2 = None if n is None else nf.delta.get((n, letter))
+            if (q2, n2) in parent:
+                continue
+            parent[(q2, n2)] = (pair, letter)
+            if q2 in a.finals and n2 not in nf.finals:
+                word = [letter]
+                while parent[pair] is not None:
+                    pair, letter = parent[pair]
+                    word.append(letter)
+                return tuple(reversed(word))
+            queue.append((q2, n2))
+    return None
+
+
+def accepts_only_normal_forms(a: Automaton) -> bool:
+    """Whether every symbolic word the automaton accepts is a normal form.
+
+    True exactly when the walk of ``nf_violation_witness`` finds no witness,
+    which is also what makes ``canonicalize`` take its shortcut.
+    """
+    return nf_violation_witness(a) is None
 
 
 @lru_cache(maxsize=256)

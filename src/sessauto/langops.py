@@ -21,8 +21,7 @@ from .canonical import canonicalize, nf_automaton, wf_automaton
 from .errors import NotSessionAutomaton
 from .symbolic import (
     complement,
-    determinize,
-    minimize,
+    determinize_table,
     product,
     shortest_accepted,
     symbolic_equivalence,
@@ -48,7 +47,7 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     """
     _require_session(a, b)
     k = min(a.registers, b.registers)
-    dfa = minimize(determinize(product(canonicalize(a), canonicalize(b))))
+    dfa = determinize_table(product(canonicalize(a), canonicalize(b))).minimal()
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
 
 
@@ -93,7 +92,7 @@ def complement_bounded(a: Automaton) -> Automaton:
     k = a.registers
     alpha = symbolic_alphabet(a.alphabet, k)
     outside = complement(canonicalize(a), alpha)
-    dfa = minimize(determinize(product(nf_automaton(k, a.alphabet), outside)))
+    dfa = determinize_table(product(nf_automaton(k, a.alphabet), outside)).minimal()
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Automaton, Transition, as_symbolic_nfa
-from .canonical import accepts_only_normal_forms, canonicalize, nf_automaton
+from .automata import Automaton, Transition
+from .canonical import canonicalize, nf_automaton, nf_violation_witness
 from .errors import (
     NoBreakpoint,
     NotClosed,
@@ -25,7 +25,7 @@ from .errors import (
     UnknownLabel,
 )
 from .formats import format_data_word, format_symbolic_word
-from .symbolic import complement, product, shortest_accepted, symbolic_equivalence
+from .symbolic import symbolic_equivalence
 from .words import (
     DataWord,
     SymbolicWord,
@@ -271,13 +271,6 @@ class ObservationTable:
         )
 
 
-def nf_violation_witness(hypothesis: Automaton) -> SymbolicWord | None:
-    """Shortest accepted symbolic word that is not a normal form, if any."""
-    alpha = symbolic_alphabet(hypothesis.alphabet, hypothesis.registers)
-    outside = complement(nf_automaton(hypothesis.registers, frozenset(hypothesis.alphabet)), alpha)
-    return shortest_accepted(product(as_symbolic_nfa(hypothesis), outside))
-
-
 def find_breakpoint(
     table: ObservationTable,
     z: SymbolicWord,
@@ -377,12 +370,11 @@ class Learner:
                 + "] columns=[" + ", ".join(format_symbolic_word(v) for v in table.columns) + "]",
             )
             hypothesis = table.build_hypothesis(oracle)
-            z = None if accepts_only_normal_forms(hypothesis) else nf_violation_witness(hypothesis)
+            oracle.equivalence_queries += 1
+            z = nf_violation_witness(hypothesis)
             if z is not None:
-                self.oracle.equivalence_queries += 1
                 self._emit("NfViolation", format_symbolic_word(z))
             else:
-                self.oracle.equivalence_queries += 1
                 counterexample = self.teacher.equivalence(hypothesis)
                 if counterexample is None:
                     self._emit("EquivalenceQuery", "equivalent")

@@ -3,22 +3,25 @@
 These are ordinary NFAs/DFAs whose alphabet consists of TransitionLabel
 values.  They carry the symbolic-language side of every construction: the
 data-word semantics never appears here.  States are strings; every operation
-that synthesizes states renumbers them canonically (breadth-first from the
+that synthesizes states numbers them canonically (breadth-first from the
 initial state, expanding letters in their total order), which makes minimal
-automata comparable by plain structural equality.  Subset construction and
-minimization run on int transition tables (DfaTable), indexed once and
-translated back at the end.
+automata comparable by plain structural equality.  That numbering is one
+construction, ``subset_construction`` on int transition tables (DfaTable):
+determinize, minimize and renumber all run on it, indexing states and letters
+once and translating back at the end.  Both automaton classes are frozen, so
+a cached result cannot be rebound by the caller it is handed to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .words import SymbolicWord, TransitionLabel, letter_key, word_key
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolicNfa:
     alphabet: frozenset[TransitionLabel]
     states: frozenset[str]
@@ -27,17 +30,16 @@ class SymbolicNfa:
     transitions: frozenset[tuple[str, TransitionLabel, str]]
     registers: int = 0
 
+    @cached_property
     def delta(self) -> dict[tuple[str, TransitionLabel], set[str]]:
-        if not hasattr(self, "_delta"):
-            table: dict[tuple[str, TransitionLabel], set[str]] = {}
-            for src, letter, dst in self.transitions:
-                table.setdefault((src, letter), set()).add(dst)
-            self._delta = table
-        return self._delta
+        table: dict[tuple[str, TransitionLabel], set[str]] = {}
+        for src, letter, dst in self.transitions:
+            table.setdefault((src, letter), set()).add(dst)
+        return table
 
     def accepts(self, word: SymbolicWord) -> bool:
         frontier = set(self.initials)
-        delta = self.delta()
+        delta = self.delta
         for letter in word:
             frontier = {t for s in frontier for t in delta.get((s, letter), ())}
             if not frontier:
@@ -45,14 +47,13 @@ class SymbolicNfa:
         return bool(frontier & self.finals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolicDfa:
     alphabet: frozenset[TransitionLabel]
     states: frozenset[str]
     initial: str
     finals: frozenset[str]
     delta: dict[tuple[str, TransitionLabel], str] = field(default_factory=dict)
-    complete: bool = False
     registers: int = 0
 
     def accepts(self, word: SymbolicWord) -> bool:
@@ -88,32 +89,14 @@ def renumber(dfa: SymbolicDfa) -> SymbolicDfa:
     Unreachable states are dropped.  Two minimal DFAs of the same language
     come out structurally equal.
     """
-    letters = _sorted_letters(dfa.alphabet)
-    names = {dfa.initial: "0"}
-    order = [dfa.initial]
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for x in letters:
-            t = dfa.delta.get((s, x))
-            if t is not None and t not in names:
-                names[t] = str(len(order))
-                order.append(t)
-    delta = {
-        (names[s], x): names[t]
-        for (s, x), t in dfa.delta.items()
-        if s in names and t in names
-    }
-    return SymbolicDfa(
-        alphabet=dfa.alphabet,
-        states=frozenset(names.values()),
-        initial="0",
-        finals=frozenset(names[s] for s in dfa.finals if s in names),
-        delta=delta,
-        complete=dfa.complete,
-        registers=dfa.registers,
-    )
+    table = DfaTable.of(dfa)
+    return subset_construction(
+        0,
+        lambda s: [(x, t) for x, t in enumerate(table.rows[s]) if t >= 0],
+        table.finals.__getitem__,
+        dfa.alphabet,
+        dfa.registers,
+    ).to_dfa()
 
 
 def isomorphic(d1: SymbolicDfa, d2: SymbolicDfa) -> bool:
@@ -182,11 +165,9 @@ class DfaTable:
         The quotient keeps the blocks reachable from the initial block
         through blocks that can reach a final one, numbered breadth-first
         with letters in order.  The initial state survives even when the
-        language is empty, because a DFA needs one; ``complete`` tells
-        whether every kept state moves on every letter.
+        language is empty, because a DFA needs one.
         """
-        letters = _sorted_letters(self.alphabet)
-        rows = self.rows + [[-1] * len(letters)]
+        rows = self.rows + [[-1] * len(self.alphabet)]
         block = [int(final) for final in self.finals] + [0]
         count = len(set(block))
         while True:
@@ -216,29 +197,13 @@ class DfaTable:
                 if b not in alive:
                     alive.add(b)
                     stack.append(b)
-
-        names = {block[0]: "0"}
-        order = [block[0]]
-        delta: dict[tuple[str, TransitionLabel], str] = {}
-        i = 0
-        while i < len(order):
-            b = order[i]
-            i += 1
-            for x, t in enumerate(q_rows[b]):
-                if t in alive:
-                    if t not in names:
-                        names[t] = str(len(order))
-                        order.append(t)
-                    delta[(names[b], letters[x])] = names[t]
-        return SymbolicDfa(
-            alphabet=self.alphabet,
-            states=frozenset(names.values()),
-            initial="0",
-            finals=frozenset(names[b] for b in order if b in q_finals),
-            delta=delta,
-            complete=len(delta) == len(order) * len(letters),
-            registers=self.registers,
-        )
+        return subset_construction(
+            block[0],
+            lambda b: [(x, t) for x, t in enumerate(q_rows[b]) if t in alive],
+            q_finals.__contains__,
+            self.alphabet,
+            self.registers,
+        ).to_dfa()
 
 
 def subset_construction(start, successors, accepting, alphabet, registers: int) -> DfaTable:
@@ -248,7 +213,9 @@ def subset_construction(start, successors, accepting, alphabet, registers: int) 
     leave a subset, by increasing letter index, and ``accepting(subset)``
     tells whether it is final.  Subsets are numbered in the order they are
     found, so the numbering does not depend on how their members are named.
-    ``determinize_table`` and the canonical general path both run on it.
+    A subset may be any hashable value, a single state too: this is the one
+    canonical numbering, which ``determinize_table``, the canonical general
+    path, ``renumber`` and the quotient of ``DfaTable.minimal`` all run on.
     """
     width = len(alphabet)
     names = {start: 0}
@@ -315,46 +282,21 @@ def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
     return determinize_table(nfa).to_dfa()
 
 
-def _complete(dfa: SymbolicDfa, alphabet: frozenset[TransitionLabel]) -> tuple[SymbolicDfa, str]:
-    """Total version of the DFA over the given alphabet; returns it with the sink name."""
+def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:
+    """Complete over the union of the DFA's alphabet and the given one, swap finals.
+
+    Missing moves go to a new sink state, which is accepting in the result.
+    """
+    alpha = dfa.alphabet if alphabet is None else dfa.alphabet | frozenset(alphabet)
     sink = "sink"
     while sink in dfa.states:
         sink = "_" + sink
+    states = dfa.states | {sink}
     delta = dict(dfa.delta)
-    for s in list(dfa.states) + [sink]:
-        for x in alphabet:
+    for s in states:
+        for x in alpha:
             delta.setdefault((s, x), sink)
-    return (
-        SymbolicDfa(
-            alphabet=alphabet,
-            states=dfa.states | {sink},
-            initial=dfa.initial,
-            finals=dfa.finals,
-            delta=delta,
-            complete=True,
-            registers=dfa.registers,
-        ),
-        sink,
-    )
-
-
-def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:
-    """Complete over the union of the DFA's alphabet and the given one, swap finals."""
-    alpha = dfa.alphabet if alphabet is None else dfa.alphabet | frozenset(alphabet)
-    total, _ = _complete(
-        SymbolicDfa(alpha, dfa.states, dfa.initial, dfa.finals, dict(dfa.delta),
-                    registers=dfa.registers),
-        alpha,
-    )
-    return SymbolicDfa(
-        alphabet=alpha,
-        states=total.states,
-        initial=total.initial,
-        finals=total.states - total.finals,
-        delta=total.delta,
-        complete=True,
-        registers=total.registers,
-    )
+    return SymbolicDfa(alpha, states, dfa.initial, states - dfa.finals, delta, dfa.registers)
 
 
 def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
@@ -370,7 +312,7 @@ def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> Symbo
     """Intersection product, reachable pairs only."""
     nx, ny = as_nfa(x), as_nfa(y)
     letters = _sorted_letters(nx.alphabet | ny.alphabet)
-    dx, dy = nx.delta(), ny.delta()
+    dx, dy = nx.delta, ny.delta
     names: dict[tuple[str, str], str] = {}
     order: list[tuple[str, str]] = []
     for s in sorted(nx.initials):
@@ -404,26 +346,6 @@ def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> Symbo
     )
 
 
-def nfa_union(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
-    """Disjoint union; accepts the union of both languages."""
-    nx, ny = as_nfa(x), as_nfa(y)
-    left = {s: f"l_{s}" for s in nx.states}
-    right = {s: f"r_{s}" for s in ny.states}
-    return SymbolicNfa(
-        alphabet=nx.alphabet | ny.alphabet,
-        states=frozenset(left.values()) | frozenset(right.values()),
-        initials=frozenset(left[s] for s in nx.initials)
-        | frozenset(right[s] for s in ny.initials),
-        finals=frozenset(left[s] for s in nx.finals)
-        | frozenset(right[s] for s in ny.finals),
-        transitions=frozenset(
-            (left[s], a, left[t]) for s, a, t in nx.transitions
-        )
-        | frozenset((right[s], a, right[t]) for s, a, t in ny.transitions),
-        registers=max(nx.registers, ny.registers),
-    )
-
-
 def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
     """Shortest accepted word; ties broken by the letter order, None if empty.
 
@@ -432,7 +354,7 @@ def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
     """
     nfa = as_nfa(fa)
     letters = _sorted_letters(nfa.alphabet)
-    delta = nfa.delta()
+    delta = nfa.delta
     seen: dict[str, SymbolicWord] = {}
     queue: list[str] = []
     for s in sorted(nfa.initials):

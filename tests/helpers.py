@@ -18,6 +18,8 @@ from sessauto import (
     Transition,
     TransitionLabel,
     UnknownLabel,
+    as_symbolic_nfa,
+    complement,
     determinize,
     letter_key,
     minimize,
@@ -27,10 +29,12 @@ from sessauto import (
     parse_symbolic_word,
     product,
     sessions,
+    shortest_accepted,
     simulate,
+    symbolic_alphabet,
     tilde,
 )
-from sessauto.symbolic import _complete, _sorted_letters, renumber
+from sessauto.symbolic import _sorted_letters
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -236,9 +240,18 @@ def reference_canonicalize(a: Automaton) -> SymbolicDfa:
     only normal forms; this is the oracle its shortcut is compared against.
     """
     nf = nf_automaton(a.registers, a.alphabet)
-    out = minimize(determinize(product(nf, tilde(a))))
-    out.registers = a.registers
-    return out
+    return minimize(determinize(product(nf, tilde(a))))
+
+
+def reference_nf_violation_witness(hypothesis: Automaton):
+    """Shortest accepted non-normal form, from the product with the complemented normal-form DFA.
+
+    ``nf_violation_witness`` finds the same word by a breadth-first walk that
+    builds neither; this is its oracle.
+    """
+    alpha = symbolic_alphabet(hypothesis.alphabet, hypothesis.registers)
+    outside = complement(nf_automaton(hypothesis.registers, frozenset(hypothesis.alphabet)), alpha)
+    return shortest_accepted(product(as_symbolic_nfa(hypothesis), outside))
 
 
 def reference_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
@@ -248,7 +261,7 @@ def reference_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
     kernel it shares with the canonical general path; this is its oracle.
     """
     letters = _sorted_letters(nfa.alphabet)
-    delta = nfa.delta()
+    delta = nfa.delta
     start = frozenset(nfa.initials)
     names: dict[frozenset, str] = {start: "0"}
     order = [start]
@@ -272,8 +285,40 @@ def reference_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
         initial="0",
         finals=finals,
         delta=out,
-        complete=False,
         registers=nfa.registers,
+    )
+
+
+def reference_renumber(dfa: SymbolicDfa) -> SymbolicDfa:
+    """Breadth-first renumbering on string states and letter-keyed dicts.
+
+    ``renumber`` and ``minimize`` number states through the subset kernel;
+    this is their oracle.
+    """
+    letters = _sorted_letters(dfa.alphabet)
+    names = {dfa.initial: "0"}
+    order = [dfa.initial]
+    i = 0
+    while i < len(order):
+        s = order[i]
+        i += 1
+        for x in letters:
+            t = dfa.delta.get((s, x))
+            if t is not None and t not in names:
+                names[t] = str(len(order))
+                order.append(t)
+    delta = {
+        (names[s], x): names[t]
+        for (s, x), t in dfa.delta.items()
+        if s in names and t in names
+    }
+    return SymbolicDfa(
+        alphabet=dfa.alphabet,
+        states=frozenset(names.values()),
+        initial="0",
+        finals=frozenset(names[s] for s in dfa.finals if s in names),
+        delta=delta,
+        registers=dfa.registers,
     )
 
 
@@ -281,9 +326,17 @@ def reference_minimize(dfa: SymbolicDfa) -> SymbolicDfa:
     """Moore refinement on string states and letter-keyed dicts.
 
     ``minimize`` runs on an int transition table; this is its oracle, down
-    to the state numbering and the ``complete`` flag.
+    to the state numbering.
     """
-    total, _ = _complete(dfa, dfa.alphabet)
+    sink = "sink"
+    while sink in dfa.states:
+        sink = "_" + sink
+    delta = dict(dfa.delta)
+    for s in list(dfa.states) + [sink]:
+        for x in dfa.alphabet:
+            delta.setdefault((s, x), sink)
+    total = SymbolicDfa(dfa.alphabet, dfa.states | {sink}, dfa.initial, dfa.finals, delta,
+                        registers=dfa.registers)
     letters = _sorted_letters(total.alphabet)
 
     block: dict[str, int] = {s: (1 if s in total.finals else 0) for s in total.states}
@@ -342,9 +395,7 @@ def reference_minimize(dfa: SymbolicDfa) -> SymbolicDfa:
         delta=delta,
         registers=dfa.registers,
     )
-    out = renumber(out)
-    out.complete = all((s, x) in out.delta for s in out.states for x in letters)
-    return out
+    return reference_renumber(out)
 
 
 def universal(k: int, labels=("a", "b")) -> Automaton:

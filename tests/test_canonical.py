@@ -10,6 +10,7 @@ from helpers import (
     random_data_word,
     random_session_automaton,
     reference_canonicalize,
+    reference_nf_violation_witness,
     sw,
     universal,
 )
@@ -242,9 +243,9 @@ AUTOMATA_K2 = automata(SESSION_OPS).filter(lambda a: a.registers <= 2)
 
 
 def assert_canonical_path(a, only_normal_forms):
-    """canonicalize agrees with the general construction, and the walk with the witness search."""
+    """canonicalize agrees with the general construction, and the walk's witness with the product's."""
     assert canonicalize(a) == reference_canonicalize(a)
-    assert accepts_only_normal_forms(a) is (nf_violation_witness(a) is None)
+    assert nf_violation_witness(a) == reference_nf_violation_witness(a)
     if only_normal_forms:
         assert accepts_only_normal_forms(a)
 
@@ -278,6 +279,57 @@ def chain(*letters, final_only=True):
 @example(a=chain("a:^1", final_only=False))
 def test_canonical_general_path_on_random_automata(a):
     assert_canonical_path(a, False)
+
+
+@st.composite
+def normal_form_parts(draw):
+    """The normal-form DFA over k <= 3 registers less some moves, with any states accepting.
+
+    Accepting only normal-form finals gives an automaton without violations;
+    an accepting state with pending promises gives violations that only the
+    final-state check sees.
+    """
+    k = draw(st.integers(1, 3))
+    nf = nf_automaton(k, AB)
+    dropped = draw(st.frozensets(st.sampled_from(sorted(nf.delta, key=str))))
+    finals = draw(st.frozensets(st.sampled_from(sorted(nf.states))))
+    moves = {key: t for key, t in nf.delta.items() if key not in dropped}
+    part = SymbolicDfa(nf.alphabet, nf.states, nf.initial, finals, moves, k)
+    return from_symbolic_dfa(part, "part", AB, k)
+
+
+def branches(*paths):
+    """Automaton reading each path of letters from q0 into one accepting state f."""
+    transitions = set()
+    for i, path in enumerate(paths):
+        steps = [sw(x)[0] for x in path]
+        states = ["q0"] + [f"p{i}_{j}" for j in range(1, len(steps))] + ["f"]
+        transitions |= {Transition(s, x, t) for s, x, t in zip(states, steps, states[1:])}
+    states = frozenset({"q0", "f"} | {q for t in transitions for q in (t.source, t.target)})
+    return Automaton("branches", AB, 2, states, "q0", frozenset({"f"}), frozenset(transitions))
+
+
+# A depth-first walk that takes letters in order meets a:*1 a:*1 a:^2 before the
+# shorter b:*1 b:^2; one that pushes them on a stack meets b:*1 b:^2 before a:*1 a:^2.
+LONG_FIRST = branches(("a:*1", "a:*1", "a:^2"), ("b:*1", "b:^2"))
+SAME_LENGTH = branches(("a:*1", "a:^2"), ("b:*1", "b:^2"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=automata(SESSION_OPS) | normal_form_parts())
+@example(a=LONG_FIRST)
+@example(a=SAME_LENGTH)
+@example(a=chain("a:*1", "a:*2"))
+@example(a=from_symbolic_dfa(nf_automaton(3, AB), "nf", AB, 3))
+def test_nf_violation_witness_matches_reference(a):
+    assert nf_violation_witness(a) == reference_nf_violation_witness(a)
+
+
+def test_nf_violation_witness_is_shortlex_least():
+    assert nf_violation_witness(LONG_FIRST) == sw("b:*1 b:^2")
+    assert nf_violation_witness(SAME_LENGTH) == sw("a:*1 a:^2")
+    assert nf_violation_witness(chain("a:*1", "a:*2")) == sw("a:*1 a:*2")
+    assert nf_violation_witness(from_symbolic_dfa(nf_automaton(3, AB), "nf", AB, 3)) is None
 
 
 def test_canonicalize_rejects_register_automata(fig1a):

@@ -11,6 +11,7 @@ from helpers import (
     random_run_word,
     random_session_automaton,
     reference_canonicalize,
+    reference_nf_violation_witness,
     sw,
 )
 from sessauto import (
@@ -262,6 +263,24 @@ def test_hypotheses_take_the_canonical_fast_path(target):
     for hypothesis in teacher.hypotheses:
         assert accepts_only_normal_forms(hypothesis)
         assert canonicalize(hypothesis) == reference_canonicalize(hypothesis)
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=targets())
+def test_nf_violation_witness_matches_reference_on_hypotheses(target):
+    # Every hypothesis the table builds, including those the teacher never sees.
+    learner = Learner(reference_teacher(target), target.alphabet)
+    built = []
+    build = learner.table.build_hypothesis
+
+    def recording_build(oracle):
+        built.append(build(oracle))
+        return built[-1]
+
+    learner.table.build_hypothesis = recording_build
+    learner.run()
+    for hypothesis in built:
+        assert nf_violation_witness(hypothesis) == reference_nf_violation_witness(hypothesis)
 
 
 @settings(max_examples=25, deadline=None)

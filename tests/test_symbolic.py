@@ -8,6 +8,7 @@ from helpers import (
     nfa_accepts_brute,
     reference_determinize,
     reference_minimize,
+    reference_renumber,
     sw,
 )
 from sessauto import (
@@ -17,8 +18,8 @@ from sessauto import (
     determinize,
     isomorphic,
     minimize,
-    nfa_union,
     product,
+    renumber,
     shortest_accepted,
     symbolic_equivalence,
     symbolic_inclusion,
@@ -123,16 +124,6 @@ def test_product_is_intersection():
         for w in WORDS:
             expect = nfa_accepts_brute(x, w) and nfa_accepts_brute(y, w)
             assert prod.accepts(w) == expect
-
-
-def test_union_is_union():
-    rng = Random(107)
-    for _ in range(60):
-        x, y = random_nfa(rng), random_nfa(rng)
-        both = nfa_union(x, y)
-        for w in WORDS:
-            expect = nfa_accepts_brute(x, w) or nfa_accepts_brute(y, w)
-            assert both.accepts(w) == expect
 
 
 def test_complement_swaps_membership():
@@ -264,3 +255,9 @@ def test_minimize_matches_reference(dfa):
 @given(nfa=nfas())
 def test_determinize_matches_reference(nfa):
     assert determinize(nfa) == reference_determinize(nfa)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfa=partial_dfas())
+def test_renumber_matches_reference(dfa):
+    assert renumber(dfa) == reference_renumber(dfa)
