@@ -73,13 +73,6 @@ class Automaton:
             )
         return {k: tuple(v) for k, v in table.items()}
 
-    @cached_property
-    def _symbolic_delta(self) -> dict[tuple[str, TransitionLabel], frozenset[str]]:
-        table: dict[tuple[str, TransitionLabel], set[str]] = {}
-        for t in self.transitions:
-            table.setdefault((t.source, t.label), set()).add(t.target)
-        return {k: frozenset(v) for k, v in table.items()}
-
 
 def validate(a: Automaton) -> list[str]:
     """Structural diagnostics; an empty list means the automaton is well built."""
@@ -126,7 +119,7 @@ def classify(a: Automaton) -> AutomatonClass:
 
 def is_symbolically_deterministic(a: Automaton) -> bool:
     """At most one target per (state, transition label)."""
-    return all(len(v) == 1 for v in a._symbolic_delta.values())
+    return len({(t.source, t.label) for t in a.transitions}) == len(a.transitions)
 
 
 def is_data_deterministic(a: Automaton) -> bool:
@@ -190,16 +183,7 @@ def simulate(a: Automaton, word: DataWord) -> bool:
 
 def accepts_symbolic(a: Automaton, word: SymbolicWord) -> bool:
     """Acceptance of a symbolic word, reading transition labels literally."""
-    if classify(a) is not AutomatonClass.SESSION:
-        raise NotSessionAutomaton("symbolic acceptance is defined for session automata")
-    frontier = {a.initial}
-    for letter in word:
-        frontier = {
-            t for s in frontier for t in a._symbolic_delta.get((s, letter), ())
-        }
-        if not frontier:
-            return False
-    return bool(frontier & a.finals)
+    return as_symbolic_nfa(a).accepts(word)
 
 
 def as_symbolic_nfa(a: Automaton) -> SymbolicNfa:

@@ -19,11 +19,10 @@ When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
 canonical automaton is just A determinized and minimized.  This holds for
 every hypothesis of the learner and every output of intersect and
-complement_bounded.  One breadth-first walk over A and the normal-form DFA,
-nf_violation_witness, finds the shortlex-least accepted word that is not a
-normal form without building a product or a complement; A accepts only
-normal forms when it finds none (accepts_only_normal_forms), and the learner
-returns its witness as a counterexample to its own hypothesis.
+complement_bounded.  One shortlex search over A and the normal-form DFA,
+nf_violation_witness, finds the least accepted word that is not a normal
+form; A accepts only normal forms when there is none, and the learner
+returns the witness as a counterexample to its own hypothesis.
 
 Two session automata accept the same data words exactly when their canonical
 forms coincide, which turns the boolean and decision operations into plain
@@ -43,6 +42,7 @@ from .symbolic import (
     SymbolicNfa,
     determinize_table,
     pooled_moves,
+    shortlex_search,
     subset_construction,
 )
 from .words import (
@@ -292,26 +292,21 @@ def normal_form_table(a: Automaton) -> DfaTable:
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     """Shortlex-least symbolic word the automaton accepts that is not a normal form, or None.
 
-    Breadth-first walk over the reachable pairs (state of a, state of the
-    normal-form DFA or None), following only states of a that can reach a
-    final state and taking letters in their total order.  None stands for a
-    prefix that is no normal form any more: the normal-form DFA could not read
-    one of its letters.  Pairs are found in shortlex order of their least
-    access words, so the first accepting pair found, a final state of a paired
-    with None or with a non-final normal-form state, carries the witness,
-    spelled out from the letters that led to each pair.  Register automata
-    raise NotSessionAutomaton.
+    A ``shortlex_search`` over the pairs (state of a, state of the
+    normal-form DFA or None) that follows only states of a that can reach a
+    final state.  None stands for a prefix that is no normal form any more:
+    the normal-form DFA could not read one of its letters.  A witness ends in
+    a final state of a paired with None or with a non-final normal-form
+    state.  Register automata raise NotSessionAutomaton.
     """
     nf = nf_automaton(a.registers, a.alphabet)
-    moves: dict[str, list[tuple[tuple, str, TransitionLabel]]] = {}
+    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
     sources: dict[str, set[str]] = {}
     for t in a.transitions:
         if t.label.op.kind is OpKind.LOCAL:
             raise NotSessionAutomaton(f"{a.name} is not a session automaton: it reads {t.label}")
-        moves.setdefault(t.source, []).append((letter_key(t.label), t.target, t.label))
+        moves.setdefault(t.source, []).append((t.label, t.target))
         sources.setdefault(t.target, set()).add(t.source)
-    for out in moves.values():
-        out.sort()
     live = set(a.finals)
     stack = list(live)
     while stack:
@@ -319,34 +314,21 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
             if s not in live:
                 live.add(s)
                 stack.append(s)
-    start = (a.initial, nf.initial)
-    parent: dict[tuple, tuple | None] = {start: None}
-    queue = [start]
-    for pair in queue:
+
+    def successors(pair):
         q, n = pair
-        for _, q2, letter in moves.get(q, ()):
-            if q2 not in live:
-                continue
-            n2 = None if n is None else nf.delta.get((n, letter))
-            if (q2, n2) in parent:
-                continue
-            parent[(q2, n2)] = (pair, letter)
-            if q2 in a.finals and n2 not in nf.finals:
-                word = [letter]
-                while parent[pair] is not None:
-                    pair, letter = parent[pair]
-                    word.append(letter)
-                return tuple(reversed(word))
-            queue.append((q2, n2))
-    return None
+        return [(x, (q2, None if n is None else nf.delta.get((n, x))))
+                for x, q2 in moves.get(q, ()) if q2 in live]
+
+    return shortlex_search(
+        [(a.initial, nf.initial)],
+        successors,
+        lambda pair: pair[0] in a.finals and pair[1] not in nf.finals,
+    )
 
 
 def accepts_only_normal_forms(a: Automaton) -> bool:
-    """Whether every symbolic word the automaton accepts is a normal form.
-
-    True exactly when the walk of ``nf_violation_witness`` finds no witness,
-    which is also what makes ``canonicalize`` take its shortcut.
-    """
+    """Whether every accepted symbolic word is a normal form: ``canonicalize``'s shortcut."""
     return nf_violation_witness(a) is None
 
 

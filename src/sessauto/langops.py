@@ -2,9 +2,9 @@
 
 Decisions go through canonical forms: two languages compare exactly like
 their sets of normal forms, so inclusion, equivalence and universality over
-k-bounded words reduce to DFA questions.  Witnesses are returned as data
-words (a witness of a symbolic decision is always a normal form, and its
-concretization is a genuine separating data word).
+k-bounded words are early-exit searches over a pair of canonical DFAs, which
+stop at the shortlex-least symbolic witness.  That witness is a normal form,
+and it is returned concretized: a genuine separating data word.
 """
 
 from __future__ import annotations

@@ -5,20 +5,24 @@ values.  They carry the symbolic-language side of every construction: the
 data-word semantics never appears here.  States are strings; every operation
 that synthesizes states numbers them canonically (breadth-first from the
 initial state, expanding letters in their total order), which makes minimal
-automata comparable by plain structural equality.  That numbering is one
-construction, ``subset_construction`` on int transition tables (DfaTable):
-determinize, minimize and renumber all run on it, indexing states and letters
-once and translating back at the end.  Both automaton classes are frozen, so
-a cached result cannot be rebound by the caller it is handed to.
+automata comparable by plain structural equality.  Two kernels do the work.
+``subset_construction`` numbers: determinize, minimize and renumber run on
+it, over int transition tables (DfaTable).  ``shortlex_search`` stops at the
+first witness: shortest_accepted, symbolic_inclusion, symbolic_equivalence
+and the normal-form walk of ``canonical`` look for the shortlex-least word
+reaching an accepting node.  Both automaton classes are frozen and a DFA's
+moves are read-only, so a cached result cannot be changed by its callers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
-from .words import SymbolicWord, TransitionLabel, letter_key, word_key
+from .words import SymbolicWord, TransitionLabel, letter_key
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,12 @@ class SymbolicDfa:
     states: frozenset[str]
     initial: str
     finals: frozenset[str]
-    delta: dict[tuple[str, TransitionLabel], str] = field(default_factory=dict)
+    delta: Mapping[tuple[str, TransitionLabel], str] = field(default_factory=dict)
     registers: int = 0
+
+    def __post_init__(self):
+        # Cached DFAs are shared by every caller, so their moves are read-only.
+        object.__setattr__(self, "delta", MappingProxyType(self.delta))
 
     def accepts(self, word: SymbolicWord) -> bool:
         state = self.initial
@@ -346,49 +354,74 @@ def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> Symbo
     )
 
 
-def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
-    """Shortest accepted word; ties broken by the letter order, None if empty.
+def shortlex_search(starts, successors, accepting) -> SymbolicWord | None:
+    """Shortlex-least word leading from ``starts`` to an accepting node, or None.
 
-    Plain BFS: states are discovered in (length, lexicographic) order of their
-    access words, so the first final state found carries the wanted word.
+    ``successors(node)`` lists the (letter, node) pairs that leave a node, in
+    any order.  Nodes are visited once, in groups that share their least
+    access word: a group's successors by one letter, less every node seen
+    before, form the next group.  Groups are expanded in the order they are
+    found, letters in ``letter_key`` order, so they come in shortlex order of
+    their words even where one word reaches several nodes.  The first group
+    holding an accepting node carries the witness.
     """
-    nfa = as_nfa(fa)
-    letters = _sorted_letters(nfa.alphabet)
-    delta = nfa.delta
-    seen: dict[str, SymbolicWord] = {}
-    queue: list[str] = []
-    for s in sorted(nfa.initials):
-        if s not in seen:
-            seen[s] = ()
-            queue.append(s)
-    for s in queue:
-        if s in nfa.finals:
-            return seen[s]
-    i = 0
-    while i < len(queue):
-        s = queue[i]
-        i += 1
-        for x in letters:
-            for t in sorted(delta.get((s, x), ())):
-                if t not in seen:
-                    seen[t] = seen[s] + (x,)
-                    if t in nfa.finals:
-                        return seen[t]
-                    queue.append(t)
+    seen = set(starts)
+    queue = [((), frozenset(seen))]
+    for word, group in queue:
+        if any(map(accepting, group)):
+            return word
+        moves: dict[TransitionLabel, set] = {}
+        for node in group:
+            for letter, target in successors(node):
+                if target not in seen:
+                    moves.setdefault(letter, set()).add(target)
+        for letter in sorted(moves, key=letter_key):
+            targets = moves[letter] - seen
+            if targets:
+                seen |= targets
+                queue.append((word + (letter,), targets))
     return None
 
 
+def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
+    """Shortest accepted word; ties broken by the letter order, None if empty."""
+    nfa = as_nfa(fa)
+    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
+    for s, x, t in nfa.transitions:
+        moves.setdefault(s, []).append((x, t))
+    return shortlex_search(nfa.initials, lambda s: moves.get(s, ()), nfa.finals.__contains__)
+
+
+def _first_difference(x, y, symmetric: bool) -> SymbolicWord | None:
+    """Shortlex-least word of L(x) \\ L(y), or of the symmetric difference, or None.
+
+    One search over pairs (state of x or None, state of y or None), None
+    standing for a missing move, that follows the letters of x, and of y too
+    when the difference is symmetric.  An NFA operand is determinized first.
+    """
+    dx, dy = (fa if isinstance(fa, SymbolicDfa) else determinize(fa) for fa in (x, y))
+    outx, outy = {}, {}
+    for out, dfa in ((outx, dx), (outy, dy)):
+        for s, letter in dfa.delta:
+            out.setdefault(s, []).append(letter)
+
+    def successors(pair):
+        s, t = pair
+        letters = outx.get(s, []) + outy.get(t, []) if symmetric else outx.get(s, ())
+        return [(a, (dx.delta.get((s, a)), dy.delta.get((t, a)))) for a in letters]
+
+    def accepting(pair) -> bool:
+        in_x, in_y = pair[0] in dx.finals, pair[1] in dy.finals
+        return in_x != in_y if symmetric else in_x and not in_y
+
+    return shortlex_search([(dx.initial, dy.initial)], successors, accepting)
+
+
 def symbolic_inclusion(x, y) -> SymbolicWord | None:
-    """Shortest witness of L(x) \\ L(y), or None when L(x) is included in L(y)."""
-    alpha = as_nfa(x).alphabet | as_nfa(y).alphabet
-    outside = complement(determinize(as_nfa(y)), alpha)
-    return shortest_accepted(product(x, outside))
+    """Shortlex-least witness of L(x) \\ L(y), or None when L(x) is included in L(y)."""
+    return _first_difference(x, y, False)
 
 
 def symbolic_equivalence(x, y) -> SymbolicWord | None:
-    """Shortest witness in the symmetric difference, or None when equivalent."""
-    witnesses = [w for w in (symbolic_inclusion(x, y), symbolic_inclusion(y, x))
-                 if w is not None]
-    if not witnesses:
-        return None
-    return min(witnesses, key=word_key)
+    """Shortlex-least witness in the symmetric difference, or None when equivalent."""
+    return _first_difference(x, y, True)

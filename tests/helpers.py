@@ -18,6 +18,7 @@ from sessauto import (
     Transition,
     TransitionLabel,
     UnknownLabel,
+    as_nfa,
     as_symbolic_nfa,
     complement,
     determinize,
@@ -29,10 +30,10 @@ from sessauto import (
     parse_symbolic_word,
     product,
     sessions,
-    shortest_accepted,
     simulate,
     symbolic_alphabet,
     tilde,
+    word_key,
 )
 from sessauto.symbolic import _sorted_letters
 
@@ -246,12 +247,85 @@ def reference_canonicalize(a: Automaton) -> SymbolicDfa:
 def reference_nf_violation_witness(hypothesis: Automaton):
     """Shortest accepted non-normal form, from the product with the complemented normal-form DFA.
 
-    ``nf_violation_witness`` finds the same word by a breadth-first walk that
-    builds neither; this is its oracle.
+    ``nf_violation_witness`` finds the same word by a search that builds
+    neither; this is its oracle.  The product is determinized first: the
+    plain breadth-first search of ``reference_shortest_accepted`` finds the
+    shortlex-least word only on deterministic input.
     """
     alpha = symbolic_alphabet(hypothesis.alphabet, hypothesis.registers)
     outside = complement(nf_automaton(hypothesis.registers, frozenset(hypothesis.alphabet)), alpha)
-    return shortest_accepted(product(as_symbolic_nfa(hypothesis), outside))
+    return reference_shortest_accepted(determinize(product(as_symbolic_nfa(hypothesis), outside)))
+
+
+def reference_shortest_accepted(fa):
+    """Breadth-first search one state at a time, stopping at the first final state.
+
+    The chain that ``shortest_accepted``, ``symbolic_inclusion`` and
+    ``symbolic_equivalence`` replaced with one grouped search, kept as their
+    oracle on deterministic input.  On an NFA it may miss the shortlex-least
+    word: two states that share an access word are expanded one after the
+    other, all letters of the first before any of the second.
+    """
+    nfa = as_nfa(fa)
+    letters = _sorted_letters(nfa.alphabet)
+    delta = nfa.delta
+    seen = {}
+    queue = []
+    for s in sorted(nfa.initials):
+        if s not in seen:
+            seen[s] = ()
+            queue.append(s)
+    for s in queue:
+        if s in nfa.finals:
+            return seen[s]
+    i = 0
+    while i < len(queue):
+        s = queue[i]
+        i += 1
+        for x in letters:
+            for t in sorted(delta.get((s, x), ())):
+                if t not in seen:
+                    seen[t] = seen[s] + (x,)
+                    if t in nfa.finals:
+                        return seen[t]
+                    queue.append(t)
+    return None
+
+
+def reference_inclusion(x, y):
+    """Shortest witness of L(x) \\ L(y): the complement of y, the product, then the search."""
+    alpha = as_nfa(x).alphabet | as_nfa(y).alphabet
+    outside = complement(determinize(as_nfa(y)), alpha)
+    return reference_shortest_accepted(product(x, outside))
+
+
+def reference_equivalence(x, y):
+    """Shortest witness in the symmetric difference: the lesser of two inclusion witnesses."""
+    witnesses = [w for w in (reference_inclusion(x, y), reference_inclusion(y, x))
+                 if w is not None]
+    if not witnesses:
+        return None
+    return min(witnesses, key=word_key)
+
+
+def brute_accepted(fa, letters, max_len):
+    """The accepted words of up to max_len letters over the given letters, in shortlex order.
+
+    Every nonempty frontier is extended by every letter, scanning the transitions.
+    """
+    nfa = as_nfa(fa)
+    letters = sorted(letters, key=letter_key)
+    level = [((), frozenset(nfa.initials))]
+    out = [w for w, frontier in level if frontier & nfa.finals]
+    for _ in range(max_len):
+        level = [
+            (w + (x,), frozenset(t for s, y, t in nfa.transitions if s in frontier and y == x))
+            for w, frontier in level
+            if frontier
+            for x in letters
+        ]
+        out.extend(w for w, frontier in level if frontier & nfa.finals)
+    return out
 
 
 def reference_determinize(nfa: SymbolicNfa) -> SymbolicDfa:

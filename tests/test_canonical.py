@@ -10,7 +10,10 @@ from helpers import (
     random_data_word,
     random_session_automaton,
     reference_canonicalize,
+    reference_equivalence,
+    reference_inclusion,
     reference_nf_violation_witness,
+    reference_shortest_accepted,
     sw,
     universal,
 )
@@ -36,9 +39,12 @@ from sessauto import (
     nf_automaton,
     nf_violation_witness,
     product,
+    shortest_accepted,
     simulate,
     snf,
     symbolic_alphabet,
+    symbolic_equivalence,
+    symbolic_inclusion,
     tilde,
     wf_automaton,
 )
@@ -313,12 +319,15 @@ def branches(*paths):
 # shorter b:*1 b:^2; one that pushes them on a stack meets b:*1 b:^2 before a:*1 a:^2.
 LONG_FIRST = branches(("a:*1", "a:*1", "a:^2"), ("b:*1", "b:^2"))
 SAME_LENGTH = branches(("a:*1", "a:^2"), ("b:*1", "b:^2"))
+# Both paths read a:*1 first; expanding p0_1 fully before p1_1 meets a:*1 b:*2 first.
+FORK = branches(("a:*1", "b:*2"), ("a:*1", "a:*2"))
 
 
 @settings(max_examples=60, deadline=None)
 @given(a=automata(SESSION_OPS) | normal_form_parts())
 @example(a=LONG_FIRST)
 @example(a=SAME_LENGTH)
+@example(a=FORK)
 @example(a=chain("a:*1", "a:*2"))
 @example(a=from_symbolic_dfa(nf_automaton(3, AB), "nf", AB, 3))
 def test_nf_violation_witness_matches_reference(a):
@@ -328,8 +337,29 @@ def test_nf_violation_witness_matches_reference(a):
 def test_nf_violation_witness_is_shortlex_least():
     assert nf_violation_witness(LONG_FIRST) == sw("b:*1 b:^2")
     assert nf_violation_witness(SAME_LENGTH) == sw("a:*1 a:^2")
+    assert nf_violation_witness(FORK) == sw("a:*1 a:*2")
     assert nf_violation_witness(chain("a:*1", "a:*2")) == sw("a:*1 a:*2")
     assert nf_violation_witness(from_symbolic_dfa(nf_automaton(3, AB), "nf", AB, 3)) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=AUTOMATA_K2, b=AUTOMATA_K2)
+def test_witnesses_match_reference_on_dfas(a, b):
+    """On DFA operands the one search answers as the complement-product-search chain did."""
+    x, y = canonicalize(a), canonicalize(b)
+    nf = nf_automaton(a.registers, AB)
+    for p, q in ((x, y), (y, x), (nf, x), (x, nf), (nf, nf_automaton(b.registers, AB))):
+        assert symbolic_inclusion(p, q) == reference_inclusion(p, q)
+        assert symbolic_equivalence(p, q) == reference_equivalence(p, q)
+        assert shortest_accepted(p) == reference_shortest_accepted(p)
+
+
+def test_cached_canonical_form_is_read_only(fig5a):
+    with pytest.raises(AttributeError):
+        canonicalize(fig5a).delta.clear()
+    with pytest.raises(TypeError):
+        canonicalize(fig5a).delta[("0", sw("a:*1")[0])] = "0"
+    assert canonicalize(fig5a).accepts(snf(dw("a:1 b:1")))
 
 
 def test_canonicalize_rejects_register_automata(fig1a):

@@ -22,6 +22,7 @@ from sessauto import (
     union,
     validate,
 )
+from test_canonical import FORK
 
 REPS = enumerate_word_classes(("a", "b"), 4)
 
@@ -151,6 +152,10 @@ def test_is_empty_brute_force():
         else:
             assert simulate(a, w)
     assert seen_empty > 3
+
+
+def test_is_empty_witness_is_least_on_nondeterministic_input():
+    assert is_empty(FORK) == dw("a:1 a:2")
 
 
 def test_is_empty_counts_only_data_acceptance(fig5a):

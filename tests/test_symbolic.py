@@ -3,6 +3,7 @@ from random import Random
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    brute_accepted,
     enumerate_symbolic_words,
     letter,
     nfa_accepts_brute,
@@ -261,3 +262,43 @@ def test_determinize_matches_reference(nfa):
 @given(dfa=partial_dfas())
 def test_renumber_matches_reference(dfa):
     assert renumber(dfa) == reference_renumber(dfa)
+
+
+# q0 reads a:*1 into both q1 and q2; q1 then reads b:^1 and q2 a:*1 into f.
+# Expanding q1 fully before q2 reaches f by a:*1 b:^1 first.
+FORK = SymbolicNfa(
+    alphabet=frozenset(AB),
+    states=frozenset({"q0", "q1", "q2", "f"}),
+    initials=frozenset({"q0"}),
+    finals=frozenset({"f"}),
+    transitions=frozenset({("q0", AB[0], "q1"), ("q0", AB[0], "q2"),
+                           ("q1", AB[1], "f"), ("q2", AB[0], "f")}),
+)
+NOTHING = SymbolicNfa(frozenset(AB), ONE, ONE, frozenset(), frozenset())
+
+
+def test_witnesses_are_shortlex_least_on_nondeterministic_input():
+    assert shortest_accepted(FORK) == sw("a:*1 a:*1")
+    assert symbolic_inclusion(FORK, NOTHING) == sw("a:*1 a:*1")
+    assert symbolic_equivalence(NOTHING, FORK) == sw("a:*1 a:*1")
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=nfas(), y=nfas(), deterministic=st.booleans())
+@example(x=FORK, y=NOTHING, deterministic=False)
+def test_witnesses_are_brute_force_least(x, y, deterministic):
+    if deterministic:
+        x, y = determinize(x), determinize(y)
+    letters = x.alphabet | y.alphabet
+    in_x = brute_accepted(x, letters, 5)
+    in_y = brute_accepted(y, letters, 5)
+    cases = [
+        (shortest_accepted(x), in_x),
+        (symbolic_inclusion(x, y), [w for w in in_x if w not in in_y]),
+        (symbolic_equivalence(x, y), sorted(set(in_x) ^ set(in_y), key=word_key)),
+    ]
+    for got, words in cases:
+        if words:
+            assert got == words[0]
+        else:
+            assert got is None or len(got) > 5
