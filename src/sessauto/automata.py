@@ -73,6 +73,20 @@ class Automaton:
             )
         return {k: tuple(v) for k, v in table.items()}
 
+    @cached_property
+    def _symbolic(self) -> SymbolicNfa:
+        # The one symbolic view of this automaton, shared by every caller.
+        if classify(self) is not AutomatonClass.SESSION:
+            raise NotSessionAutomaton("only session automata have a symbolic-language view")
+        return SymbolicNfa(
+            alphabet=symbolic_alphabet(self.alphabet, self.registers),
+            states=self.states,
+            initials=frozenset({self.initial}),
+            finals=self.finals,
+            transitions=frozenset((t.source, t.label, t.target) for t in self.transitions),
+            registers=self.registers,
+        )
+
 
 def validate(a: Automaton) -> list[str]:
     """Structural diagnostics; an empty list means the automaton is well built."""
@@ -187,17 +201,12 @@ def accepts_symbolic(a: Automaton, word: SymbolicWord) -> bool:
 
 
 def as_symbolic_nfa(a: Automaton) -> SymbolicNfa:
-    """The symbolic language of a session automaton as a plain NFA."""
-    if classify(a) is not AutomatonClass.SESSION:
-        raise NotSessionAutomaton("only session automata have a symbolic-language view")
-    return SymbolicNfa(
-        alphabet=symbolic_alphabet(a.alphabet, a.registers),
-        states=a.states,
-        initials=frozenset({a.initial}),
-        finals=a.finals,
-        transitions=frozenset((t.source, t.label, t.target) for t in a.transitions),
-        registers=a.registers,
-    )
+    """The symbolic language of a session automaton as a plain NFA.
+
+    Built once per automaton and shared: the NFA is frozen and its ``delta``
+    read-only.  Register automata raise NotSessionAutomaton.
+    """
+    return a._symbolic
 
 
 def from_symbolic_dfa(dfa: SymbolicDfa, name: str, labels, registers: int) -> Automaton:

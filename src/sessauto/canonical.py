@@ -14,6 +14,13 @@ breadth-first subset construction whose states pair a normal-form state with
 a set of tilde(A) states.  Tilde states are interned as ints and their moves
 computed once, when first needed, and letters are indices into the sorted
 alphabet; the resulting int table is minimized by Moore refinement on ints.
+Each subset keeps only its maximal members: a tilde state (q, inj) is
+dropped when the subset holds (q, inj') with inj a proper part of inj',
+because (q, inj') can then follow every run of (q, inj) (see
+normal_form_table).  The order is read off the pairs, with no fixpoint, and
+dropping a member a subset already covers leaves its language as it was, so
+the minimal DFA is the same; the subsets are far fewer (universal automata
+over k registers get exactly the 2^k of the minimal DFA).
 
 When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
@@ -235,7 +242,7 @@ def tilde(a: Automaton) -> SymbolicNfa:
 
 
 def normal_form_table(a: Automaton) -> DfaTable:
-    """determinize(product(nf_automaton, tilde(a))), a DFA of snf(L(a)), built without either NFA.
+    """A DFA of snf(L(a)): determinize(product(nf_automaton, tilde(a))) with pruned subsets.
 
     A subset is (normal-form state, set of tilde states): the normal-form DFA
     is deterministic, so every reachable subset of the product pairs all its
@@ -243,6 +250,18 @@ def normal_form_table(a: Automaton) -> DfaTable:
     and the moves of each, as target ids by letter index, are computed once,
     when a subset first contains it.  Only the letters the normal-form state
     can read are pooled.
+
+    Every subset is cut down to its maximal members before it is numbered.
+    Tilde states with the same state q of ``a`` are ordered by inclusion of
+    their injections' pairs, and when inj is a proper part of inj',
+    (q, inj') simulates (q, inj), so L(q, inj) is part of L(q, inj'):
+      - a reuse of register r reads inj(r), which is inj'(r) too;
+      - a fresh write rewires both alike, which keeps the inclusion;
+      - finality depends on q alone.
+    Dropping (q, inj) therefore keeps the subset's language, and with it the
+    language of every state of the table, so ``minimal()`` returns the same
+    canonical DFA as the unpruned construction.  Tilde states that never
+    survive pruning are never expanded.
     """
     k = a.registers
     alphabet = as_symbolic_nfa(a).alphabet  # validates the session precondition
@@ -261,6 +280,12 @@ def normal_form_table(a: Automaton) -> DfaTable:
     }
     keys = [(a.initial, PartialInjection())]
     ids = {(a.initial, ()): 0}
+    # Each tilde state as bits, for maximal(): bit k*k + i for the i-th state
+    # of a, and bit (r-1)*k + o-1 for every pair r>o of its injection.
+    state_bit = {q: 1 << k * k + i for i, q in enumerate(sorted(a.states))}
+    pair_bit = {(r, o): 1 << (r - 1) * k + o - 1
+                for r in range(1, k + 1) for o in range(1, k + 1)}
+    masks = [state_bit[a.initial]]
     tilde_rows: list[list[list[int]] | None] = [None]
 
     def expand(s: int) -> list[list[int]]:
@@ -273,14 +298,42 @@ def normal_form_table(a: Automaton) -> DfaTable:
                 if t is None:
                     t = ids[key] = len(keys)
                     keys.append((target, inj2))
+                    masks.append(state_bit[target] + sum(map(pair_bit.__getitem__, inj2.pairs)))
                     tilde_rows.append(None)
                 row[slots[r - 1]].append(t)
         return row
 
+    maximal_of: dict[frozenset[int], frozenset[int]] = {}
+
+    def maximal(targets: frozenset[int]) -> frozenset[int]:
+        # The members no other member simulates.  m2 simulates m when
+        # m & m2 == m: the same state of a, and every pair of m is in m2.
+        # Such an m2 is a larger int, so taken largest first, every member
+        # meets those that simulate it before itself.  A set that loses no
+        # member is returned as it is, with its hash already computed.
+        if len(targets) == 1:
+            return targets
+        kept = maximal_of.get(targets)
+        if kept is None:
+            above: list[int] = []
+            out = []
+            for t in sorted(targets, key=masks.__getitem__, reverse=True):
+                m = masks[t]
+                for m2 in above:
+                    if m & m2 == m:
+                        break
+                else:
+                    above.append(m)
+                    out.append(t)
+            kept = targets if len(out) == len(targets) else frozenset(out)
+            maximal_of[targets] = kept
+        return kept
+
     def successors(state):
         n, subset = state
         rows = [tilde_rows[s] or expand(s) for s in subset]
-        return [(x, (nf.rows[n][x], targets)) for x, targets in pooled_moves(rows, nf_letters[n])]
+        return [(x, (nf.rows[n][x], maximal(targets)))
+                for x, targets in pooled_moves(rows, nf_letters[n])]
 
     def accepting(state) -> bool:
         n, subset = state

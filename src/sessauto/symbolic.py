@@ -10,7 +10,7 @@ automata comparable by plain structural equality.  Two kernels do the work.
 it, over int transition tables (DfaTable).  ``shortlex_search`` stops at the
 first witness: shortest_accepted, symbolic_inclusion, symbolic_equivalence
 and the normal-form walk of ``canonical`` look for the shortlex-least word
-reaching an accepting node.  Both automaton classes are frozen and a DFA's
+reaching an accepting node.  Both automaton classes are frozen and their
 moves are read-only, so a cached result cannot be changed by its callers.
 """
 
@@ -35,11 +35,15 @@ class SymbolicNfa:
     registers: int = 0
 
     @cached_property
-    def delta(self) -> dict[tuple[str, TransitionLabel], set[str]]:
-        table: dict[tuple[str, TransitionLabel], set[str]] = {}
+    def delta(self) -> Mapping[tuple[str, TransitionLabel], frozenset[str]]:
+        # Read-only, like SymbolicDfa.delta: every Automaton shares its symbolic view.
+        table: dict[tuple[str, TransitionLabel], frozenset[str]] = {}
         for src, letter, dst in self.transitions:
-            table.setdefault((src, letter), set()).add(dst)
-        return table
+            key = (src, letter)
+            targets = table.setdefault(key, frozenset((dst,)))
+            if dst not in targets:
+                table[key] = targets | {dst}
+        return MappingProxyType(table)
 
     def accepts(self, word: SymbolicWord) -> bool:
         frontier = set(self.initials)

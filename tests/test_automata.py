@@ -257,6 +257,24 @@ def test_accepts_symbolic(fig5a):
 def test_accepts_symbolic_needs_session(fig1a):
     with pytest.raises(NotSessionAutomaton):
         accepts_symbolic(fig1a, sw("req:*1"))
+    # a failed view is not cached: asking again raises again
+    for _ in range(2):
+        with pytest.raises(NotSessionAutomaton):
+            as_symbolic_nfa(fig1a)
+
+
+def test_symbolic_view_is_shared_and_read_only(fig5a):
+    nfa = as_symbolic_nfa(fig5a)
+    assert as_symbolic_nfa(fig5a) is nfa
+    key = ("q", sw("a:*1")[0])
+    assert key in nfa.delta
+    with pytest.raises(AttributeError):
+        nfa.delta.clear()
+    with pytest.raises(TypeError):
+        nfa.delta[key] = frozenset()
+    with pytest.raises(AttributeError):
+        nfa.delta[key].add("q")
+    assert accepts_symbolic(fig5a, sw("a:*1 b:^1"))
 
 
 def test_as_symbolic_nfa_matches_accepts_symbolic(fig2b, fig5a):
