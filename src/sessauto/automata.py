@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NotSessionAutomaton, UnknownLabel
 from .symbolic import SymbolicDfa, SymbolicNfa
@@ -45,8 +46,7 @@ class AutomatonClass(enum.Enum):
     FRESH_REGISTER = "fresh-register"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     label: TransitionLabel
     target: str
@@ -66,11 +66,8 @@ class Automaton:
     def _moves(self) -> dict[tuple[str, str], tuple[tuple[OpKind, int, str], ...]]:
         # (state, label) -> candidate moves, used by the run loop.
         table: dict[tuple[str, str], list[tuple[OpKind, int, str]]] = {}
-        for t in self.transitions:
-            key = (t.source, t.label.label)
-            table.setdefault(key, []).append(
-                (t.label.op.kind, t.label.op.register, t.target)
-            )
+        for source, (label, (kind, register)), target in self.transitions:
+            table.setdefault((source, label), []).append((kind, register, target))
         return {k: tuple(v) for k, v in table.items()}
 
     @cached_property
@@ -83,7 +80,7 @@ class Automaton:
             states=self.states,
             initials=frozenset({self.initial}),
             finals=self.finals,
-            transitions=frozenset((t.source, t.label, t.target) for t in self.transitions),
+            transitions=self.transitions,
             registers=self.registers,
         )
 

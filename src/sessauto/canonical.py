@@ -38,16 +38,17 @@ DFA constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .automata import Automaton, Transition, as_symbolic_nfa
+from .automata import Automaton, as_symbolic_nfa
 from .errors import NotSessionAutomaton
 from .symbolic import (
     DfaTable,
     SymbolicDfa,
     SymbolicNfa,
     determinize_table,
+    moves_by_source,
     pooled_moves,
     shortlex_search,
     subset_construction,
@@ -62,8 +63,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class NfState:
+class NfState(NamedTuple):
     """State of the normal-form DFA.
 
     ``top`` is the greatest register initialized so far; ``promised`` are the
@@ -79,17 +79,13 @@ class NfState:
         return f"({self.top},{{{inner}}})"
 
 
-@dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(NamedTuple):
     """Partial injective map between register indices, as sorted pairs."""
 
     pairs: tuple[tuple[int, int], ...] = ()
 
     def get(self, r: int) -> int | None:
-        for a, b in self.pairs:
-            if a == r:
-                return b
-        return None
+        return dict(self.pairs).get(r)
 
     def rewire(self, source: int, target: int) -> "PartialInjection":
         """Map source to target, dropping whatever previously used either end."""
@@ -196,13 +192,6 @@ def _relabelings(op: RegisterOp, inj: PartialInjection, k: int) -> list[tuple[in
     return [(r, inj.rewire(op.register, r)) for r in range(1, k + 1)]
 
 
-def _outgoing(a: Automaton) -> dict[str, list[Transition]]:
-    out: dict[str, list[Transition]] = {}
-    for t in a.transitions:
-        out.setdefault(t.source, []).append(t)
-    return out
-
-
 def tilde(a: Automaton) -> SymbolicNfa:
     """Register-relabeling closure of a session automaton's symbolic language.
 
@@ -213,7 +202,7 @@ def tilde(a: Automaton) -> SymbolicNfa:
     """
     k = a.registers
     nfa = as_symbolic_nfa(a)  # validates the session precondition
-    outgoing = _outgoing(a)
+    outgoing = moves_by_source(a.transitions)
     start = (a.initial, PartialInjection())
     names = {start: f"{a.initial}|{start[1]}"}
     order = [start]
@@ -223,13 +212,13 @@ def tilde(a: Automaton) -> SymbolicNfa:
         state, inj = order[i]
         i += 1
         src = names[(state, inj)]
-        for t in outgoing.get(state, ()):
-            for r, inj2 in _relabelings(t.label.op, inj, k):
-                key = (t.target, inj2)
+        for x, target in outgoing.get(state, ()):
+            for r, inj2 in _relabelings(x.op, inj, k):
+                key = (target, inj2)
                 if key not in names:
-                    names[key] = f"{t.target}|{inj2}"
+                    names[key] = f"{target}|{inj2}"
                     order.append(key)
-                letter = TransitionLabel(t.label.label, RegisterOp(t.label.op.kind, r))
+                letter = TransitionLabel(x.label, RegisterOp(x.op.kind, r))
                 transitions.add((src, letter, names[key]))
     return SymbolicNfa(
         alphabet=nfa.alphabet,
@@ -272,14 +261,14 @@ def normal_form_table(a: Automaton) -> DfaTable:
     # Per source state: (letter index per output register, operation, target).
     outgoing = {
         q: [
-            ([index[TransitionLabel(t.label.label, RegisterOp(t.label.op.kind, r))]
-              for r in range(1, k + 1)], t.label.op, t.target)
-            for t in ts
+            ([index[TransitionLabel(x.label, RegisterOp(x.op.kind, r))]
+              for r in range(1, k + 1)], x.op, target)
+            for x, target in moves
         ]
-        for q, ts in _outgoing(a).items()
+        for q, moves in moves_by_source(a.transitions).items()
     }
     keys = [(a.initial, PartialInjection())]
-    ids = {(a.initial, ()): 0}
+    ids = {keys[0]: 0}
     # Each tilde state as bits, for maximal(): bit k*k + i for the i-th state
     # of a, and bit (r-1)*k + o-1 for every pair r>o of its injection.
     state_bit = {q: 1 << k * k + i for i, q in enumerate(sorted(a.states))}
@@ -293,11 +282,11 @@ def normal_form_table(a: Automaton) -> DfaTable:
         q, inj = keys[s]
         for slots, op, target in outgoing.get(q, ()):
             for r, inj2 in _relabelings(op, inj, k):
-                key = (target, inj2.pairs)  # a plain tuple hashes in C
+                key = (target, inj2)
                 t = ids.get(key)
                 if t is None:
                     t = ids[key] = len(keys)
-                    keys.append((target, inj2))
+                    keys.append(key)
                     masks.append(state_bit[target] + sum(map(pair_bit.__getitem__, inj2.pairs)))
                     tilde_rows.append(None)
                 row[slots[r - 1]].append(t)
@@ -353,12 +342,11 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     state.  Register automata raise NotSessionAutomaton.
     """
     nf = nf_automaton(a.registers, a.alphabet)
-    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
+    moves = moves_by_source(a.transitions)
     sources: dict[str, set[str]] = {}
     for t in a.transitions:
         if t.label.op.kind is OpKind.LOCAL:
             raise NotSessionAutomaton(f"{a.name} is not a session automaton: it reads {t.label}")
-        moves.setdefault(t.source, []).append((t.label, t.target))
         sources.setdefault(t.target, set()).add(t.source)
     live = set(a.finals)
     stack = list(live)

@@ -9,21 +9,15 @@ and it is returned concretized: a genuine separating data word.
 
 from __future__ import annotations
 
-from .automata import (
-    Automaton,
-    AutomatonClass,
-    Transition,
-    as_symbolic_nfa,
-    classify,
-    from_symbolic_dfa,
-)
+from .automata import Automaton, AutomatonClass, Transition, classify, from_symbolic_dfa
 from .canonical import canonicalize, nf_automaton, wf_automaton
 from .errors import NotSessionAutomaton
 from .symbolic import (
     complement,
     determinize_table,
+    moves_by_source,
     product,
-    shortest_accepted,
+    shortlex_search,
     symbolic_equivalence,
     symbolic_inclusion,
 )
@@ -114,11 +108,20 @@ def is_empty(a: Automaton) -> DataWord | None:
     """None when L(a) is empty; otherwise an accepted data word.
 
     A session automaton accepts some data word exactly when its symbolic
-    language contains a well-formed word.
+    language contains a well-formed word: one ``shortlex_search`` over pairs
+    (state of a, state of the well-formedness DFA, all final) finds the least.
     """
     _require_session(a)
     wf = wf_automaton(a.registers, a.alphabet)
-    witness = shortest_accepted(product(as_symbolic_nfa(a), wf))
+    moves = moves_by_source(a.transitions)
+
+    def successors(pair):
+        q, w = pair
+        return [(x, (q2, w2)) for x, q2 in moves.get(q, ())
+                if (w2 := wf.delta.get((w, x))) is not None]
+
+    witness = shortlex_search([(a.initial, wf.initial)], successors,
+                              lambda pair: pair[0] in a.finals)
     return None if witness is None else concretize(witness)
 
 

@@ -358,6 +358,14 @@ def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> Symbo
     )
 
 
+def moves_by_source(transitions) -> dict[str, list[tuple[TransitionLabel, str]]]:
+    """The (letter, target) pairs leaving each source of some (source, letter, target) triples."""
+    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
+    for s, x, t in transitions:
+        moves.setdefault(s, []).append((x, t))
+    return moves
+
+
 def shortlex_search(starts, successors, accepting) -> SymbolicWord | None:
     """Shortlex-least word leading from ``starts`` to an accepting node, or None.
 
@@ -390,9 +398,7 @@ def shortlex_search(starts, successors, accepting) -> SymbolicWord | None:
 def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
     """Shortest accepted word; ties broken by the letter order, None if empty."""
     nfa = as_nfa(fa)
-    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
-    for s, x, t in nfa.transitions:
-        moves.setdefault(s, []).append((x, t))
+    moves = moves_by_source(nfa.transitions)
     return shortlex_search(nfa.initials, lambda s: moves.get(s, ()), nfa.finals.__contains__)
 
 

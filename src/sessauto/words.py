@@ -12,13 +12,17 @@ Two data words are equivalent when they differ only by a permutation of the
 value domain.  ``snf`` maps every data word to the unique symbolic normal
 form of its equivalence class, reusing the smallest register whose value is
 dead; ``concretize`` goes back, picking the smallest unused values.
+
+Letters (TransitionLabel) and register operations (RegisterOp) are named
+tuples and OpKind hashes by identity, so words hash and compare in C; a
+letter equals the plain tuple (label, op).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import NotWellFormed, UnsupportedOp, ValueAbsent
 
@@ -28,6 +32,9 @@ class OpKind(enum.Enum):
     REUSE = "reuse"
     LOCAL = "local"
 
+    # Members compare by identity, so an identity hash, which runs in C, agrees.
+    __hash__ = object.__hash__
+
 
 # ASCII spellings used by the text formats, and glyphs used for DOT output.
 OP_ASCII = {OpKind.FRESH: "*", OpKind.REUSE: "^", OpKind.LOCAL: "o"}
@@ -35,14 +42,14 @@ OP_GLYPH = {OpKind.FRESH: "⊛", OpKind.REUSE: "↑", OpKind.LOCAL: "⊙"}
 _OP_RANK = {OpKind.FRESH: 0, OpKind.REUSE: 1, OpKind.LOCAL: 2}
 
 
-@dataclass(frozen=True)
-class RegisterOp:
-    kind: OpKind
-    register: int
+class RegisterOp(NamedTuple("RegisterOp", [("kind", OpKind), ("register", int)])):
+    # A NamedTuple body may not define __new__, so the check needs a subclass.
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.register < 1:
-            raise ValueError(f"register index must be >= 1, got {self.register}")
+    def __new__(cls, kind: OpKind, register: int) -> "RegisterOp":
+        if register < 1:
+            raise ValueError(f"register index must be >= 1, got {register}")
+        return tuple.__new__(cls, (kind, register))
 
     def __str__(self) -> str:
         return f"{OP_ASCII[self.kind]}{self.register}"
@@ -60,8 +67,7 @@ class RegisterOp:
         return cls(OpKind.LOCAL, register)
 
 
-@dataclass(frozen=True)
-class TransitionLabel:
+class TransitionLabel(NamedTuple):
     """One symbolic letter: a plain label together with a register operation."""
 
     label: str

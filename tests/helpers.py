@@ -21,6 +21,7 @@ from sessauto import (
     as_nfa,
     as_symbolic_nfa,
     complement,
+    concretize,
     determinize,
     letter_key,
     minimize,
@@ -30,11 +31,14 @@ from sessauto import (
     parse_symbolic_word,
     product,
     sessions,
+    shortest_accepted,
     simulate,
     symbolic_alphabet,
     tilde,
+    wf_automaton,
     word_key,
 )
+from sessauto.langops import _require_session
 from sessauto.symbolic import _sorted_letters
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -255,6 +259,15 @@ def reference_nf_violation_witness(hypothesis: Automaton):
     alpha = symbolic_alphabet(hypothesis.alphabet, hypothesis.registers)
     outside = complement(nf_automaton(hypothesis.registers, frozenset(hypothesis.alphabet)), alpha)
     return reference_shortest_accepted(determinize(product(as_symbolic_nfa(hypothesis), outside)))
+
+
+def reference_is_empty(a: Automaton):
+    """``is_empty`` as it was before its pair search: the product with the
+    well-formedness DFA, then ``shortest_accepted``.  Kept as its oracle."""
+    _require_session(a)
+    wf = wf_automaton(a.registers, a.alphabet)
+    witness = shortest_accepted(product(as_symbolic_nfa(a), wf))
+    return None if witness is None else concretize(witness)
 
 
 def reference_shortest_accepted(fa):

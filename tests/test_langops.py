@@ -1,14 +1,20 @@
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     dw,
     enumerate_word_classes,
     random_session_automaton,
+    reference_is_empty,
 )
 from sessauto import (
+    Automaton,
     NotSessionAutomaton,
+    RegisterOp,
+    Transition,
+    TransitionLabel,
     bound,
     classify,
     complement_bounded,
@@ -22,7 +28,8 @@ from sessauto import (
     union,
     validate,
 )
-from test_canonical import FORK
+from test_automata import SESSION_OPS, automata
+from test_canonical import FORK, chain
 
 REPS = enumerate_word_classes(("a", "b"), 4)
 
@@ -156,6 +163,32 @@ def test_is_empty_brute_force():
 
 def test_is_empty_witness_is_least_on_nondeterministic_input():
     assert is_empty(FORK) == dw("a:1 a:2")
+
+
+@st.composite
+def sparse_automata(draw):
+    """Session automata over {a, b} with k <= 3 and any set of moves, reuses before writes too.
+
+    The initial state is final only when it is the only state, so most
+    witnesses are longer than the empty word.
+    """
+    k = draw(st.integers(1, 3))
+    states = [f"q{i}" for i in range(draw(st.integers(1, 5)))]
+    letters = st.builds(TransitionLabel, st.sampled_from("ab"),
+                        st.builds(RegisterOp, st.sampled_from(SESSION_OPS), st.integers(1, k)))
+    moves = st.builds(Transition, st.sampled_from(states), letters, st.sampled_from(states))
+    return Automaton("e", frozenset("ab"), k, frozenset(states), "q0",
+                     draw(st.frozensets(st.sampled_from(states[1:] or states))),
+                     draw(st.frozensets(moves, min_size=2 * len(states), max_size=16)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=automata(SESSION_OPS) | sparse_automata())
+@example(a=FORK)
+@example(a=chain("a:^1", "a:*1"))
+@example(a=chain("a:*1", "a:^2", final_only=False))
+def test_is_empty_matches_reference(a):
+    assert is_empty(a) == reference_is_empty(a)
 
 
 def test_is_empty_counts_only_data_acceptance(fig5a):

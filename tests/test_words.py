@@ -1,3 +1,4 @@
+import pickle
 from random import Random
 
 import pytest
@@ -6,8 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import dw, permute_values, random_data_word, reference_bound, sw
 from sessauto import (
     NotWellFormed,
+    OpKind,
+    RegisterOp,
+    Transition,
+    TransitionLabel,
     UnsupportedOp,
     ValueAbsent,
+    as_symbolic_nfa,
     bound,
     concretize,
     data_equivalent,
@@ -16,10 +22,12 @@ from sessauto import (
     is_concretization,
     is_k_bounded,
     is_well_formed,
+    letter_key,
     max_register,
     occurrence_bounds,
     sessions,
     snf,
+    symbolic_alphabet,
     symbolic_classes,
 )
 
@@ -199,3 +207,70 @@ def test_snf_round_trip_properties():
         assert bound(w) == max_register(u)
         assert is_concretization(w, u)
         assert snf(concretize(u)) == u
+
+
+# Contract of the letter types (symbolic letters, register operations and
+# transitions): constructors, str, repr, pickling, order and hashing.
+
+def test_register_op_rejects_register_below_one():
+    for register in (0, -1):
+        with pytest.raises(ValueError, match="register index must be >= 1"):
+            RegisterOp(OpKind.FRESH, register)
+    with pytest.raises(ValueError):
+        RegisterOp(kind=OpKind.REUSE, register=0)
+    with pytest.raises(ValueError):
+        RegisterOp.local(0)
+
+
+def test_letter_str_and_repr_are_pinned():
+    x = TransitionLabel("a", RegisterOp.fresh(1))
+    assert str(x) == "a:*1"
+    assert str(TransitionLabel(label="b", op=RegisterOp(kind=OpKind.REUSE, register=2))) == "b:^2"
+    assert str(RegisterOp.local(3)) == "o3"
+    assert repr(x) == (
+        "TransitionLabel(label='a', op=RegisterOp(kind=<OpKind.FRESH: 'fresh'>, register=1))"
+    )
+    assert repr(RegisterOp.reuse(2)) == "RegisterOp(kind=<OpKind.REUSE: 'reuse'>, register=2)"
+    assert repr(Transition("q0", x, "q1")) == (
+        "Transition(source='q0', label=TransitionLabel(label='a', op=RegisterOp("
+        "kind=<OpKind.FRESH: 'fresh'>, register=1)), target='q1')"
+    )
+
+
+def test_letters_and_transitions_pickle():
+    word = sw("a:*1 b:*2 a:^1 b:o2")
+    t = Transition("q0", word[1], "q1")
+    for value in (word, word[3].op, t):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value
+        assert type(copy) is type(value)
+    assert type(pickle.loads(pickle.dumps(word))[0].op) is RegisterOp
+
+
+def test_letter_order_is_pinned():
+    letters = sorted(symbolic_alphabet(("b", "a"), 2), key=letter_key)
+    assert [str(x) for x in letters] == [
+        "a:*1", "a:*2", "a:^1", "a:^2", "b:*1", "b:*2", "b:^1", "b:^2",
+    ]
+
+
+def test_equal_letters_hash_equally():
+    built = (TransitionLabel("a", RegisterOp(OpKind.REUSE, 2)),
+             TransitionLabel(label="b", op=RegisterOp.fresh(1)))
+    parsed = sw("a:^2 b:*1")
+    assert built == parsed
+    assert hash(built) == hash(parsed)
+    assert [hash(x) for x in built] == [hash(x) for x in parsed]
+
+
+def test_symbolic_view_transitions_are_plain_triples(fig5a):
+    plain = frozenset((t.source, t.label, t.target) for t in fig5a.transitions)
+    assert as_symbolic_nfa(fig5a).transitions == plain
+
+
+def test_letter_equals_plain_tuple():
+    # A letter is the tuple (label, op), and an operation the tuple (kind, register).
+    x = TransitionLabel("a", RegisterOp.fresh(1))
+    assert x == ("a", (OpKind.FRESH, 1))
+    assert hash(x) == hash(("a", (OpKind.FRESH, 1)))
+    assert {x: True}[("a", (OpKind.FRESH, 1))]
