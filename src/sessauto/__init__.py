@@ -69,7 +69,6 @@ from .learner import (
 from .symbolic import (
     SymbolicDfa,
     SymbolicNfa,
-    as_nfa,
     complement,
     determinize,
     isomorphic,

@@ -221,6 +221,6 @@ def from_symbolic_dfa(dfa: SymbolicDfa, name: str, labels, registers: int) -> Au
         initial=rename[dfa.initial],
         finals=frozenset(rename[s] for s in dfa.finals),
         transitions=frozenset(
-            Transition(rename[s], x, rename[t]) for (s, x), t in dfa.delta.items()
+            Transition(rename[s], x, rename[t]) for s, x, t in dfa.transitions
         ),
     )

@@ -5,9 +5,13 @@ normal forms only: the set snf(L).  The canonical automaton is the minimal
 DFA of that set.  It is computed in three steps:
 
     1. nf_automaton(k, labels): the DFA of all normal forms over k registers,
+       whose states are NfState values with arithmetic moves,
     2. tilde(A): an NFA accepting every well-formed symbolic word that shares
        its concretizations with some word A accepts (register relabeling),
     3. product of the two, determinized and minimized.
+
+Every DFA here, the normal-form and well-formedness DFAs too, is a
+SymbolicDfa numbered by the one ``subset_construction`` of ``symbolic``.
 
 Step 3 never builds the product or tilde(A) itself: normal_form_table runs one
 breadth-first subset construction whose states pair a normal-form state with
@@ -44,10 +48,10 @@ from typing import NamedTuple
 from .automata import Automaton, as_symbolic_nfa
 from .errors import NotSessionAutomaton
 from .symbolic import (
-    DfaTable,
     SymbolicDfa,
     SymbolicNfa,
-    determinize_table,
+    determinize,
+    minimize,
     moves_by_source,
     pooled_moves,
     shortlex_search,
@@ -74,10 +78,6 @@ class NfState(NamedTuple):
     top: int
     promised: frozenset[int]
 
-    def __str__(self) -> str:
-        inner = ",".join(str(r) for r in sorted(self.promised))
-        return f"({self.top},{{{inner}}})"
-
 
 class PartialInjection(NamedTuple):
     """Partial injective map between register indices, as sorted pairs."""
@@ -98,6 +98,20 @@ class PartialInjection(NamedTuple):
         return "{" + ",".join(f"{a}>{b}" for a, b in self.pairs) + "}"
 
 
+def _register_dfa(registers: int, labels, start, moves, accepting) -> SymbolicDfa:
+    """The DFA whose node reads every label with each (operation, node) pair of ``moves(node)``."""
+    alphabet = symbolic_alphabet(labels, registers)
+    index = {x: i for i, x in enumerate(sorted(alphabet, key=letter_key))}
+    return subset_construction(
+        start,
+        lambda node: sorted((index[TransitionLabel(a, op)], target)
+                            for op, target in moves(node) for a in labels),
+        accepting,
+        alphabet,
+        registers,
+    )
+
+
 @lru_cache(maxsize=None)
 def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
     """DFA of all symbolic normal forms over the given registers and labels.
@@ -110,73 +124,35 @@ def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
     """
     if registers < 1:
         raise ValueError("the normal-form automaton needs at least one register")
-    start = NfState(0, frozenset())
-    names = {start: str(start)}
-    order = [start]
-    delta: dict[tuple[str, TransitionLabel], str] = {}
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        successors: list[tuple[RegisterOp, NfState]] = []
+
+    def moves(s: NfState):
         for r in range(1, registers + 1):
             if r - 1 <= s.top and r not in s.promised:
-                successors.append((
-                    RegisterOp(OpKind.FRESH, r),
-                    NfState(max(s.top, r), s.promised | frozenset(range(1, r))),
-                ))
+                yield RegisterOp(OpKind.FRESH, r), NfState(max(s.top, r),
+                                                          s.promised | frozenset(range(1, r)))
             if r <= s.top:
-                successors.append((
-                    RegisterOp(OpKind.REUSE, r),
-                    NfState(s.top, s.promised - {r}),
-                ))
-        for op, target in successors:
-            if target not in names:
-                names[target] = str(target)
-                order.append(target)
-            for a in labels:
-                delta[(names[s], TransitionLabel(a, op))] = names[target]
-    return SymbolicDfa(
-        alphabet=symbolic_alphabet(labels, registers),
-        states=frozenset(names.values()),
-        initial=names[start],
-        finals=frozenset(names[s] for s in order if not s.promised),
-        delta=delta,
-        registers=registers,
-    )
+                yield RegisterOp(OpKind.REUSE, r), NfState(s.top, s.promised - {r})
+
+    return _register_dfa(registers, labels, NfState(0, frozenset()), moves,
+                         lambda s: not s.promised)
 
 
 @lru_cache(maxsize=None)
 def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
-    """DFA of all well-formed symbolic words: reuse only after a fresh write."""
+    """DFA of all well-formed symbolic words: reuse only after a fresh write.
+
+    A node is the set of registers written so far; every node is accepting.
+    """
     if registers < 1:
         raise ValueError("the well-formedness automaton needs at least one register")
-    start: frozenset[int] = frozenset()
-    names = {start: "w"}
-    order = [start]
-    delta: dict[tuple[str, TransitionLabel], str] = {}
-    i = 0
-    while i < len(order):
-        written = order[i]
-        i += 1
+
+    def moves(written: frozenset[int]):
         for r in range(1, registers + 1):
-            moves = [(RegisterOp(OpKind.FRESH, r), written | {r})]
+            yield RegisterOp(OpKind.FRESH, r), written | {r}
             if r in written:
-                moves.append((RegisterOp(OpKind.REUSE, r), written))
-            for op, target in moves:
-                if target not in names:
-                    names[target] = "w" + "_".join(str(x) for x in sorted(target))
-                    order.append(target)
-                for a in labels:
-                    delta[(names[written], TransitionLabel(a, op))] = names[target]
-    return SymbolicDfa(
-        alphabet=symbolic_alphabet(labels, registers),
-        states=frozenset(names.values()),
-        initial=names[start],
-        finals=frozenset(names.values()),
-        delta=delta,
-        registers=registers,
-    )
+                yield RegisterOp(OpKind.REUSE, r), written
+
+    return _register_dfa(registers, labels, frozenset(), moves, lambda written: True)
 
 
 def _relabelings(op: RegisterOp, inj: PartialInjection, k: int) -> list[tuple[int, PartialInjection]]:
@@ -230,7 +206,7 @@ def tilde(a: Automaton) -> SymbolicNfa:
     )
 
 
-def normal_form_table(a: Automaton) -> DfaTable:
+def normal_form_table(a: Automaton) -> SymbolicDfa:
     """A DFA of snf(L(a)): determinize(product(nf_automaton, tilde(a))) with pruned subsets.
 
     A subset is (normal-form state, set of tilde states): the normal-form DFA
@@ -248,20 +224,18 @@ def normal_form_table(a: Automaton) -> DfaTable:
       - a fresh write rewires both alike, which keeps the inclusion;
       - finality depends on q alone.
     Dropping (q, inj) therefore keeps the subset's language, and with it the
-    language of every state of the table, so ``minimal()`` returns the same
+    language of every state of the table, so ``minimize`` returns the same
     canonical DFA as the unpruned construction.  Tilde states that never
     survive pruning are never expanded.
     """
     k = a.registers
-    alphabet = as_symbolic_nfa(a).alphabet  # validates the session precondition
-    letters = sorted(alphabet, key=letter_key)
-    index = {x: i for i, x in enumerate(letters)}
-    nf = DfaTable.of(nf_automaton(k, a.alphabet))
+    as_symbolic_nfa(a)  # validates the session precondition
+    nf = nf_automaton(k, a.alphabet)
     nf_letters = [[x for x, t in enumerate(row) if t >= 0] for row in nf.rows]
     # Per source state: (letter index per output register, operation, target).
     outgoing = {
         q: [
-            ([index[TransitionLabel(x.label, RegisterOp(x.op.kind, r))]
+            ([nf.column(TransitionLabel(x.label, RegisterOp(x.op.kind, r)))
               for r in range(1, k + 1)], x.op, target)
             for x, target in moves
         ]
@@ -278,7 +252,7 @@ def normal_form_table(a: Automaton) -> DfaTable:
     tilde_rows: list[list[list[int]] | None] = [None]
 
     def expand(s: int) -> list[list[int]]:
-        row = tilde_rows[s] = [[] for _ in letters]
+        row = tilde_rows[s] = [[] for _ in nf.letters]
         q, inj = keys[s]
         for slots, op, target in outgoing.get(q, ()):
             for r, inj2 in _relabelings(op, inj, k):
@@ -326,23 +300,22 @@ def normal_form_table(a: Automaton) -> DfaTable:
 
     def accepting(state) -> bool:
         n, subset = state
-        return nf.finals[n] and any(keys[s][0] in a.finals for s in subset)
+        return n in nf.finals and any(keys[s][0] in a.finals for s in subset)
 
-    return subset_construction((0, frozenset({0})), successors, accepting, alphabet, k)
+    return subset_construction((0, frozenset({0})), successors, accepting, nf.alphabet, k)
 
 
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     """Shortlex-least symbolic word the automaton accepts that is not a normal form, or None.
 
     A ``shortlex_search`` over the pairs (state of a, state of the
-    normal-form DFA or None) that follows only states of a that can reach a
-    final state.  None stands for a prefix that is no normal form any more:
+    normal-form DFA or -1) that follows only states of a that can reach a
+    final state.  -1 stands for a prefix that is no normal form any more:
     the normal-form DFA could not read one of its letters.  A witness ends in
-    a final state of a paired with None or with a non-final normal-form
-    state.  Register automata raise NotSessionAutomaton.
+    a final state of a paired with -1 or with a non-final normal-form state.
+    Register automata raise NotSessionAutomaton.
     """
     nf = nf_automaton(a.registers, a.alphabet)
-    moves = moves_by_source(a.transitions)
     sources: dict[str, set[str]] = {}
     for t in a.transitions:
         if t.label.op.kind is OpKind.LOCAL:
@@ -355,11 +328,16 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
             if s not in live:
                 live.add(s)
                 stack.append(s)
+    # Per state of a: (letter, its column in nf or None, target) for every live target.
+    moves: dict[str, list] = {}
+    for q, x, q2 in a.transitions:
+        if q2 in live:
+            moves.setdefault(q, []).append((x, nf.column(x), q2))
+    rows = nf.rows + ((-1,) * len(nf.letters),)  # state -1 has no moves
 
     def successors(pair):
         q, n = pair
-        return [(x, (q2, None if n is None else nf.delta.get((n, x))))
-                for x, q2 in moves.get(q, ()) if q2 in live]
+        return [(x, (q2, -1 if i is None else rows[n][i])) for x, i, q2 in moves.get(q, ())]
 
     return shortlex_search(
         [(a.initial, nf.initial)],
@@ -383,5 +361,5 @@ def canonicalize(a: Automaton) -> SymbolicDfa:
     ``normal_form_table``).  Register automata raise NotSessionAutomaton.
     """
     if accepts_only_normal_forms(a):
-        return determinize_table(as_symbolic_nfa(a)).minimal()
-    return normal_form_table(a).minimal()
+        return minimize(determinize(as_symbolic_nfa(a)))
+    return minimize(normal_form_table(a))

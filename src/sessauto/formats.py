@@ -220,16 +220,18 @@ def _dot_lines(name, states, initial_states, finals, edges) -> str:
 
 
 def dot_export(obj: Automaton | SymbolicDfa | SymbolicNfa) -> str:
-    """Graphviz text for an automaton or a symbolic NFA/DFA, stable across runs."""
+    """Graphviz text for an automaton or a symbolic NFA/DFA, stable across runs.
+
+    States are drawn by name, the numbers of a DFA as strings, and sort as
+    their names do.
+    """
+    if isinstance(obj, SymbolicNfa):
+        name, initials = "nfa", obj.initials
+    else:
+        name, initials = obj.name if isinstance(obj, Automaton) else "dfa", {obj.initial}
     edges: dict[tuple[str, str], list[str]] = {}
-    if isinstance(obj, Automaton):
-        for t in sorted(obj.transitions, key=_transition_order):
-            edges.setdefault((t.source, t.target), []).append(_glyph(t.label))
-        return _dot_lines(obj.name, obj.states, {obj.initial}, obj.finals, edges)
-    if isinstance(obj, SymbolicDfa):
-        for (s, x), t in sorted(obj.delta.items(), key=lambda it: (it[0][0], letter_key(it[0][1]))):
-            edges.setdefault((s, t), []).append(_glyph(x))
-        return _dot_lines("dfa", obj.states, {obj.initial}, obj.finals, edges)
-    for s, x, t in sorted(obj.transitions, key=lambda e: (e[0], letter_key(e[1]), e[2])):
+    named = ((str(s), x, str(t)) for s, x, t in obj.transitions)
+    for s, x, t in sorted(named, key=lambda e: (e[0], letter_key(e[1]), e[2])):
         edges.setdefault((s, t), []).append(_glyph(x))
-    return _dot_lines("nfa", obj.states, obj.initials, obj.finals, edges)
+    return _dot_lines(name, map(str, obj.states), set(map(str, initials)),
+                      set(map(str, obj.finals)), edges)

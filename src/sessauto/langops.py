@@ -4,7 +4,9 @@ Decisions go through canonical forms: two languages compare exactly like
 their sets of normal forms, so inclusion, equivalence and universality over
 k-bounded words are early-exit searches over a pair of canonical DFAs, which
 stop at the shortlex-least symbolic witness.  That witness is a normal form,
-and it is returned concretized: a genuine separating data word.
+and it is returned concretized: a genuine separating data word.  The boolean
+operations that return automata, intersect and complement_bounded, are one
+``subset_construction`` over pairs of states of two int tables, minimized.
 """
 
 from __future__ import annotations
@@ -13,15 +15,14 @@ from .automata import Automaton, AutomatonClass, Transition, classify, from_symb
 from .canonical import canonicalize, nf_automaton, wf_automaton
 from .errors import NotSessionAutomaton
 from .symbolic import (
-    complement,
-    determinize_table,
-    moves_by_source,
-    product,
+    SymbolicDfa,
+    minimize,
     shortlex_search,
+    subset_construction,
     symbolic_equivalence,
     symbolic_inclusion,
 )
-from .words import DataWord, concretize, symbolic_alphabet
+from .words import DataWord, concretize, letter_key
 
 
 def _require_session(*automata: Automaton) -> None:
@@ -30,6 +31,27 @@ def _require_session(*automata: Automaton) -> None:
             raise NotSessionAutomaton(
                 f"{a.name} is not a session automaton (class {classify(a).value})"
             )
+
+
+def _pair_table(x: SymbolicDfa, y: SymbolicDfa, accepting, alphabet) -> SymbolicDfa:
+    """Minimal DFA over the pairs (state of x, state of y or -1) reached along the moves of x.
+
+    y follows each move of x, to -1 where it has none; -1 has no moves.
+    ``accepting(s, t)`` tells the final pairs, and letters are indexed in
+    the given alphabet, which holds those of x.
+    """
+    index = {letter: i for i, letter in enumerate(sorted(alphabet, key=letter_key))}
+    # Per letter of x: its index in the alphabet and its column in y, or None.
+    columns = [(index[letter], y.column(letter)) for letter in x.letters]
+    rows_y = y.rows + ((-1,) * len(y.letters),)
+
+    def successors(pair):
+        s, t = pair
+        return [(i, (s2, -1 if c is None else rows_y[t][c]))
+                for (i, c), s2 in zip(columns, x.rows[s]) if s2 >= 0]
+
+    return minimize(subset_construction((0, 0), successors, lambda pair: accepting(*pair),
+                                        alphabet, max(x.registers, y.registers)))
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
@@ -41,7 +63,8 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     """
     _require_session(a, b)
     k = min(a.registers, b.registers)
-    dfa = determinize_table(product(canonicalize(a), canonicalize(b))).minimal()
+    x, y = canonicalize(a), canonicalize(b)
+    dfa = _pair_table(x, y, lambda s, t: s in x.finals and t in y.finals, x.alphabet | y.alphabet)
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
 
 
@@ -80,13 +103,14 @@ def complement_bounded(a: Automaton) -> Automaton:
     Complementing the canonical DFA alone is not enough: the raw complement
     also accepts well-formed words that are not normal forms, and their
     concretizations can lie inside L(a).  Intersecting with the normal-form
-    language keeps exactly one symbolic word per excluded data word.
+    language keeps exactly one symbolic word per excluded data word: the
+    pairs of the normal-form DFA and the canonical DFA (-1 past its moves)
+    where the first accepts and the second does not.
     """
     _require_session(a)
     k = a.registers
-    alpha = symbolic_alphabet(a.alphabet, k)
-    outside = complement(canonicalize(a), alpha)
-    dfa = determinize_table(product(nf_automaton(k, a.alphabet), outside)).minimal()
+    nf, can = nf_automaton(k, a.alphabet), canonicalize(a)
+    dfa = _pair_table(nf, can, lambda n, c: n in nf.finals and c not in can.finals, nf.alphabet)
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
 
 
@@ -113,12 +137,15 @@ def is_empty(a: Automaton) -> DataWord | None:
     """
     _require_session(a)
     wf = wf_automaton(a.registers, a.alphabet)
-    moves = moves_by_source(a.transitions)
+    # Per state of a: (letter, its column in wf, target) for the letters wf reads.
+    moves: dict[str, list] = {}
+    for q, x, q2 in a.transitions:
+        if (i := wf.column(x)) is not None:
+            moves.setdefault(q, []).append((x, i, q2))
 
     def successors(pair):
         q, w = pair
-        return [(x, (q2, w2)) for x, q2 in moves.get(q, ())
-                if (w2 := wf.delta.get((w, x))) is not None]
+        return [(x, (q2, w2)) for x, i, q2 in moves.get(q, ()) if (w2 := wf.rows[w][i]) >= 0]
 
     witness = shortlex_search([(a.initial, wf.initial)], successors,
                               lambda pair: pair[0] in a.finals)

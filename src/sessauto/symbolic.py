@@ -2,22 +2,26 @@
 
 These are ordinary NFAs/DFAs whose alphabet consists of TransitionLabel
 values.  They carry the symbolic-language side of every construction: the
-data-word semantics never appears here.  States are strings; every operation
-that synthesizes states numbers them canonically (breadth-first from the
-initial state, expanding letters in their total order), which makes minimal
+data-word semantics never appears here.  An NFA is the view of an input
+automaton and keeps its string states.  A DFA is an int table: states
+0..n-1, initial state 0, letters indexed in ``letter_key`` order.  Every
+operation that synthesizes a DFA numbers it canonically (breadth-first from
+the initial state, expanding letters in their order), which makes minimal
 automata comparable by plain structural equality.  Two kernels do the work.
-``subset_construction`` numbers: determinize, minimize and renumber run on
-it, over int transition tables (DfaTable).  ``shortlex_search`` stops at the
-first witness: shortest_accepted, symbolic_inclusion, symbolic_equivalence
-and the normal-form walk of ``canonical`` look for the shortlex-least word
-reaching an accepting node.  Both automaton classes are frozen and their
-moves are read-only, so a cached result cannot be changed by its callers.
+``subset_construction`` numbers: determinize, minimize, renumber and every
+pair construction of ``canonical`` and ``langops`` run on it.
+``shortlex_search`` stops at the first witness: shortest_accepted,
+symbolic_inclusion, symbolic_equivalence and the normal-form walk of
+``canonical`` look for the shortlex-least word reaching an accepting node.
+Both automaton classes are frozen and hand out only immutable values (the
+NFA's moves by source are read-only), so a cached result cannot be changed
+by its callers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
@@ -36,7 +40,7 @@ class SymbolicNfa:
 
     @cached_property
     def delta(self) -> Mapping[tuple[str, TransitionLabel], frozenset[str]]:
-        # Read-only, like SymbolicDfa.delta: every Automaton shares its symbolic view.
+        # Read-only: every Automaton shares its symbolic view.
         table: dict[tuple[str, TransitionLabel], frozenset[str]] = {}
         for src, letter, dst in self.transitions:
             key = (src, letter)
@@ -57,42 +61,66 @@ class SymbolicNfa:
 
 @dataclass(frozen=True)
 class SymbolicDfa:
+    """A DFA on states 0..n-1, initial state 0, over letter indices.
+
+    Letter x is the x-th letter of the alphabet in ``letter_key`` order (see
+    ``letters``), and ``rows[s][x]`` is the target of state s on it, or -1
+    when s has no move.
+    """
+
     alphabet: frozenset[TransitionLabel]
-    states: frozenset[str]
-    initial: str
-    finals: frozenset[str]
-    delta: Mapping[tuple[str, TransitionLabel], str] = field(default_factory=dict)
+    rows: tuple[tuple[int, ...], ...]
+    finals: frozenset[int]
     registers: int = 0
 
-    def __post_init__(self):
-        # Cached DFAs are shared by every caller, so their moves are read-only.
-        object.__setattr__(self, "delta", MappingProxyType(self.delta))
+    initial = 0  # not a field: every table starts in state 0
+
+    @property
+    def states(self) -> range:
+        return range(len(self.rows))
+
+    @cached_property
+    def letters(self) -> tuple[TransitionLabel, ...]:
+        return tuple(sorted(self.alphabet, key=letter_key))
+
+    @cached_property
+    def _index(self) -> dict[TransitionLabel, int]:
+        return {x: i for i, x in enumerate(self.letters)}
+
+    def column(self, letter: TransitionLabel) -> int | None:
+        """The index of a letter in the rows, None when it is outside the alphabet."""
+        return self._index.get(letter)
+
+    @property
+    def transitions(self) -> tuple[tuple[int, TransitionLabel, int], ...]:
+        """Every move as (state, letter, target), by state, then letter."""
+        letters = self.letters
+        return tuple((s, letters[x], t)
+                     for s, row in enumerate(self.rows) for x, t in enumerate(row) if t >= 0)
 
     def accepts(self, word: SymbolicWord) -> bool:
-        state = self.initial
+        index, rows, state = self._index, self.rows, 0
         for letter in word:
-            nxt = self.delta.get((state, letter))
-            if nxt is None:
+            x = index.get(letter)
+            if x is None:
                 return False
-            state = nxt
+            state = rows[state][x]
+            if state < 0:
+                return False
         return state in self.finals
 
 
-def as_nfa(fa: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
+def _as_nfa(fa: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
     if isinstance(fa, SymbolicNfa):
         return fa
     return SymbolicNfa(
         alphabet=fa.alphabet,
-        states=fa.states,
+        states=frozenset(fa.states),
         initials=frozenset({fa.initial}),
         finals=fa.finals,
-        transitions=frozenset((s, x, t) for (s, x), t in fa.delta.items()),
+        transitions=frozenset(fa.transitions),
         registers=fa.registers,
     )
-
-
-def _sorted_letters(alphabet) -> list[TransitionLabel]:
-    return sorted(alphabet, key=letter_key)
 
 
 def renumber(dfa: SymbolicDfa) -> SymbolicDfa:
@@ -101,142 +129,97 @@ def renumber(dfa: SymbolicDfa) -> SymbolicDfa:
     Unreachable states are dropped.  Two minimal DFAs of the same language
     come out structurally equal.
     """
-    table = DfaTable.of(dfa)
+    rows = dfa.rows
     return subset_construction(
         0,
-        lambda s: [(x, t) for x, t in enumerate(table.rows[s]) if t >= 0],
-        table.finals.__getitem__,
+        lambda s: [(x, t) for x, t in enumerate(rows[s]) if t >= 0],
+        dfa.finals.__contains__,
         dfa.alphabet,
         dfa.registers,
-    ).to_dfa()
-
-
-def isomorphic(d1: SymbolicDfa, d2: SymbolicDfa) -> bool:
-    """Structural equality up to state names (trim both sides first via renumber)."""
-    a, b = renumber(d1), renumber(d2)
-    return (
-        a.states == b.states
-        and a.finals == b.finals
-        and a.delta == b.delta
     )
 
 
-@dataclass
-class DfaTable:
-    """A DFA on states 0..n-1, initial state 0, over letter indices.
+def isomorphic(d1: SymbolicDfa, d2: SymbolicDfa) -> bool:
+    """Structural equality up to state numbers (trim both sides first via renumber).
 
-    Letter x is the x-th letter of the alphabet in ``letter_key`` order, and
-    ``rows[s][x]`` is the target of state s on it, or -1 when s has no move.
+    Moves are compared by letter, so DFAs over different alphabets that use
+    the same letters compare equal.
     """
-
-    rows: list[list[int]]
-    finals: list[bool]
-    alphabet: frozenset[TransitionLabel]
-    registers: int
-
-    @classmethod
-    def of(cls, dfa: SymbolicDfa) -> "DfaTable":
-        """Index a DFA's states (initial first) and letters once."""
-        index = {x: i for i, x in enumerate(_sorted_letters(dfa.alphabet))}
-        ids = {dfa.initial: 0}
-        for s in dfa.states:
-            ids.setdefault(s, len(ids))
-        rows = [[-1] * len(index) for _ in ids]
-        for (s, x), t in dfa.delta.items():
-            if x in index:
-                rows[ids[s]][index[x]] = ids[t]
-        finals = [False] * len(ids)
-        for s in dfa.finals:
-            finals[ids[s]] = True
-        return cls(rows, finals, dfa.alphabet, dfa.registers)
-
-    def to_dfa(self) -> SymbolicDfa:
-        """The same DFA with states named "0", "1", ..."""
-        letters = _sorted_letters(self.alphabet)
-        names = [str(s) for s in range(len(self.rows))]
-        return SymbolicDfa(
-            alphabet=self.alphabet,
-            states=frozenset(names),
-            initial="0",
-            finals=frozenset(names[s] for s, final in enumerate(self.finals) if final),
-            delta={
-                (names[s], letters[x]): names[t]
-                for s, row in enumerate(self.rows)
-                for x, t in enumerate(row)
-                if t >= 0
-            },
-            registers=self.registers,
-        )
-
-    def minimal(self) -> SymbolicDfa:
-        """Minimal trim partial DFA for the language, canonically numbered.
-
-        Moore partition refinement on the table completed by a sink state,
-        appended last so that a missing move (-1) indexes it: blocks split by
-        (block, blocks of the successors) until their number stops growing.
-        The quotient keeps the blocks reachable from the initial block
-        through blocks that can reach a final one, numbered breadth-first
-        with letters in order.  The initial state survives even when the
-        language is empty, because a DFA needs one.
-        """
-        rows = self.rows + [[-1] * len(self.alphabet)]
-        block = [int(final) for final in self.finals] + [0]
-        count = len(set(block))
-        while True:
-            signatures: dict[tuple, int] = {}
-            block = [
-                signatures.setdefault((block[s],) + tuple(map(block.__getitem__, row)),
-                                      len(signatures))
-                for s, row in enumerate(rows)
-            ]
-            if len(signatures) == count:
-                break
-            count = len(signatures)
-
-        q_rows: list[list[int] | None] = [None] * count
-        for s, row in enumerate(rows):
-            if q_rows[block[s]] is None:
-                q_rows[block[s]] = [block[t] for t in row]
-        q_finals = {block[s] for s, final in enumerate(self.finals) if final}
-        sources: list[list[int]] = [[] for _ in range(count)]
-        for b, row in enumerate(q_rows):
-            for t in row:
-                sources[t].append(b)
-        alive = set(q_finals)
-        stack = list(alive)
-        while stack:
-            for b in sources[stack.pop()]:
-                if b not in alive:
-                    alive.add(b)
-                    stack.append(b)
-        return subset_construction(
-            block[0],
-            lambda b: [(x, t) for x, t in enumerate(q_rows[b]) if t in alive],
-            q_finals.__contains__,
-            self.alphabet,
-            self.registers,
-        ).to_dfa()
+    a, b = renumber(d1), renumber(d2)
+    return (
+        len(a.rows) == len(b.rows)
+        and a.finals == b.finals
+        and set(a.transitions) == set(b.transitions)
+    )
 
 
-def subset_construction(start, successors, accepting, alphabet, registers: int) -> DfaTable:
+def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
+    """Minimal trim partial DFA for the language, canonically numbered.
+
+    Moore partition refinement on the table completed by a sink state,
+    appended last so that a missing move (-1) indexes it: blocks split by
+    (block, blocks of the successors) until their number stops growing.
+    The quotient keeps the blocks reachable from the initial block through
+    blocks that can reach a final one, numbered breadth-first with letters in
+    order.  The initial state survives even when the language is empty,
+    because a DFA needs one.
+    """
+    rows = dfa.rows + ((-1,) * len(dfa.alphabet),)
+    block = [int(s in dfa.finals) for s in range(len(rows))]
+    count = len(set(block))
+    while True:
+        signatures: dict[tuple, int] = {}
+        block = [
+            signatures.setdefault((block[s],) + tuple(map(block.__getitem__, row)),
+                                  len(signatures))
+            for s, row in enumerate(rows)
+        ]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+
+    q_rows: list[list[int] | None] = [None] * count
+    for s, row in enumerate(rows):
+        if q_rows[block[s]] is None:
+            q_rows[block[s]] = [block[t] for t in row]
+    q_finals = {block[s] for s in dfa.finals}
+    sources: list[list[int]] = [[] for _ in range(count)]
+    for b, row in enumerate(q_rows):
+        for t in row:
+            sources[t].append(b)
+    alive = set(q_finals)
+    stack = list(alive)
+    while stack:
+        for b in sources[stack.pop()]:
+            if b not in alive:
+                alive.add(b)
+                stack.append(b)
+    return subset_construction(
+        block[0],
+        lambda b: [(x, t) for x, t in enumerate(q_rows[b]) if t in alive],
+        q_finals.__contains__,
+        dfa.alphabet,
+        dfa.registers,
+    )
+
+
+def subset_construction(start, successors, accepting, alphabet, registers: int) -> SymbolicDfa:
     """Breadth-first subset construction over letter indices, canonically numbered.
 
     ``successors(subset)`` lists the (letter index, next subset) pairs that
     leave a subset, by increasing letter index, and ``accepting(subset)``
     tells whether it is final.  Subsets are numbered in the order they are
     found, so the numbering does not depend on how their members are named.
-    A subset may be any hashable value, a single state too: this is the one
-    canonical numbering, which ``determinize_table``, the canonical general
-    path, ``renumber`` and the quotient of ``DfaTable.minimal`` all run on.
+    A subset may be any hashable value, a single state or a pair of states
+    too: this is the one canonical numbering, which ``determinize``,
+    ``minimize``, ``renumber``, the normal-form and well-formedness DFAs,
+    the canonical general path and the boolean operations all run on.
     """
     width = len(alphabet)
     names = {start: 0}
     order = [start]
-    rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
+    rows: list[tuple[int, ...]] = []
+    for subset in order:
         row = [-1] * width
         for x, target in successors(subset):
             t = names.get(target)
@@ -244,8 +227,9 @@ def subset_construction(start, successors, accepting, alphabet, registers: int) 
                 t = names[target] = len(order)
                 order.append(target)
             row[x] = t
-        rows.append(row)
-    return DfaTable(rows, [accepting(s) for s in order], alphabet, registers)
+        rows.append(tuple(row))
+    finals = frozenset(s for s, subset in enumerate(order) if accepting(subset))
+    return SymbolicDfa(alphabet, tuple(rows), finals, registers)
 
 
 def pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
@@ -262,10 +246,10 @@ def pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
     return out
 
 
-def determinize_table(nfa: SymbolicNfa) -> DfaTable:
-    """The subset construction of ``determinize``, as an int table."""
+def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
+    """Subset construction, reachable part only, canonically numbered."""
     every = range(len(nfa.alphabet))
-    index = {x: i for i, x in enumerate(_sorted_letters(nfa.alphabet))}
+    index = {x: i for i, x in enumerate(sorted(nfa.alphabet, key=letter_key))}
     ids: dict[str, int] = {}
     table: list[list[list[int]]] = []
 
@@ -289,41 +273,26 @@ def determinize_table(nfa: SymbolicNfa) -> DfaTable:
     )
 
 
-def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
-    """Subset construction, reachable part only, canonically numbered."""
-    return determinize_table(nfa).to_dfa()
-
-
 def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:
     """Complete over the union of the DFA's alphabet and the given one, swap finals.
 
-    Missing moves go to a new sink state, which is accepting in the result.
+    Missing moves go to a new sink state, numbered last, which is accepting
+    in the result.
     """
     alpha = dfa.alphabet if alphabet is None else dfa.alphabet | frozenset(alphabet)
-    sink = "sink"
-    while sink in dfa.states:
-        sink = "_" + sink
-    states = dfa.states | {sink}
-    delta = dict(dfa.delta)
-    for s in states:
-        for x in alpha:
-            delta.setdefault((s, x), sink)
-    return SymbolicDfa(alpha, states, dfa.initial, states - dfa.finals, delta, dfa.registers)
-
-
-def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
-    """Minimal trim partial DFA for the language, canonically numbered.
-
-    States and letters are indexed once into a table of ints, minimized
-    there (see ``DfaTable.minimal``) and translated back at the end.
-    """
-    return DfaTable.of(dfa).minimal()
+    columns = [dfa.column(x) for x in sorted(alpha, key=letter_key)]
+    sink = len(dfa.rows)
+    rows = tuple(
+        tuple(sink if x is None or row[x] < 0 else row[x] for x in columns)
+        for row in dfa.rows
+    ) + ((sink,) * len(columns),)
+    return SymbolicDfa(alpha, rows, frozenset(range(sink + 1)) - dfa.finals, dfa.registers)
 
 
 def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
     """Intersection product, reachable pairs only."""
-    nx, ny = as_nfa(x), as_nfa(y)
-    letters = _sorted_letters(nx.alphabet | ny.alphabet)
+    nx, ny = _as_nfa(x), _as_nfa(y)
+    letters = sorted(nx.alphabet | ny.alphabet, key=letter_key)
     dx, dy = nx.delta, ny.delta
     names: dict[tuple[str, str], str] = {}
     order: list[tuple[str, str]] = []
@@ -397,7 +366,7 @@ def shortlex_search(starts, successors, accepting) -> SymbolicWord | None:
 
 def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
     """Shortest accepted word; ties broken by the letter order, None if empty."""
-    nfa = as_nfa(fa)
+    nfa = _as_nfa(fa)
     moves = moves_by_source(nfa.transitions)
     return shortlex_search(nfa.initials, lambda s: moves.get(s, ()), nfa.finals.__contains__)
 
@@ -405,26 +374,27 @@ def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
 def _first_difference(x, y, symmetric: bool) -> SymbolicWord | None:
     """Shortlex-least word of L(x) \\ L(y), or of the symmetric difference, or None.
 
-    One search over pairs (state of x or None, state of y or None), None
-    standing for a missing move, that follows the letters of x, and of y too
-    when the difference is symmetric.  An NFA operand is determinized first.
+    One search over pairs (state of x, state of y), -1 standing for a
+    missing move, that follows the letters of x, and of y too when the
+    difference is symmetric.  An NFA operand is determinized first.
     """
     dx, dy = (fa if isinstance(fa, SymbolicDfa) else determinize(fa) for fa in (x, y))
-    outx, outy = {}, {}
-    for out, dfa in ((outx, dx), (outy, dy)):
-        for s, letter in dfa.delta:
-            out.setdefault(s, []).append(letter)
+    # The moves of each state by letter; state -1 indexes the empty moves appended last.
+    outx, outy = (
+        [{a: t for a, t in zip(d.letters, row) if t >= 0} for row in d.rows] + [{}]
+        for d in (dx, dy)
+    )
 
     def successors(pair):
-        s, t = pair
-        letters = outx.get(s, []) + outy.get(t, []) if symmetric else outx.get(s, ())
-        return [(a, (dx.delta.get((s, a)), dy.delta.get((t, a)))) for a in letters]
+        ms, mt = outx[pair[0]], outy[pair[1]]
+        letters = ms.keys() | mt.keys() if symmetric else ms
+        return [(a, (ms.get(a, -1), mt.get(a, -1))) for a in letters]
 
     def accepting(pair) -> bool:
         in_x, in_y = pair[0] in dx.finals, pair[1] in dy.finals
         return in_x != in_y if symmetric else in_x and not in_y
 
-    return shortlex_search([(dx.initial, dy.initial)], successors, accepting)
+    return shortlex_search([(0, 0)], successors, accepting)
 
 
 def symbolic_inclusion(x, y) -> SymbolicWord | None:

@@ -51,6 +51,11 @@ class RegisterOp(NamedTuple("RegisterOp", [("kind", OpKind), ("register", int)])
             raise ValueError(f"register index must be >= 1, got {register}")
         return tuple.__new__(cls, (kind, register))
 
+    @classmethod
+    def _make(cls, iterable) -> "RegisterOp":
+        # The inherited _make, which _replace calls too, would skip the check.
+        return cls(*iterable)
+
     def __str__(self) -> str:
         return f"{OP_ASCII[self.kind]}{self.register}"
 

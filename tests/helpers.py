@@ -6,6 +6,7 @@ data-word space is enumerated through value patterns (restricted growth
 strings) rather than through the library's own equivalence machinery.
 """
 
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
@@ -18,11 +19,12 @@ from sessauto import (
     Transition,
     TransitionLabel,
     UnknownLabel,
-    as_nfa,
     as_symbolic_nfa,
+    canonicalize,
     complement,
     concretize,
     determinize,
+    from_symbolic_dfa,
     letter_key,
     minimize,
     nf_automaton,
@@ -39,7 +41,6 @@ from sessauto import (
     word_key,
 )
 from sessauto.langops import _require_session
-from sessauto.symbolic import _sorted_letters
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -60,6 +61,66 @@ def letter(label: str, kind: str, register: int) -> TransitionLabel:
     return TransitionLabel(label, RegisterOp(OpKind(kind), register))
 
 
+@dataclass(frozen=True)
+class NamedDfa:
+    """A DFA on string states with moves keyed by (state, letter).
+
+    The reference oracles below are written on it; ``as_table`` and ``as_named``
+    are the one adapter between it and the library's int tables.
+    """
+
+    alphabet: frozenset[TransitionLabel]
+    states: frozenset[str]
+    initial: str
+    finals: frozenset[str]
+    delta: dict[tuple[str, TransitionLabel], str]
+    registers: int = 0
+
+
+def as_table(dfa: NamedDfa) -> SymbolicDfa:
+    """The same DFA as an int table: the initial state is 0, the others follow sorted."""
+    names = [dfa.initial] + sorted(dfa.states - {dfa.initial})
+    ids = {s: i for i, s in enumerate(names)}
+    letters = _sorted_letters(dfa.alphabet)
+    rows = tuple(
+        tuple(ids[dfa.delta[(s, x)]] if (s, x) in dfa.delta else -1 for x in letters)
+        for s in names
+    )
+    return SymbolicDfa(dfa.alphabet, rows, frozenset(ids[s] for s in dfa.finals), dfa.registers)
+
+
+def as_named(dfa: SymbolicDfa) -> NamedDfa:
+    """The same DFA with its states named "0", "1", ..."""
+    return NamedDfa(
+        alphabet=dfa.alphabet,
+        states=frozenset(map(str, dfa.states)),
+        initial=str(dfa.initial),
+        finals=frozenset(map(str, dfa.finals)),
+        delta={(str(s), x): str(t) for s, x, t in dfa.transitions},
+        registers=dfa.registers,
+    )
+
+
+def as_nfa(fa) -> SymbolicNfa:
+    """An NFA as it is; an int-table or named DFA as an NFA on its named states."""
+    if isinstance(fa, SymbolicNfa):
+        return fa
+    if isinstance(fa, SymbolicDfa):
+        fa = as_named(fa)
+    return SymbolicNfa(
+        alphabet=fa.alphabet,
+        states=fa.states,
+        initials=frozenset({fa.initial}),
+        finals=fa.finals,
+        transitions=frozenset((s, x, t) for (s, x), t in fa.delta.items()),
+        registers=fa.registers,
+    )
+
+
+def _sorted_letters(alphabet) -> list[TransitionLabel]:
+    return sorted(alphabet, key=letter_key)
+
+
 def fig5c_dfa() -> SymbolicDfa:
     """Hand-coded expected canonical form of the fig5a language."""
     edges = {
@@ -76,14 +137,14 @@ def fig5c_dfa() -> SymbolicDfa:
         ("q3", "a:*2"): "q2",
     }
     delta = {(s, sw(x)[0]): t for (s, x), t in edges.items()}
-    return SymbolicDfa(
+    return as_table(NamedDfa(
         alphabet=frozenset(x for (_, x) in delta),
         states=frozenset({"q0", "q1", "q2", "q3"}),
         initial="q0",
         finals=frozenset({"q0", "q1", "q3"}),
         delta=delta,
         registers=2,
-    )
+    ))
 
 
 def nfa_accepts_brute(nfa, word) -> bool:
@@ -270,6 +331,27 @@ def reference_is_empty(a: Automaton):
     return None if witness is None else concretize(witness)
 
 
+def reference_intersect(a: Automaton, b: Automaton) -> Automaton:
+    """``intersect`` as it was before its pair construction: the string-keyed
+    product of the canonical DFAs, determinized and minimized.  Kept as its oracle."""
+    _require_session(a, b)
+    k = min(a.registers, b.registers)
+    dfa = minimize(determinize(product(canonicalize(a), canonicalize(b))))
+    return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
+
+
+def reference_complement_bounded(a: Automaton) -> Automaton:
+    """``complement_bounded`` as it was before its pair construction: the
+    normal-form DFA times the completed complement of the canonical DFA.
+    Kept as its oracle."""
+    _require_session(a)
+    k = a.registers
+    alpha = symbolic_alphabet(a.alphabet, k)
+    outside = complement(canonicalize(a), alpha)
+    dfa = minimize(determinize(product(nf_automaton(k, a.alphabet), outside)))
+    return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
+
+
 def reference_shortest_accepted(fa):
     """Breadth-first search one state at a time, stopping at the first final state.
 
@@ -341,7 +423,7 @@ def brute_accepted(fa, letters, max_len):
     return out
 
 
-def reference_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
+def reference_determinize(nfa: SymbolicNfa) -> NamedDfa:
     """Subset construction on string states and letter-keyed dicts.
 
     ``determinize`` runs the same construction on int ids through the subset
@@ -366,7 +448,7 @@ def reference_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
                 order.append(target)
             out[(names[subset], x)] = names[target]
     finals = frozenset(names[s] for s in order if s & nfa.finals)
-    return SymbolicDfa(
+    return NamedDfa(
         alphabet=nfa.alphabet,
         states=frozenset(names.values()),
         initial="0",
@@ -376,7 +458,7 @@ def reference_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
     )
 
 
-def reference_renumber(dfa: SymbolicDfa) -> SymbolicDfa:
+def reference_renumber(dfa: NamedDfa) -> NamedDfa:
     """Breadth-first renumbering on string states and letter-keyed dicts.
 
     ``renumber`` and ``minimize`` number states through the subset kernel;
@@ -399,7 +481,7 @@ def reference_renumber(dfa: SymbolicDfa) -> SymbolicDfa:
         for (s, x), t in dfa.delta.items()
         if s in names and t in names
     }
-    return SymbolicDfa(
+    return NamedDfa(
         alphabet=dfa.alphabet,
         states=frozenset(names.values()),
         initial="0",
@@ -409,7 +491,7 @@ def reference_renumber(dfa: SymbolicDfa) -> SymbolicDfa:
     )
 
 
-def reference_minimize(dfa: SymbolicDfa) -> SymbolicDfa:
+def reference_minimize(dfa: NamedDfa) -> NamedDfa:
     """Moore refinement on string states and letter-keyed dicts.
 
     ``minimize`` runs on an int transition table; this is its oracle, down
@@ -422,7 +504,7 @@ def reference_minimize(dfa: SymbolicDfa) -> SymbolicDfa:
     for s in list(dfa.states) + [sink]:
         for x in dfa.alphabet:
             delta.setdefault((s, x), sink)
-    total = SymbolicDfa(dfa.alphabet, dfa.states | {sink}, dfa.initial, dfa.finals, delta,
+    total = NamedDfa(dfa.alphabet, dfa.states | {sink}, dfa.initial, dfa.finals, delta,
                         registers=dfa.registers)
     letters = _sorted_letters(total.alphabet)
 
@@ -474,7 +556,7 @@ def reference_minimize(dfa: SymbolicDfa) -> SymbolicDfa:
         for (b, x), t in q_delta.items()
         if b in keep and t in keep and t in alive
     }
-    out = SymbolicDfa(
+    out = NamedDfa(
         alphabet=dfa.alphabet,
         states=frozenset(str(b) for b in keep),
         initial=str(q_initial),

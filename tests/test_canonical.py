@@ -4,6 +4,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
+    NamedDfa,
+    as_named,
+    as_nfa,
+    as_table,
     dw,
     enumerate_symbolic_words,
     fig5c_dfa,
@@ -19,13 +23,11 @@ from helpers import (
 )
 from sessauto import (
     Automaton,
-    NfState,
     NotSessionAutomaton,
     PartialInjection,
     SymbolicDfa,
     Transition,
     accepts_symbolic,
-    as_nfa,
     as_symbolic_nfa,
     canonicalize,
     complement_bounded,
@@ -39,6 +41,7 @@ from sessauto import (
     nf_automaton,
     nf_violation_witness,
     product,
+    renumber,
     shortest_accepted,
     simulate,
     snf,
@@ -71,14 +74,14 @@ def expected_nf2() -> SymbolicDfa:
         ("n3", "a:*2"): "n2",
     }
     delta = {(s, sw(x)[0]): t for (s, x), t in edges.items()}
-    return SymbolicDfa(
+    return as_table(NamedDfa(
         alphabet=symbolic_alphabet(A, 2),
         states=frozenset({"n0", "n1", "n2", "n3"}),
         initial="n0",
         finals=frozenset({"n0", "n1", "n3"}),
         delta=delta,
         registers=2,
-    )
+    ))
 
 
 def test_nf2_shape():
@@ -87,17 +90,34 @@ def test_nf2_shape():
     assert isomorphic(nf, expected_nf2())
 
 
+def reached(dfa: SymbolicDfa, word) -> int:
+    state = dfa.initial
+    for x in word:
+        state = dfa.rows[state][dfa.column(x)]
+    return state
+
+
 def test_nf2_state_names():
+    # States are numbered breadth-first from (top 0, no promises), letters in order.
     nf = nf_automaton(2, A)
-    assert nf.initial == "(0,{})"
-    assert nf.states == {"(0,{})", "(1,{})", "(2,{1})", "(2,{})"}
-    assert nf.finals == {"(0,{})", "(1,{})", "(2,{})"}
+    top0, top1, top2_promised1, top2 = (
+        reached(nf, sw(u)) for u in ("", "a:*1", "a:*1 a:*2", "a:*1 a:*2 a:^1"))
+    assert (top0, top1, top2_promised1, top2) == (0, 1, 2, 3)
+    assert nf.states == range(4)
+    assert nf.finals == {top0, top1, top2}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nf_and_wf_are_canonically_numbered(k):
+    # Breadth-first from the initial state, letters in order, as renumber numbers them.
+    for dfa in (nf_automaton(k, AB), wf_automaton(k, AB)):
+        assert dfa == renumber(dfa)
 
 
 def test_nf1_shape():
     nf = nf_automaton(1, A)
-    assert nf.states == {"(0,{})", "(1,{})"}
-    assert nf.finals == nf.states
+    assert nf.states == range(2)
+    assert nf.finals == set(nf.states)
     assert nf.accepts(sw("a:*1 a:^1 a:*1"))
     assert not nf.accepts(sw("a:^1"))
 
@@ -136,11 +156,6 @@ def test_wf_automaton_matches_predicate():
     wf = wf_automaton(2, AB)
     for u in enumerate_symbolic_words(sorted(symbolic_alphabet(AB, 2), key=str), 4):
         assert wf.accepts(u) == is_well_formed(u)
-
-
-def test_nf_state_str():
-    assert str(NfState(2, frozenset({1}))) == "(2,{1})"
-    assert str(NfState(0, frozenset())) == "(0,{})"
 
 
 def test_partial_injection():
@@ -296,12 +311,12 @@ def normal_form_parts(draw):
     final-state check sees.
     """
     k = draw(st.integers(1, 3))
-    nf = nf_automaton(k, AB)
+    nf = as_named(nf_automaton(k, AB))
     dropped = draw(st.frozensets(st.sampled_from(sorted(nf.delta, key=str))))
     finals = draw(st.frozensets(st.sampled_from(sorted(nf.states))))
     moves = {key: t for key, t in nf.delta.items() if key not in dropped}
-    part = SymbolicDfa(nf.alphabet, nf.states, nf.initial, finals, moves, k)
-    return from_symbolic_dfa(part, "part", AB, k)
+    part = NamedDfa(nf.alphabet, nf.states, nf.initial, finals, moves, k)
+    return from_symbolic_dfa(as_table(part), "part", AB, k)
 
 
 def branches(*paths):
@@ -355,10 +370,15 @@ def test_witnesses_match_reference_on_dfas(a, b):
 
 
 def test_cached_canonical_form_is_read_only(fig5a):
+    # The table is a tuple of tuples and the DFA is frozen: nothing can be assigned.
     with pytest.raises(AttributeError):
-        canonicalize(fig5a).delta.clear()
+        canonicalize(fig5a).rows = ()
+    with pytest.raises(AttributeError):
+        canonicalize(fig5a).rows.clear()
     with pytest.raises(TypeError):
-        canonicalize(fig5a).delta[("0", sw("a:*1")[0])] = "0"
+        canonicalize(fig5a).rows[0][0] = 0
+    with pytest.raises(AttributeError):
+        canonicalize(fig5a).finals.add(1)
     assert canonicalize(fig5a).accepts(snf(dw("a:1 b:1")))
 
 
@@ -394,7 +414,7 @@ def test_general_path_matches_fast_path(a, b):
     for c in (from_symbolic_dfa(canonicalize(a), "c", a.alphabet, a.registers),
               intersect(a, b), complement_bounded(a)):
         if len(c.states) <= 20:
-            assert normal_form_table(c).minimal() == minimize(determinize(as_symbolic_nfa(c)))
+            assert minimize(normal_form_table(c)) == minimize(determinize(as_symbolic_nfa(c)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -405,7 +425,7 @@ def test_normal_form_table_is_the_determinized_product(a):
     nf = nf_automaton(a.registers, a.alphabet)
     product_dfa = determinize(product(nf, tilde(a)))
     table = normal_form_table(a)
-    assert table.minimal() == minimize(product_dfa)
+    assert minimize(table) == minimize(product_dfa)
     assert len(table.rows) <= len(product_dfa.states)
 
 
@@ -425,4 +445,4 @@ def test_pruned_table_matches_reference(a):
     # The unpruned reference took up to 0.5 s per draw below 5 000 pruned subsets
     # and 6 s at 23 376; at least 15 of 600 draws were larger than that.
     assume(len(table.rows) <= 5000)
-    assert table.minimal() == reference_canonicalize(a)
+    assert minimize(table) == reference_canonicalize(a)

@@ -7,7 +7,10 @@ from helpers import (
     dw,
     enumerate_word_classes,
     random_session_automaton,
+    reference_complement_bounded,
+    reference_intersect,
     reference_is_empty,
+    universal,
 )
 from sessauto import (
     Automaton,
@@ -24,12 +27,13 @@ from sessauto import (
     intersect,
     is_empty,
     is_universal_bounded,
+    serialize_automaton,
     simulate,
     union,
     validate,
 )
 from test_automata import SESSION_OPS, automata
-from test_canonical import FORK, chain
+from test_canonical import AUTOMATA_K2, EMPTY, FORK, chain
 
 REPS = enumerate_word_classes(("a", "b"), 4)
 
@@ -189,6 +193,17 @@ def sparse_automata(draw):
 @example(a=chain("a:*1", "a:^2", final_only=False))
 def test_is_empty_matches_reference(a):
     assert is_empty(a) == reference_is_empty(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=AUTOMATA_K2, b=AUTOMATA_K2)
+@example(a=EMPTY, b=EMPTY)
+@example(a=universal(2), b=chain("a:*1", "b:*2", "a:^1"))
+def test_boolean_ops_match_reference(a, b):
+    # The pair constructions build the automata the product chains built, to the letter.
+    assert serialize_automaton(intersect(a, b)) == serialize_automaton(reference_intersect(a, b))
+    assert (serialize_automaton(complement_bounded(a))
+            == serialize_automaton(reference_complement_bounded(a)))
 
 
 def test_is_empty_counts_only_data_acceptance(fig5a):

@@ -5,6 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     brute_accepted,
     enumerate_symbolic_words,
+    NamedDfa,
+    as_named,
+    as_table,
     letter,
     nfa_accepts_brute,
     reference_determinize,
@@ -13,7 +16,6 @@ from helpers import (
     sw,
 )
 from sessauto import (
-    SymbolicDfa,
     SymbolicNfa,
     complement,
     determinize,
@@ -68,21 +70,20 @@ def test_determinize_is_deterministic_and_reachable():
     rng = Random(102)
     for _ in range(50):
         dfa = determinize(random_nfa(rng))
-        seen = {dfa.initial}
-        for (s, _), t in dfa.delta.items():
+        # one target or -1 per state and letter, every target a state
+        assert all(len(row) == len(dfa.alphabet) for row in dfa.rows)
+        for s, _, t in dfa.transitions:
             assert s in dfa.states and t in dfa.states
-            seen.add(t)
         # subset construction keeps only reachable states
         frontier = [dfa.initial]
         reached = {dfa.initial}
         while frontier:
             s = frontier.pop()
-            for x in dfa.alphabet:
-                t = dfa.delta.get((s, x))
-                if t is not None and t not in reached:
+            for t in dfa.rows[s]:
+                if t >= 0 and t not in reached:
                     reached.add(t)
                     frontier.append(t)
-        assert reached == dfa.states
+        assert reached == set(dfa.states)
 
 
 def test_minimize_preserves_language():
@@ -228,8 +229,8 @@ def tables(draw):
 @st.composite
 def partial_dfas(draw):
     states, alphabet, edges, finals = draw(tables())
-    return SymbolicDfa(alphabet, frozenset(states), "s0", finals,
-                       {(s, x): t for s, x, t in edges}, registers=1)
+    return NamedDfa(alphabet, frozenset(states), "s0", finals,
+                    {(s, x): t for s, x, t in edges}, registers=1)
 
 
 @st.composite
@@ -245,23 +246,23 @@ ONE = frozenset({"s0"})
 @settings(max_examples=150, deadline=None)
 @given(dfa=partial_dfas())
 # One state: empty language, every word over a complete loop, no letters at all.
-@example(dfa=SymbolicDfa(frozenset(AB), ONE, "s0", frozenset(), {(("s0", x)): "s0" for x in AB}))
-@example(dfa=SymbolicDfa(frozenset(AB), ONE, "s0", ONE, {(("s0", x)): "s0" for x in AB}))
-@example(dfa=SymbolicDfa(frozenset(), ONE, "s0", ONE, {}))
+@example(dfa=NamedDfa(frozenset(AB), ONE, "s0", frozenset(), {(("s0", x)): "s0" for x in AB}))
+@example(dfa=NamedDfa(frozenset(AB), ONE, "s0", ONE, {(("s0", x)): "s0" for x in AB}))
+@example(dfa=NamedDfa(frozenset(), ONE, "s0", ONE, {}))
 def test_minimize_matches_reference(dfa):
-    assert minimize(dfa) == reference_minimize(dfa)
+    assert as_named(minimize(as_table(dfa))) == reference_minimize(dfa)
 
 
 @settings(max_examples=150, deadline=None)
 @given(nfa=nfas())
 def test_determinize_matches_reference(nfa):
-    assert determinize(nfa) == reference_determinize(nfa)
+    assert as_named(determinize(nfa)) == reference_determinize(nfa)
 
 
 @settings(max_examples=150, deadline=None)
 @given(dfa=partial_dfas())
 def test_renumber_matches_reference(dfa):
-    assert renumber(dfa) == reference_renumber(dfa)
+    assert as_named(renumber(as_table(dfa))) == reference_renumber(dfa)
 
 
 # q0 reads a:*1 into both q1 and q2; q1 then reads b:^1 and q2 a:*1 into f.

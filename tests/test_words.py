@@ -222,6 +222,16 @@ def test_register_op_rejects_register_below_one():
         RegisterOp.local(0)
 
 
+def test_register_op_make_and_replace_check_the_register():
+    with pytest.raises(ValueError, match="register index must be >= 1"):
+        RegisterOp._make((OpKind.FRESH, 0))
+    with pytest.raises(ValueError, match="register index must be >= 1"):
+        RegisterOp.fresh(1)._replace(register=0)
+    op = RegisterOp.fresh(1)._replace(register=2)
+    assert op == RegisterOp.fresh(2) and type(op) is RegisterOp
+    assert RegisterOp._make((OpKind.REUSE, 3)) == RegisterOp.reuse(3)
+
+
 def test_letter_str_and_repr_are_pinned():
     x = TransitionLabel("a", RegisterOp.fresh(1))
     assert str(x) == "a:*1"
