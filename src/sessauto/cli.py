@@ -8,6 +8,7 @@ not even be attempted (usage, unreadable file, parse error) returns 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("learn", help="learn the canonical automaton of the target")
     p.add_argument("file")
-    p.add_argument("--trace", help="write the query trace as JSON lines")
+    p.add_argument("--trace", help="write the learner's event trace as JSON lines")
     p.add_argument("--max-queries", type=int, default=100_000)
     p.add_argument("--script", help="file with one data-word counterexample per line")
 
@@ -206,18 +207,7 @@ def _dispatch(args) -> int:
         driver = Learner(teacher, target.alphabet, args.max_queries)
         learned = driver.run()
         if args.trace:
-            lines = [
-                json.dumps(
-                    {
-                        "event": e.event,
-                        "detail": e.detail,
-                        "k": e.k,
-                        "upper_rows": e.upper_rows,
-                        "columns": e.columns,
-                    }
-                )
-                for e in driver.trace
-            ]
+            lines = [json.dumps(dataclasses.asdict(e)) for e in driver.trace]
             _write_out("\n".join(lines) + "\n", args.trace)
         print(serialize_automaton(learned), end="")
         return 0

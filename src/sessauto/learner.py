@@ -14,6 +14,7 @@ case the symbolic alphabet grows instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .automata import Automaton, Transition
 from .canonical import canonicalize, nf_automaton, nf_violation_witness
@@ -110,7 +111,9 @@ class MembershipOracle:
     """Memoized symbolic membership on top of a data-word teacher.
 
     Only normal forms reach the teacher; every other word is a definite
-    non-member of any canonical symbolic language.
+    non-member of any canonical symbolic language.  ``memo`` gains one entry
+    per answered first-time query, in the order they were answered, so it
+    doubles as the query log.
     """
 
     def __init__(self, teacher: Teacher, labels: frozenset[str], budget: int | None = None):
@@ -120,16 +123,6 @@ class MembershipOracle:
         self.memo: dict[SymbolicWord, bool] = {}
         self.teacher_queries = 0
         self.equivalence_queries = 0
-        self.events: list[TraceEvent] | None = None
-        self._state = (1, 1, 1)  # (k, upper_rows, columns) for event stamping
-
-    def stamp(self, k: int, upper_rows: int, columns: int) -> None:
-        self._state = (k, upper_rows, columns)
-
-    def _emit(self, event: str, detail: str) -> None:
-        if self.events is not None:
-            k, upper, cols = self._state
-            self.events.append(TraceEvent(event, detail, k, upper, cols))
 
     def _charge(self) -> None:
         if self.budget is not None:
@@ -156,7 +149,6 @@ class MembershipOracle:
         else:
             answer = False
         self.memo[word] = answer
-        self._emit("MembershipQuery", f"{format_symbolic_word(word)} -> {'+' if answer else '-'}")
         return answer
 
 
@@ -170,13 +162,17 @@ class ObservationTable:
     which relies on columns never being removed or reordered.
     """
 
-    def __init__(self, labels: frozenset[str], registers: int = 1):
+    def __init__(self, labels: frozenset[str]):
         self.labels = labels
         self.registers = 0
         self.upper: list[SymbolicWord] = [()]
         self.columns: list[SymbolicWord] = [()]
         self._rows: dict[SymbolicWord, tuple[bool, ...]] = {}
-        self.extend_alphabet(registers)
+        self.extend_alphabet(1)
+
+    def size(self) -> tuple[int, int, int]:
+        """(k, upper rows, columns): the table size that trace events carry."""
+        return self.registers, len(self.upper), len(self.columns)
 
     def letters(self) -> tuple[TransitionLabel, ...]:
         return self._letters
@@ -239,7 +235,7 @@ class ObservationTable:
                 return candidate
         raise NotClosed(f"no upper row matches {format_symbolic_word(u + (x,))}")
 
-    def build_hypothesis(self, oracle: MembershipOracle, name: str = "hypothesis") -> Automaton:
+    def build_hypothesis(self, oracle: MembershipOracle) -> Automaton:
         """Complete symbolically deterministic session automaton of the table."""
         rows = [self.row(u, oracle) for u in self.upper]
         if len(set(rows)) != len(rows):
@@ -261,7 +257,7 @@ class ObservationTable:
             f"__u{index[u]}" for u in self.upper if oracle(u)
         )
         return Automaton(
-            name=name,
+            name="hypothesis",
             alphabet=frozenset(self.labels),
             registers=self.registers,
             states=frozenset(f"__u{i}" for i in range(len(self.upper))),
@@ -347,48 +343,61 @@ class Learner:
         self.oracle = MembershipOracle(teacher, self.labels, max_queries)
         self.table = ObservationTable(self.labels)
         self.trace: list[TraceEvent] = []
-        self.oracle.events = self.trace
+        self._logged = 0  # memo entries already in the trace
+        self._size = self.table.size()
 
-    def _emit(self, event: str, detail: str) -> None:
-        self.trace.append(
-            TraceEvent(event, detail, self.table.registers, len(self.table.upper),
-                       len(self.table.columns))
-        )
+    def _log(self, event: str | None = None, detail: str = "") -> None:
+        """Append the queries answered since the last call, then ``event``.
 
-    def _stamp(self) -> None:
-        self.oracle.stamp(self.table.registers, len(self.table.upper), len(self.table.columns))
+        The queries carry the table size (k, upper rows, columns) recorded at
+        that call, i.e. at the start of the phase that asked them; the event
+        carries the current size, which is recorded for the next call.
+        """
+        k, upper, columns = self._size
+        memo = self.oracle.memo
+        for word, answer in islice(memo.items(), self._logged, None):
+            query = f"{format_symbolic_word(word)} -> {'+' if answer else '-'}"
+            self.trace.append(TraceEvent("MembershipQuery", query, k, upper, columns))
+        self._logged = len(memo)
+        self._size = self.table.size()
+        if event is not None:
+            self.trace.append(TraceEvent(event, detail, *self._size))
 
     def run(self) -> Automaton:
         table, oracle = self.table, self.oracle
-        while True:
-            self._stamp()
-            table.close(oracle)
-            self._stamp()
-            self._emit(
-                "TableClosed",
-                "upper=[" + ", ".join(format_symbolic_word(u) for u in table.upper)
-                + "] columns=[" + ", ".join(format_symbolic_word(v) for v in table.columns) + "]",
-            )
-            hypothesis = table.build_hypothesis(oracle)
-            oracle.equivalence_queries += 1
-            z = nf_violation_witness(hypothesis)
-            if z is not None:
-                self._emit("NfViolation", format_symbolic_word(z))
-            else:
-                counterexample = self.teacher.equivalence(hypothesis)
-                if counterexample is None:
-                    self._emit("EquivalenceQuery", "equivalent")
-                    return hypothesis
-                self._emit("EquivalenceQuery", format_data_word(counterexample))
-                z = snf(counterexample)
-                if not z:
-                    raise TeacherInconsistent("the empty word cannot be a counterexample")
-            before = table.registers
-            extended, suffix = process_counterexample(table, z, oracle)
-            if extended:
-                self._emit("AlphabetExtended", f"registers {before} -> {table.registers}")
-            if suffix is not None:
-                self._emit("CounterexampleProcessed", format_symbolic_word(suffix))
+        try:
+            while True:
+                self._log()
+                table.close(oracle)
+                self._log(
+                    "TableClosed",
+                    "upper=[" + ", ".join(format_symbolic_word(u) for u in table.upper)
+                    + "] columns=[" + ", ".join(format_symbolic_word(v) for v in table.columns)
+                    + "]",
+                )
+                hypothesis = table.build_hypothesis(oracle)
+                oracle.equivalence_queries += 1
+                z = nf_violation_witness(hypothesis)
+                if z is not None:
+                    self._log("NfViolation", format_symbolic_word(z))
+                else:
+                    counterexample = self.teacher.equivalence(hypothesis)
+                    if counterexample is None:
+                        self._log("EquivalenceQuery", "equivalent")
+                        return hypothesis
+                    self._log("EquivalenceQuery", format_data_word(counterexample))
+                    z = snf(counterexample)
+                    if not z:
+                        raise TeacherInconsistent("the empty word cannot be a counterexample")
+                before = table.registers
+                extended, suffix = process_counterexample(table, z, oracle)
+                if extended:
+                    self._log("AlphabetExtended", f"registers {before} -> {table.registers}")
+                if suffix is not None:
+                    self._log("CounterexampleProcessed", format_symbolic_word(suffix))
+        finally:
+            # A run that raises still leaves every answered query in the trace.
+            self._log()
 
 
 def learn(

@@ -87,8 +87,6 @@ DataLetter = tuple[str, int]
 DataWord = tuple[DataLetter, ...]
 SymbolicWord = tuple[TransitionLabel, ...]
 
-EMPTY_WORD: tuple = ()
-
 
 def letter_key(letter: TransitionLabel) -> tuple:
     """Total order on symbolic letters: label, then fresh < reuse < local, then register."""

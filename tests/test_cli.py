@@ -161,7 +161,9 @@ def test_learn_reference(tmp_path, capsys):
     events = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert events[-1]["event"] == "EquivalenceQuery"
     assert events[-1]["detail"] == "equivalent"
-    assert {"event", "detail", "k", "upper_rows", "columns"} <= set(events[0])
+    assert all(list(e) == ["event", "detail", "k", "upper_rows", "columns"] for e in events)
+    pinned = (FIXTURES / "fig5a_learn_trace.tsv").read_text().splitlines()
+    assert ["\t".join(str(v) for v in e.values()) for e in events] == pinned
 
 
 def test_learn_scripted(tmp_path, capsys):

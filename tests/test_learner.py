@@ -29,6 +29,7 @@ from sessauto import (
     TransitionLabel,
     canonicalize,
     equivalent,
+    format_symbolic_word,
     learn,
     nf_violation_witness,
     reference_teacher,
@@ -170,6 +171,27 @@ def test_scripted_teacher_exhausted(fig5a):
 def test_scripted_teacher_empty_counterexample(fig5a):
     with pytest.raises(TeacherInconsistent):
         learn(scripted_teacher(fig5a, [()]), {"a", "b"})
+
+
+@pytest.mark.parametrize(
+    "script, budget, error",
+    [
+        (None, 5, QueryBudgetExceeded),
+        (None, 40, QueryBudgetExceeded),
+        (None, 60, QueryBudgetExceeded),
+        ([], None, TeacherInconsistent),
+        ([dw("a:1")], None, NoBreakpoint),
+    ],
+)
+def test_trace_of_a_run_that_raises_logs_every_answered_query(fig5a, script, budget, error):
+    teacher = reference_teacher(fig5a) if script is None else scripted_teacher(fig5a, script)
+    learner = Learner(teacher, {"a", "b"}, max_queries=budget)
+    with pytest.raises(error):
+        learner.run()
+    logged = [e.detail for e in learner.trace if e.event == "MembershipQuery"]
+    memo = learner.oracle.memo
+    assert logged == [f"{format_symbolic_word(w)} -> {'+' if a else '-'}" for w, a in memo.items()]
+    assert memo
 
 
 def test_learner_needs_labels(fig5a):
