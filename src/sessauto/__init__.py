@@ -19,7 +19,7 @@ from .automata import (
     simulate,
     validate,
 )
-from .canonical import NfState, PartialInjection, canonicalize, nf_automaton, tilde, wf_automaton
+from .canonical import PartialInjection, canonicalize, nf_automaton, tilde, wf_automaton
 from .errors import (
     InvalidAutomaton,
     NoBreakpoint,
@@ -59,7 +59,6 @@ from .learner import (
     ObservationTable,
     Teacher,
     TraceEvent,
-    find_breakpoint,
     learn,
     nf_violation_witness,
     process_counterexample,

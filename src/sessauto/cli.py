@@ -205,10 +205,13 @@ def _dispatch(args) -> int:
         else:
             teacher = reference_teacher(target)
         driver = Learner(teacher, target.alphabet, args.max_queries)
-        learned = driver.run()
-        if args.trace:
-            lines = [json.dumps(dataclasses.asdict(e)) for e in driver.trace]
-            _write_out("\n".join(lines) + "\n", args.trace)
+        try:
+            learned = driver.run()
+        finally:
+            # A run that raises still leaves every answered query in its trace.
+            if args.trace:
+                lines = [json.dumps(dataclasses.asdict(e)) for e in driver.trace]
+                _write_out("\n".join(lines) + "\n", args.trace)
         print(serialize_automaton(learned), end="")
         return 0
 

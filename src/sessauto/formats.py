@@ -121,7 +121,7 @@ def parse_automaton(text: str, check: bool = True) -> Automaton:
         elif keyword == "registers":
             if registers is not None:
                 fail(line_no, "duplicate registers directive")
-            if len(rest) != 1 or not rest[0].isdigit() or int(rest[0]) < 1:
+            if len(rest) != 1 or not rest[0].isdecimal() or int(rest[0]) < 1:
                 fail(line_no, "expected: registers K with K >= 1")
             registers = int(rest[0])
         elif keyword == "states":
@@ -143,7 +143,7 @@ def parse_automaton(text: str, check: bool = True) -> Automaton:
             src, label, opword, reg, dst = rest
             if opword not in _KIND_BY_KEYWORD:
                 fail(line_no, f"unknown operation {opword!r} (want fresh, local or reuse)")
-            if not reg.isdigit() or int(reg) < 1:
+            if not reg.isdecimal() or int(reg) < 1:
                 fail(line_no, f"register {reg!r} must be a positive integer")
             transitions.append(
                 Transition(src, TransitionLabel(label, RegisterOp(_KIND_BY_KEYWORD[opword], int(reg))), dst)

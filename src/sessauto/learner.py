@@ -14,7 +14,6 @@ case the symbolic alphabet grows instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .automata import Automaton, Transition
 from .canonical import canonicalize, nf_automaton, nf_violation_witness
@@ -333,7 +332,10 @@ def process_counterexample(
 
 
 class Learner:
-    """Drives the whole learning loop; keeps the table around for inspection."""
+    """Drives the whole learning loop; keeps the table around for inspection.
+
+    ``trace`` is built from the oracle's memo and the run's events when read.
+    """
 
     def __init__(self, teacher: Teacher, labels, max_queries: int | None = 100_000):
         self.teacher = teacher
@@ -342,62 +344,59 @@ class Learner:
             raise ValueError("learning needs a non-empty label alphabet")
         self.oracle = MembershipOracle(teacher, self.labels, max_queries)
         self.table = ObservationTable(self.labels)
-        self.trace: list[TraceEvent] = []
-        self._logged = 0  # memo entries already in the trace
-        self._size = self.table.size()
+        self._start = self.table.size()
+        self._events = []  # (memo entries answered before it, event, detail, table size after it)
 
-    def _log(self, event: str | None = None, detail: str = "") -> None:
-        """Append the queries answered since the last call, then ``event``.
+    def _log(self, event: str, detail: str) -> None:
+        self._events.append((len(self.oracle.memo), event, detail, self.table.size()))
 
-        The queries carry the table size (k, upper rows, columns) recorded at
-        that call, i.e. at the start of the phase that asked them; the event
-        carries the current size, which is recorded for the next call.
+    @property
+    def trace(self) -> list[TraceEvent]:
+        """Every answered query and every event, in order, in a new list.
+
+        A ``MembershipQuery`` carries the table size (k, upper rows, columns)
+        at the event before it, the start of the phase that asked it; any other
+        event the size right after it.  A raising run's last queries come last.
         """
-        k, upper, columns = self._size
-        memo = self.oracle.memo
-        for word, answer in islice(memo.items(), self._logged, None):
-            query = f"{format_symbolic_word(word)} -> {'+' if answer else '-'}"
-            self.trace.append(TraceEvent("MembershipQuery", query, k, upper, columns))
-        self._logged = len(memo)
-        self._size = self.table.size()
-        if event is not None:
-            self.trace.append(TraceEvent(event, detail, *self._size))
+        memo = list(self.oracle.memo.items())
+        trace, done, size = [], 0, self._start
+        for answered, *event in self._events + [(len(memo),)]:
+            for word, answer in memo[done:answered]:
+                query = f"{format_symbolic_word(word)} -> {'+' if answer else '-'}"
+                trace.append(TraceEvent("MembershipQuery", query, *size))
+            if event:
+                name, detail, size = event
+                trace.append(TraceEvent(name, detail, *size))
+            done = answered
+        return trace
 
     def run(self) -> Automaton:
         table, oracle = self.table, self.oracle
-        try:
-            while True:
-                self._log()
-                table.close(oracle)
-                self._log(
-                    "TableClosed",
-                    "upper=[" + ", ".join(format_symbolic_word(u) for u in table.upper)
-                    + "] columns=[" + ", ".join(format_symbolic_word(v) for v in table.columns)
-                    + "]",
-                )
-                hypothesis = table.build_hypothesis(oracle)
-                oracle.equivalence_queries += 1
-                z = nf_violation_witness(hypothesis)
-                if z is not None:
-                    self._log("NfViolation", format_symbolic_word(z))
-                else:
-                    counterexample = self.teacher.equivalence(hypothesis)
-                    if counterexample is None:
-                        self._log("EquivalenceQuery", "equivalent")
-                        return hypothesis
-                    self._log("EquivalenceQuery", format_data_word(counterexample))
-                    z = snf(counterexample)
-                    if not z:
-                        raise TeacherInconsistent("the empty word cannot be a counterexample")
-                before = table.registers
-                extended, suffix = process_counterexample(table, z, oracle)
-                if extended:
-                    self._log("AlphabetExtended", f"registers {before} -> {table.registers}")
-                if suffix is not None:
-                    self._log("CounterexampleProcessed", format_symbolic_word(suffix))
-        finally:
-            # A run that raises still leaves every answered query in the trace.
-            self._log()
+        while True:
+            table.close(oracle)
+            upper = ", ".join(format_symbolic_word(u) for u in table.upper)
+            columns = ", ".join(format_symbolic_word(v) for v in table.columns)
+            self._log("TableClosed", f"upper=[{upper}] columns=[{columns}]")
+            hypothesis = table.build_hypothesis(oracle)
+            oracle.equivalence_queries += 1
+            z = nf_violation_witness(hypothesis)
+            if z is not None:
+                self._log("NfViolation", format_symbolic_word(z))
+            else:
+                counterexample = self.teacher.equivalence(hypothesis)
+                if counterexample is None:
+                    self._log("EquivalenceQuery", "equivalent")
+                    return hypothesis
+                self._log("EquivalenceQuery", format_data_word(counterexample))
+                z = snf(counterexample)
+                if not z:
+                    raise TeacherInconsistent("the empty word cannot be a counterexample")
+            before = table.registers
+            extended, suffix = process_counterexample(table, z, oracle)
+            if extended:
+                self._log("AlphabetExtended", f"registers {before} -> {table.registers}")
+            if suffix is not None:
+                self._log("CounterexampleProcessed", format_symbolic_word(suffix))
 
 
 def learn(

@@ -7,15 +7,19 @@ strings) rather than through the library's own equivalence machinery.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from random import Random
 
 from sessauto import (
     Automaton,
+    Learner,
     OpKind,
     RegisterOp,
     SymbolicDfa,
     SymbolicNfa,
+    TeacherInconsistent,
+    TraceEvent,
     Transition,
     TransitionLabel,
     UnknownLabel,
@@ -24,17 +28,22 @@ from sessauto import (
     complement,
     concretize,
     determinize,
+    format_data_word,
+    format_symbolic_word,
     from_symbolic_dfa,
     letter_key,
     minimize,
     nf_automaton,
+    nf_violation_witness,
     parse_automaton,
     parse_data_word,
     parse_symbolic_word,
+    process_counterexample,
     product,
     sessions,
     shortest_accepted,
     simulate,
+    snf,
     symbolic_alphabet,
     tilde,
     wf_automaton,
@@ -320,6 +329,78 @@ def reference_nf_violation_witness(hypothesis: Automaton):
     alpha = symbolic_alphabet(hypothesis.alphabet, hypothesis.registers)
     outside = complement(nf_automaton(hypothesis.registers, frozenset(hypothesis.alphabet)), alpha)
     return reference_shortest_accepted(determinize(product(as_symbolic_nfa(hypothesis), outside)))
+
+
+class EagerTraceLearner(Learner):
+    """``Learner`` as it was when it formatted the trace during the run.
+
+    ``_log`` and ``run`` are verbatim copies of that version: ``_log`` copied
+    the memo entries answered since its last call into ``trace`` as
+    ``MembershipQuery`` events, and a ``finally`` flushed the rest when the
+    run raised.  ``Learner.trace`` renders the same list when read; this is
+    its oracle.
+    """
+
+    trace = None  # a plain attribute here, shadowing Learner's read-only property
+
+    def __init__(self, teacher, labels, max_queries=100_000):
+        super().__init__(teacher, labels, max_queries)
+        self.trace = []
+        self._logged = 0  # memo entries already in the trace
+        self._size = self.table.size()
+
+    def _log(self, event: str | None = None, detail: str = "") -> None:
+        """Append the queries answered since the last call, then ``event``.
+
+        The queries carry the table size (k, upper rows, columns) recorded at
+        that call, i.e. at the start of the phase that asked them; the event
+        carries the current size, which is recorded for the next call.
+        """
+        k, upper, columns = self._size
+        memo = self.oracle.memo
+        for word, answer in islice(memo.items(), self._logged, None):
+            query = f"{format_symbolic_word(word)} -> {'+' if answer else '-'}"
+            self.trace.append(TraceEvent("MembershipQuery", query, k, upper, columns))
+        self._logged = len(memo)
+        self._size = self.table.size()
+        if event is not None:
+            self.trace.append(TraceEvent(event, detail, *self._size))
+
+    def run(self) -> Automaton:
+        table, oracle = self.table, self.oracle
+        try:
+            while True:
+                self._log()
+                table.close(oracle)
+                self._log(
+                    "TableClosed",
+                    "upper=[" + ", ".join(format_symbolic_word(u) for u in table.upper)
+                    + "] columns=[" + ", ".join(format_symbolic_word(v) for v in table.columns)
+                    + "]",
+                )
+                hypothesis = table.build_hypothesis(oracle)
+                oracle.equivalence_queries += 1
+                z = nf_violation_witness(hypothesis)
+                if z is not None:
+                    self._log("NfViolation", format_symbolic_word(z))
+                else:
+                    counterexample = self.teacher.equivalence(hypothesis)
+                    if counterexample is None:
+                        self._log("EquivalenceQuery", "equivalent")
+                        return hypothesis
+                    self._log("EquivalenceQuery", format_data_word(counterexample))
+                    z = snf(counterexample)
+                    if not z:
+                        raise TeacherInconsistent("the empty word cannot be a counterexample")
+                before = table.registers
+                extended, suffix = process_counterexample(table, z, oracle)
+                if extended:
+                    self._log("AlphabetExtended", f"registers {before} -> {table.registers}")
+                if suffix is not None:
+                    self._log("CounterexampleProcessed", format_symbolic_word(suffix))
+        finally:
+            # A run that raises still leaves every answered query in the trace.
+            self._log()
 
 
 def reference_is_empty(a: Automaton):

@@ -46,6 +46,13 @@ def test_classify(capsys):
     assert capsys.readouterr().out.strip() == "session"
 
 
+def test_classify_non_ascii_register_count(tmp_path, capsys):
+    bad = tmp_path / "bad.sra"
+    bad.write_text("automaton t\nlabels a\nregisters \u00b2\nstates q\ninitial q\n")
+    assert main(["classify", str(bad)]) == 2
+    assert "registers K" in capsys.readouterr().err
+
+
 def test_snf(capsys):
     assert main(["snf", "-w", "a:8 b:4 a:8 c:3 a:4 b:3 a:9"]) == 0
     assert capsys.readouterr().out.strip() == "a:*1 b:*2 a:^1 c:*1 a:^2 b:^1 a:*1"
@@ -164,6 +171,15 @@ def test_learn_reference(tmp_path, capsys):
     assert all(list(e) == ["event", "detail", "k", "upper_rows", "columns"] for e in events)
     pinned = (FIXTURES / "fig5a_learn_trace.tsv").read_text().splitlines()
     assert ["\t".join(str(v) for v in e.values()) for e in events] == pinned
+
+
+def test_learn_trace_of_a_failed_run(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["learn", FIG5A, "--max-queries", "40", "--trace", str(trace_path)]) == 2
+    assert "budget" in capsys.readouterr().err
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    pinned = (FIXTURES / "fig5a_learn_trace.tsv").read_text().splitlines()
+    assert ["\t".join(str(v) for v in e.values()) for e in events] == pinned[:43]
 
 
 def test_learn_scripted(tmp_path, capsys):

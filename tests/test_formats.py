@@ -111,6 +111,9 @@ def test_parse_automaton_errors():
         ("automaton t\nlabels a\nregisters 1\ninitial q\n", "missing states"),
         ("automaton t!\n" + base[12:], "expected: automaton NAME"),
         (base + "registers\n", "duplicate registers"),
+        # str.isdigit() admits superscripts, which int() rejects
+        (base.replace("registers 1", "registers \u00b2"), "registers K"),
+        (base + "trans q a fresh \u00b9 q\n", "positive integer"),
     ]
     for text, needle in cases:
         with pytest.raises(ParseError) as info:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     FIXTURES,
+    EagerTraceLearner,
     dw,
     fixture,
     perturb,
@@ -23,6 +24,7 @@ from sessauto import (
     ObservationTable,
     QueryBudgetExceeded,
     RegisterOp,
+    SessautoError,
     Teacher,
     TeacherInconsistent,
     Transition,
@@ -281,7 +283,7 @@ class RecordingTeacher(Teacher):
 @given(target=targets())
 def test_hypotheses_take_the_canonical_fast_path(target):
     teacher = RecordingTeacher(target)
-    Learner(teacher, target.alphabet).run()
+    Learner(teacher, target.alphabet, max_queries=None).run()
     for hypothesis in teacher.hypotheses:
         assert accepts_only_normal_forms(hypothesis)
         assert canonicalize(hypothesis) == reference_canonicalize(hypothesis)
@@ -291,7 +293,7 @@ def test_hypotheses_take_the_canonical_fast_path(target):
 @given(target=targets())
 def test_nf_violation_witness_matches_reference_on_hypotheses(target):
     # Every hypothesis the table builds, including those the teacher never sees.
-    learner = Learner(reference_teacher(target), target.alphabet)
+    learner = Learner(reference_teacher(target), target.alphabet, max_queries=None)
     built = []
     build = learner.table.build_hypothesis
 
@@ -312,9 +314,46 @@ def test_nf_violation_witness_matches_reference_on_hypotheses(target):
     length=st.integers(100, 1000),
 )
 def test_learned_simulated_and_canonical_membership_agree_on_long_words(target, rng, length):
-    learned = Learner(reference_teacher(target), target.alphabet).run()
+    learned = Learner(reference_teacher(target), target.alphabet, max_queries=None).run()
     canonical = canonicalize(target)
     for a in (target, learned):
         w = random_run_word(rng, a, length)
         for x in (w, perturb(rng, w)):
             assert simulate(learned, x) == simulate(target, x) == canonical.accepts(snf(x))
+
+
+def assert_trace_matches_eager_reference(make_teacher, labels, budget):
+    """Run the learner and its eager-trace reference on fresh teachers; both
+    must end alike (same automaton or same error) with equal traces."""
+    runs = []
+    for cls in (Learner, EagerTraceLearner):
+        learner = cls(make_teacher(), labels, max_queries=budget)
+        try:
+            outcome = learner.run()
+        except SessautoError as err:
+            outcome = type(err)
+        runs.append((outcome, learner))
+    (outcome, learner), (reference_outcome, reference) = runs
+    assert outcome == reference_outcome
+    first, second = learner.trace, learner.trace
+    assert first == second == reference.trace
+    first[0].detail = "changed"
+    first.append(first[0])
+    assert learner.trace == second
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=targets(), budget=st.sampled_from([5, 40, 200, 5_000]))
+def test_trace_matches_the_eager_reference(target, budget):
+    assert_trace_matches_eager_reference(lambda: reference_teacher(target), target.alphabet, budget)
+
+
+@pytest.mark.parametrize(
+    "script, budget",
+    [(None, 5), (None, 40), (None, 60), ([], None), ([dw("a:1")], None), (None, 100_000), (SCRIPT, None)],
+)
+def test_fig5a_trace_matches_the_eager_reference(fig5a, script, budget):
+    def make_teacher():
+        return reference_teacher(fig5a) if script is None else scripted_teacher(fig5a, script)
+
+    assert_trace_matches_eager_reference(make_teacher, {"a", "b"}, budget)
