@@ -73,8 +73,7 @@ class Automaton:
     @cached_property
     def _symbolic(self) -> SymbolicNfa:
         # The one symbolic view of this automaton, shared by every caller.
-        if classify(self) is not AutomatonClass.SESSION:
-            raise NotSessionAutomaton("only session automata have a symbolic-language view")
+        require_session(self)
         return SymbolicNfa(
             alphabet=symbolic_alphabet(self.alphabet, self.registers),
             states=self.states,
@@ -128,6 +127,13 @@ def classify(a: Automaton) -> AutomatonClass:
     return AutomatonClass.FRESH_REGISTER
 
 
+def require_session(*automata: Automaton) -> None:
+    """Raise NotSessionAutomaton for the first automaton that is not a session automaton."""
+    for a in automata:
+        if (kind := classify(a)) is not AutomatonClass.SESSION:
+            raise NotSessionAutomaton(f"{a.name} is not a session automaton (class {kind.value})")
+
+
 def is_symbolically_deterministic(a: Automaton) -> bool:
     """At most one target per (state, transition label)."""
     return len({(t.source, t.label) for t in a.transitions}) == len(a.transitions)
@@ -140,8 +146,7 @@ def is_data_deterministic(a: Automaton) -> bool:
     label with different registers out of one state: both would fire on the
     same globally fresh value.
     """
-    if classify(a) is not AutomatonClass.SESSION:
-        raise NotSessionAutomaton("data determinism is defined for session automata")
+    require_session(a)
     if not is_symbolically_deterministic(a):
         return False
     for s in a.states:

@@ -45,8 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .automata import Automaton, as_symbolic_nfa
-from .errors import NotSessionAutomaton
+from .automata import Automaton, as_symbolic_nfa, require_session
 from .symbolic import (
     SymbolicDfa,
     SymbolicNfa,
@@ -229,7 +228,7 @@ def normal_form_table(a: Automaton) -> SymbolicDfa:
     survive pruning are never expanded.
     """
     k = a.registers
-    as_symbolic_nfa(a)  # validates the session precondition
+    require_session(a)
     nf = nf_automaton(k, a.alphabet)
     nf_letters = [[x for x, t in enumerate(row) if t >= 0] for row in nf.rows]
     # Per source state: (letter index per output register, operation, target).
@@ -315,11 +314,10 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     a final state of a paired with -1 or with a non-final normal-form state.
     Register automata raise NotSessionAutomaton.
     """
+    require_session(a)
     nf = nf_automaton(a.registers, a.alphabet)
     sources: dict[str, set[str]] = {}
     for t in a.transitions:
-        if t.label.op.kind is OpKind.LOCAL:
-            raise NotSessionAutomaton(f"{a.name} is not a session automaton: it reads {t.label}")
         sources.setdefault(t.target, set()).add(t.source)
     live = set(a.finals)
     stack = list(live)

@@ -195,6 +195,9 @@ def _dispatch(args) -> int:
 
     if args.command == "learn":
         target = _load(args.file)
+        if not target.alphabet:
+            print("error: learning needs a target with at least one label", file=sys.stderr)
+            return 2
         if args.script is not None:
             script = [
                 parse_data_word(line)

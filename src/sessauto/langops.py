@@ -11,9 +11,8 @@ operations that return automata, intersect and complement_bounded, are one
 
 from __future__ import annotations
 
-from .automata import Automaton, AutomatonClass, Transition, classify, from_symbolic_dfa
+from .automata import Automaton, Transition, from_symbolic_dfa, require_session
 from .canonical import canonicalize, nf_automaton, wf_automaton
-from .errors import NotSessionAutomaton
 from .symbolic import (
     SymbolicDfa,
     minimize,
@@ -23,14 +22,6 @@ from .symbolic import (
     symbolic_inclusion,
 )
 from .words import DataWord, concretize, letter_key
-
-
-def _require_session(*automata: Automaton) -> None:
-    for a in automata:
-        if classify(a) is not AutomatonClass.SESSION:
-            raise NotSessionAutomaton(
-                f"{a.name} is not a session automaton (class {classify(a).value})"
-            )
 
 
 def _pair_table(x: SymbolicDfa, y: SymbolicDfa, accepting, alphabet) -> SymbolicDfa:
@@ -61,7 +52,7 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     languages exactly when its normal form does, and normal forms needing
     more than min(k_a, k_b) registers belong to neither canonical language.
     """
-    _require_session(a, b)
+    require_session(a, b)
     k = min(a.registers, b.registers)
     x, y = canonicalize(a), canonicalize(b)
     dfa = _pair_table(x, y, lambda s, t: s in x.finals and t in y.finals, x.alphabet | y.alphabet)
@@ -70,7 +61,7 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
 
 def union(a: Automaton, b: Automaton) -> Automaton:
     """Session automaton for L(a) | L(b): disjoint copies behind a fresh initial state."""
-    _require_session(a, b)
+    require_session(a, b)
     left = {s: f"__a_{s}" for s in a.states}
     right = {s: f"__b_{s}" for s in b.states}
     initial = "__init"
@@ -107,7 +98,7 @@ def complement_bounded(a: Automaton) -> Automaton:
     pairs of the normal-form DFA and the canonical DFA (-1 past its moves)
     where the first accepts and the second does not.
     """
-    _require_session(a)
+    require_session(a)
     k = a.registers
     nf, can = nf_automaton(k, a.alphabet), canonicalize(a)
     dfa = _pair_table(nf, can, lambda n, c: n in nf.finals and c not in can.finals, nf.alphabet)
@@ -116,14 +107,14 @@ def complement_bounded(a: Automaton) -> Automaton:
 
 def includes(a: Automaton, b: Automaton) -> DataWord | None:
     """None when L(a) is a subset of L(b); otherwise a data word in L(a) \\ L(b)."""
-    _require_session(a, b)
+    require_session(a, b)
     witness = symbolic_inclusion(canonicalize(a), canonicalize(b))
     return None if witness is None else concretize(witness)
 
 
 def equivalent(a: Automaton, b: Automaton) -> DataWord | None:
     """None when L(a) = L(b); otherwise a shortest data word in the symmetric difference."""
-    _require_session(a, b)
+    require_session(a, b)
     witness = symbolic_equivalence(canonicalize(a), canonicalize(b))
     return None if witness is None else concretize(witness)
 
@@ -135,7 +126,7 @@ def is_empty(a: Automaton) -> DataWord | None:
     language contains a well-formed word: one ``shortlex_search`` over pairs
     (state of a, state of the well-formedness DFA, all final) finds the least.
     """
-    _require_session(a)
+    require_session(a)
     wf = wf_automaton(a.registers, a.alphabet)
     # Per state of a: (letter, its column in wf, target) for the letters wf reads.
     moves: dict[str, list] = {}
@@ -154,7 +145,7 @@ def is_empty(a: Automaton) -> DataWord | None:
 
 def is_universal_bounded(a: Automaton, k: int) -> DataWord | None:
     """None when L(a) contains every k-bounded data word; otherwise a missing one."""
-    _require_session(a)
+    require_session(a)
     if k < 1:
         raise ValueError("universality needs a bound k >= 1")
     witness = symbolic_inclusion(nf_automaton(k, a.alphabet), canonicalize(a))

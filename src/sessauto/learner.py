@@ -29,7 +29,6 @@ from .symbolic import symbolic_equivalence
 from .words import (
     DataWord,
     SymbolicWord,
-    TransitionLabel,
     concretize,
     letter_key,
     max_register,
@@ -54,7 +53,6 @@ class ReferenceTeacher(Teacher):
     """Perfect teacher backed by a known target automaton."""
 
     def __init__(self, target: Automaton):
-        self.target = target
         self._canonical = canonicalize(target)
 
     def membership(self, word: DataWord) -> bool:
@@ -154,11 +152,13 @@ class MembershipOracle:
 class ObservationTable:
     """Observation table over symbolic letters.
 
-    ``upper`` is prefix-closed and its rows stay pairwise distinct; the lower
-    part consists of all one-letter extensions of upper words.  Rows are read
-    through the oracle, which memoizes every cell.  Each word's row is cached
-    and only extended by the cells of columns added since it was last read,
-    which relies on columns never being removed or reordered.
+    ``upper`` is prefix-closed and its rows stay pairwise distinct, so
+    ``states`` numbers them: upper row i is state i of the hypothesis.  The
+    lower part consists of all extensions of upper words by one of
+    ``letters``.  Rows are read through the oracle, which memoizes every
+    cell.  Each word's row is cached and only extended by the cells of
+    columns added since it was last read, which relies on columns never
+    being removed or reordered.
     """
 
     def __init__(self, labels: frozenset[str]):
@@ -173,9 +173,6 @@ class ObservationTable:
         """(k, upper rows, columns): the table size that trace events carry."""
         return self.registers, len(self.upper), len(self.columns)
 
-    def letters(self) -> tuple[TransitionLabel, ...]:
-        return self._letters
-
     def row(self, word: SymbolicWord, oracle: MembershipOracle) -> tuple[bool, ...]:
         row = self._rows.get(word, ())
         if len(row) < len(self.columns):
@@ -183,41 +180,30 @@ class ObservationTable:
             self._rows[word] = row
         return row
 
-    def _lower_words(self):
-        upper = set(self.upper)
-        for u in self.upper:
-            for x in self.letters():
-                if u + (x,) not in upper:
-                    yield u + (x,)
+    def states(self, oracle: MembershipOracle) -> dict[tuple[bool, ...], int]:
+        """Each upper row, mapped to the index of its upper word."""
+        return {self.row(u, oracle): i for i, u in enumerate(self.upper)}
 
     def unmatched(self, oracle: MembershipOracle) -> list[SymbolicWord]:
-        """Lower words whose row matches no upper row."""
-        upper_rows = {self.row(u, oracle) for u in self.upper}
-        return [w for w in self._lower_words() if self.row(w, oracle) not in upper_rows]
+        """Lower words whose row matches no upper row (an upper word matches its own)."""
+        states = self.states(oracle)
+        lower = (u + (x,) for u in self.upper for x in self.letters)
+        return [w for w in lower if self.row(w, oracle) not in states]
 
-    def is_closed(self, oracle: MembershipOracle) -> bool:
-        return not self.unmatched(oracle)
-
-    def close(self, oracle: MembershipOracle) -> list[SymbolicWord]:
-        """Promote unmatched lower rows until closed; returns the promoted words.
+    def close(self, oracle: MembershipOracle) -> None:
+        """Promote unmatched lower rows until closed.
 
         Among several candidates the shortlex-greatest is promoted, which is
         what keeps replayed runs stable.
         """
-        promoted = []
-        while True:
-            candidates = self.unmatched(oracle)
-            if not candidates:
-                return promoted
-            chosen = max(candidates, key=word_key)
-            self.upper.append(chosen)
-            promoted.append(chosen)
+        while candidates := self.unmatched(oracle):
+            self.upper.append(max(candidates, key=word_key))
 
     def extend_alphabet(self, registers: int) -> None:
         if registers < self.registers:
             raise ValueError("the symbolic alphabet never shrinks")
         self.registers = registers
-        self._letters = tuple(sorted(symbolic_alphabet(self.labels, registers), key=letter_key))
+        self.letters = tuple(sorted(symbolic_alphabet(self.labels, registers), key=letter_key))
 
     def add_column(self, suffix: SymbolicWord) -> None:
         if suffix in self.columns:
@@ -226,42 +212,27 @@ class ObservationTable:
             )
         self.columns.append(suffix)
 
-    def successor(self, u: SymbolicWord, x: TransitionLabel, oracle: MembershipOracle) -> SymbolicWord:
-        """The upper word whose row equals row(u + x); defined when closed."""
-        target = self.row(u + (x,), oracle)
-        for candidate in self.upper:
-            if self.row(candidate, oracle) == target:
-                return candidate
-        raise NotClosed(f"no upper row matches {format_symbolic_word(u + (x,))}")
-
     def build_hypothesis(self, oracle: MembershipOracle) -> Automaton:
         """Complete symbolically deterministic session automaton of the table."""
-        rows = [self.row(u, oracle) for u in self.upper]
-        if len(set(rows)) != len(rows):
+        states = self.states(oracle)
+        if len(states) != len(self.upper):
             raise TeacherInconsistent("upper rows are not pairwise distinct")
-        index = {u: i for i, u in enumerate(self.upper)}
-        by_row = {row: u for row, u in zip(rows, self.upper)}
         transitions = set()
-        for u in self.upper:
-            for x in self.letters():
-                target_row = self.row(u + (x,), oracle)
-                if target_row not in by_row:
+        for i, u in enumerate(self.upper):
+            for x in self.letters:
+                target = states.get(self.row(u + (x,), oracle))
+                if target is None:
                     raise NotClosed(
                         f"row of {format_symbolic_word(u + (x,))} matches no upper row"
                     )
-                transitions.add(
-                    Transition(f"__u{index[u]}", x, f"__u{index[by_row[target_row]]}")
-                )
-        finals = frozenset(
-            f"__u{index[u]}" for u in self.upper if oracle(u)
-        )
+                transitions.add(Transition(f"__u{i}", x, f"__u{target}"))
         return Automaton(
             name="hypothesis",
             alphabet=frozenset(self.labels),
             registers=self.registers,
             states=frozenset(f"__u{i}" for i in range(len(self.upper))),
             initial="__u0",
-            finals=finals,
+            finals=frozenset(f"__u{i}" for i, u in enumerate(self.upper) if oracle(u)),
             transitions=frozenset(transitions),
         )
 
@@ -278,12 +249,18 @@ def find_breakpoint(
     between 1 and m+1 on a genuine counterexample; the flip position yields a
     suffix that splits two currently equal rows.  Returns None when g does
     not flip (the counterexample does not disagree with this hypothesis).
+    Raises NotClosed when a prefix of z leaves the table's upper rows.
     """
     if not z:
         return None
+    states = table.states(oracle)
     access = [()]
     for letter in z:
-        access.append(table.successor(access[-1], letter, oracle))
+        w = access[-1] + (letter,)
+        state = states.get(table.row(w, oracle))
+        if state is None:
+            raise NotClosed(f"no upper row matches {format_symbolic_word(w)}")
+        access.append(table.upper[state])
 
     def g(i: int) -> bool:
         return oracle(access[i - 1] + z[i - 1 :])
@@ -317,7 +294,7 @@ def process_counterexample(
     if needed > table.registers:
         table.extend_alphabet(needed)
         extended = True
-    if not table.is_closed(oracle):
+    if table.unmatched(oracle):
         return extended, None
     suffix = find_breakpoint(table, z, oracle)
     if suffix is None:
@@ -339,11 +316,11 @@ class Learner:
 
     def __init__(self, teacher: Teacher, labels, max_queries: int | None = 100_000):
         self.teacher = teacher
-        self.labels = frozenset(labels)
-        if not self.labels:
+        labels = frozenset(labels)
+        if not labels:
             raise ValueError("learning needs a non-empty label alphabet")
-        self.oracle = MembershipOracle(teacher, self.labels, max_queries)
-        self.table = ObservationTable(self.labels)
+        self.oracle = MembershipOracle(teacher, labels, max_queries)
+        self.table = ObservationTable(labels)
         self._start = self.table.size()
         self._events = []  # (memo entries answered before it, event, detail, table size after it)
 

@@ -241,35 +241,28 @@ def snf(word: DataWord) -> SymbolicWord:
 
 
 def concretize(word: SymbolicWord) -> DataWord:
-    """Smallest concretization of a well-formed symbolic word (values 1, 2, ...)."""
-    if not is_well_formed(word):
-        raise NotWellFormed(f"cannot concretize {' '.join(map(str, word)) or 'word'}: "
-                            "a register is reused before being written")
-    value_of_position: dict[int, int] = {}
-    for number, group in enumerate(symbolic_classes(word), 1):
-        for i in group:
-            value_of_position[i] = number
-    return tuple((letter.label, value_of_position[i]) for i, letter in enumerate(word, 1))
+    """Smallest concretization of a well-formed symbolic word: the n-th fresh write
+    takes the value n, a reuse the value its register holds.  A local letter
+    raises UnsupportedOp, else a reuse of an unwritten register NotWellFormed."""
+    held: dict[int, int] = {}
+    fresh = 0
+    out = []
+    for label, (kind, register) in word:
+        if kind is OpKind.FRESH:
+            fresh += 1
+            held[register] = fresh
+        elif kind is OpKind.LOCAL or register not in held:
+            _reject_local(word, "well-formedness")
+            raise NotWellFormed(f"cannot concretize {' '.join(map(str, word))}: "
+                                "a register is reused before being written")
+        out.append((label, held[register]))
+    return tuple(out)
 
 
 def is_concretization(word: DataWord, symbolic: SymbolicWord) -> bool:
-    """True when the data word's labels and value-equality pattern match the symbolic word."""
-    if any(x.op.kind is OpKind.LOCAL for x in symbolic):
+    """True when the data word is ``concretize(symbolic)`` up to a permutation
+    of values; False when the symbolic word has a local letter or is ill formed."""
+    try:
+        return data_equivalent(word, concretize(symbolic))
+    except (UnsupportedOp, NotWellFormed):
         return False
-    if not is_well_formed(symbolic):
-        return False
-    if len(word) != len(symbolic):
-        return False
-    if any(a != x.label for (a, _), x in zip(word, symbolic)):
-        return False
-    class_of_position: dict[int, int] = {}
-    for number, group in enumerate(symbolic_classes(symbolic)):
-        for i in group:
-            class_of_position[i] = number
-    values_to_class: dict[int, int] = {}
-    for i, (_, d) in enumerate(word, 1):
-        c = class_of_position[i]
-        if values_to_class.setdefault(d, c) != c:
-            return False
-    # Distinct classes must carry distinct values.
-    return len(set(values_to_class.values())) == len(values_to_class)

@@ -6,6 +6,8 @@ data-word space is enumerated through value patterns (restricted growth
 strings) rather than through the library's own equivalence machinery.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -13,11 +15,17 @@ from random import Random
 
 from sessauto import (
     Automaton,
+    DataWord,
     Learner,
+    MembershipOracle,
+    NoBreakpoint,
+    NotClosed,
+    NotWellFormed,
     OpKind,
     RegisterOp,
     SymbolicDfa,
     SymbolicNfa,
+    SymbolicWord,
     TeacherInconsistent,
     TraceEvent,
     Transition,
@@ -31,7 +39,9 @@ from sessauto import (
     format_data_word,
     format_symbolic_word,
     from_symbolic_dfa,
+    is_well_formed,
     letter_key,
+    max_register,
     minimize,
     nf_automaton,
     nf_violation_witness,
@@ -45,11 +55,12 @@ from sessauto import (
     simulate,
     snf,
     symbolic_alphabet,
+    symbolic_classes,
     tilde,
     wf_automaton,
     word_key,
 )
-from sessauto.langops import _require_session
+from sessauto.automata import require_session
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -403,10 +414,270 @@ class EagerTraceLearner(Learner):
             self._log()
 
 
+# The observation table and the counterexample steps as they were when the
+# table found the upper row of a row in three places (``unmatched``,
+# ``successor`` and ``build_hypothesis``), verbatim but for their names.  The
+# learner now reads one ``states`` map; these are its oracle, down to the
+# order of the queries.
+class ReferenceObservationTable:
+    """Observation table over symbolic letters.
+
+    ``upper`` is prefix-closed and its rows stay pairwise distinct; the lower
+    part consists of all one-letter extensions of upper words.  Rows are read
+    through the oracle, which memoizes every cell.  Each word's row is cached
+    and only extended by the cells of columns added since it was last read,
+    which relies on columns never being removed or reordered.
+    """
+
+    def __init__(self, labels: frozenset[str]):
+        self.labels = labels
+        self.registers = 0
+        self.upper: list[SymbolicWord] = [()]
+        self.columns: list[SymbolicWord] = [()]
+        self._rows: dict[SymbolicWord, tuple[bool, ...]] = {}
+        self.extend_alphabet(1)
+
+    def size(self) -> tuple[int, int, int]:
+        """(k, upper rows, columns): the table size that trace events carry."""
+        return self.registers, len(self.upper), len(self.columns)
+
+    def letters(self) -> tuple[TransitionLabel, ...]:
+        return self._letters
+
+    def row(self, word: SymbolicWord, oracle: MembershipOracle) -> tuple[bool, ...]:
+        row = self._rows.get(word, ())
+        if len(row) < len(self.columns):
+            row += tuple(oracle(word + v) for v in self.columns[len(row):])
+            self._rows[word] = row
+        return row
+
+    def _lower_words(self):
+        upper = set(self.upper)
+        for u in self.upper:
+            for x in self.letters():
+                if u + (x,) not in upper:
+                    yield u + (x,)
+
+    def unmatched(self, oracle: MembershipOracle) -> list[SymbolicWord]:
+        """Lower words whose row matches no upper row."""
+        upper_rows = {self.row(u, oracle) for u in self.upper}
+        return [w for w in self._lower_words() if self.row(w, oracle) not in upper_rows]
+
+    def is_closed(self, oracle: MembershipOracle) -> bool:
+        return not self.unmatched(oracle)
+
+    def close(self, oracle: MembershipOracle) -> list[SymbolicWord]:
+        """Promote unmatched lower rows until closed; returns the promoted words.
+
+        Among several candidates the shortlex-greatest is promoted, which is
+        what keeps replayed runs stable.
+        """
+        promoted = []
+        while True:
+            candidates = self.unmatched(oracle)
+            if not candidates:
+                return promoted
+            chosen = max(candidates, key=word_key)
+            self.upper.append(chosen)
+            promoted.append(chosen)
+
+    def extend_alphabet(self, registers: int) -> None:
+        if registers < self.registers:
+            raise ValueError("the symbolic alphabet never shrinks")
+        self.registers = registers
+        self._letters = tuple(sorted(symbolic_alphabet(self.labels, registers), key=letter_key))
+
+    def add_column(self, suffix: SymbolicWord) -> None:
+        if suffix in self.columns:
+            raise TeacherInconsistent(
+                f"distinguishing word {format_symbolic_word(suffix)} is already a column"
+            )
+        self.columns.append(suffix)
+
+    def successor(self, u: SymbolicWord, x: TransitionLabel, oracle: MembershipOracle) -> SymbolicWord:
+        """The upper word whose row equals row(u + x); defined when closed."""
+        target = self.row(u + (x,), oracle)
+        for candidate in self.upper:
+            if self.row(candidate, oracle) == target:
+                return candidate
+        raise NotClosed(f"no upper row matches {format_symbolic_word(u + (x,))}")
+
+    def build_hypothesis(self, oracle: MembershipOracle) -> Automaton:
+        """Complete symbolically deterministic session automaton of the table."""
+        rows = [self.row(u, oracle) for u in self.upper]
+        if len(set(rows)) != len(rows):
+            raise TeacherInconsistent("upper rows are not pairwise distinct")
+        index = {u: i for i, u in enumerate(self.upper)}
+        by_row = {row: u for row, u in zip(rows, self.upper)}
+        transitions = set()
+        for u in self.upper:
+            for x in self.letters():
+                target_row = self.row(u + (x,), oracle)
+                if target_row not in by_row:
+                    raise NotClosed(
+                        f"row of {format_symbolic_word(u + (x,))} matches no upper row"
+                    )
+                transitions.add(
+                    Transition(f"__u{index[u]}", x, f"__u{index[by_row[target_row]]}")
+                )
+        finals = frozenset(
+            f"__u{index[u]}" for u in self.upper if oracle(u)
+        )
+        return Automaton(
+            name="hypothesis",
+            alphabet=frozenset(self.labels),
+            registers=self.registers,
+            states=frozenset(f"__u{i}" for i in range(len(self.upper))),
+            initial="__u0",
+            finals=finals,
+            transitions=frozenset(transitions),
+        )
+
+
+def reference_find_breakpoint(
+    table: ObservationTable,
+    z: SymbolicWord,
+    oracle: MembershipOracle,
+) -> SymbolicWord | None:
+    """Binary search for the distinguishing suffix of a counterexample.
+
+    g(i) asks for the word that follows the hypothesis for i-1 letters, jumps
+    to the reached state's access word, and appends the rest of z.  g flips
+    between 1 and m+1 on a genuine counterexample; the flip position yields a
+    suffix that splits two currently equal rows.  Returns None when g does
+    not flip (the counterexample does not disagree with this hypothesis).
+    """
+    if not z:
+        return None
+    access = [()]
+    for letter in z:
+        access.append(table.successor(access[-1], letter, oracle))
+
+    def g(i: int) -> bool:
+        return oracle(access[i - 1] + z[i - 1 :])
+
+    lo, hi = 1, len(z) + 1
+    if g(lo) == g(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(mid) == g(lo):
+            lo = mid
+        else:
+            hi = mid
+    return z[lo:]
+
+
+def reference_process_counterexample(
+    table: ObservationTable,
+    z: SymbolicWord,
+    oracle: MembershipOracle,
+) -> tuple[bool, SymbolicWord | None]:
+    """Fold one counterexample (already in normal form) into the table.
+
+    Returns (alphabet_extended, added_column).  When the word needs more
+    registers than the table knows, the alphabet grows first; the break-point
+    search then only runs if the table is still closed, per the main loop's
+    contract.
+    """
+    extended = False
+    needed = max_register(z)
+    if needed > table.registers:
+        table.extend_alphabet(needed)
+        extended = True
+    if not table.is_closed(oracle):
+        return extended, None
+    suffix = reference_find_breakpoint(table, z, oracle)
+    if suffix is None:
+        if extended:
+            # The extension changed the hypothesis out from under z; harmless.
+            return extended, None
+        raise NoBreakpoint(
+            f"counterexample {format_symbolic_word(z)} does not distinguish anything"
+        )
+    table.add_column(suffix)
+    return extended, suffix
+
+
+class ReferenceTableLearner(Learner):
+    """``Learner`` on ``ReferenceObservationTable``; ``run`` is a verbatim copy
+    but for the name of the ``process_counterexample`` it calls."""
+
+    def __init__(self, teacher, labels, max_queries=100_000):
+        super().__init__(teacher, labels, max_queries)
+        self.table = ReferenceObservationTable(frozenset(labels))
+
+    def run(self) -> Automaton:
+        table, oracle = self.table, self.oracle
+        while True:
+            table.close(oracle)
+            upper = ", ".join(format_symbolic_word(u) for u in table.upper)
+            columns = ", ".join(format_symbolic_word(v) for v in table.columns)
+            self._log("TableClosed", f"upper=[{upper}] columns=[{columns}]")
+            hypothesis = table.build_hypothesis(oracle)
+            oracle.equivalence_queries += 1
+            z = nf_violation_witness(hypothesis)
+            if z is not None:
+                self._log("NfViolation", format_symbolic_word(z))
+            else:
+                counterexample = self.teacher.equivalence(hypothesis)
+                if counterexample is None:
+                    self._log("EquivalenceQuery", "equivalent")
+                    return hypothesis
+                self._log("EquivalenceQuery", format_data_word(counterexample))
+                z = snf(counterexample)
+                if not z:
+                    raise TeacherInconsistent("the empty word cannot be a counterexample")
+            before = table.registers
+            extended, suffix = reference_process_counterexample(table, z, oracle)
+            if extended:
+                self._log("AlphabetExtended", f"registers {before} -> {table.registers}")
+            if suffix is not None:
+                self._log("CounterexampleProcessed", format_symbolic_word(suffix))
+
+
+# ``concretize`` and ``is_concretization`` as they were when they went
+# through ``is_well_formed`` and ``symbolic_classes``, verbatim but for their
+# names: the oracles of the one-pass versions.
+def reference_concretize(word: SymbolicWord) -> DataWord:
+    """Smallest concretization of a well-formed symbolic word (values 1, 2, ...)."""
+    if not is_well_formed(word):
+        raise NotWellFormed(f"cannot concretize {' '.join(map(str, word)) or 'word'}: "
+                            "a register is reused before being written")
+    value_of_position: dict[int, int] = {}
+    for number, group in enumerate(symbolic_classes(word), 1):
+        for i in group:
+            value_of_position[i] = number
+    return tuple((letter.label, value_of_position[i]) for i, letter in enumerate(word, 1))
+
+
+def reference_is_concretization(word: DataWord, symbolic: SymbolicWord) -> bool:
+    """True when the data word's labels and value-equality pattern match the symbolic word."""
+    if any(x.op.kind is OpKind.LOCAL for x in symbolic):
+        return False
+    if not is_well_formed(symbolic):
+        return False
+    if len(word) != len(symbolic):
+        return False
+    if any(a != x.label for (a, _), x in zip(word, symbolic)):
+        return False
+    class_of_position: dict[int, int] = {}
+    for number, group in enumerate(symbolic_classes(symbolic)):
+        for i in group:
+            class_of_position[i] = number
+    values_to_class: dict[int, int] = {}
+    for i, (_, d) in enumerate(word, 1):
+        c = class_of_position[i]
+        if values_to_class.setdefault(d, c) != c:
+            return False
+    # Distinct classes must carry distinct values.
+    return len(set(values_to_class.values())) == len(values_to_class)
+
+
 def reference_is_empty(a: Automaton):
     """``is_empty`` as it was before its pair search: the product with the
     well-formedness DFA, then ``shortest_accepted``.  Kept as its oracle."""
-    _require_session(a)
+    require_session(a)
     wf = wf_automaton(a.registers, a.alphabet)
     witness = shortest_accepted(product(as_symbolic_nfa(a), wf))
     return None if witness is None else concretize(witness)
@@ -415,7 +686,7 @@ def reference_is_empty(a: Automaton):
 def reference_intersect(a: Automaton, b: Automaton) -> Automaton:
     """``intersect`` as it was before its pair construction: the string-keyed
     product of the canonical DFAs, determinized and minimized.  Kept as its oracle."""
-    _require_session(a, b)
+    require_session(a, b)
     k = min(a.registers, b.registers)
     dfa = minimize(determinize(product(canonicalize(a), canonicalize(b))))
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
@@ -425,7 +696,7 @@ def reference_complement_bounded(a: Automaton) -> Automaton:
     """``complement_bounded`` as it was before its pair construction: the
     normal-form DFA times the completed complement of the canonical DFA.
     Kept as its oracle."""
-    _require_session(a)
+    require_session(a)
     k = a.registers
     alpha = symbolic_alphabet(a.alphabet, k)
     outside = complement(canonicalize(a), alpha)

@@ -36,6 +36,8 @@ from sessauto import (
     snf,
     validate,
 )
+from sessauto.automata import require_session
+from sessauto.canonical import nf_violation_witness, normal_form_table
 
 WORD_8 = dw("req:8 req:4 ack:8 req:3 ack:4 req:8 ack:3 ack:8")
 WORD_6 = dw("req:8 req:4 ack:8 req:3 ack:4 ack:3")
@@ -228,6 +230,18 @@ def test_data_deterministic_example(fig1b):
 def test_data_determinism_needs_session(fig1a):
     with pytest.raises(NotSessionAutomaton):
         is_data_deterministic(fig1a)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [require_session, as_symbolic_nfa, is_data_deterministic, nf_violation_witness,
+     normal_form_table, canonicalize],
+)
+def test_session_checks_name_the_class(check, fig1a, fig3):
+    for a in (fig1a, fig3):
+        with pytest.raises(NotSessionAutomaton) as err:
+            check(a)
+        assert str(err.value) == f"{a.name} is not a session automaton (class {classify(a).value})"
 
 
 def test_symbolic_nondeterminism():

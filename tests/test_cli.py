@@ -195,6 +195,15 @@ def test_learn_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_learn_target_without_labels(tmp_path, capsys):
+    path = tmp_path / "e.sra"
+    path.write_text("automaton e\nregisters 1\nstates q\ninitial q\nfinal q\n")
+    assert main(["learn", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "label" in err
+
+
 def test_dot(tmp_path):
     out = tmp_path / "a.dot"
     assert main(["dot", FIG1A, "-o", str(out)]) == 0

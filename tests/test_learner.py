@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     FIXTURES,
     EagerTraceLearner,
+    ReferenceTableLearner,
     dw,
     fixture,
     perturb,
@@ -41,6 +42,7 @@ from sessauto import (
     validate,
 )
 from sessauto.canonical import accepts_only_normal_forms
+from sessauto.learner import find_breakpoint
 
 SCRIPT = [dw("a:3 b:3"), dw("a:7 a:4 b:7"), dw("a:9 a:3 b:9 b:3")]
 
@@ -217,9 +219,14 @@ def test_reference_teacher_returns_shortest_counterexample(fig5a):
 def test_table_guards(fig5a):
     oracle = MembershipOracle(reference_teacher(fig5a), frozenset({"a", "b"}))
     table = ObservationTable(frozenset({"a", "b"}))
+    # Unclosed: the row of b:^1 (a non-normal form, so -) is not the row of the empty word (+).
+    assert table.unmatched(oracle)
     with pytest.raises(NotClosed):
-        table.successor((), table.letters()[-1], oracle)
+        find_breakpoint(table, (table.letters[-1],), oracle)
+    with pytest.raises(NotClosed):
+        table.build_hypothesis(oracle)
     table.close(oracle)
+    assert table.unmatched(oracle) == []
     with pytest.raises(TeacherInconsistent):
         table.add_column(())
     with pytest.raises(ValueError):
@@ -357,3 +364,34 @@ def test_fig5a_trace_matches_the_eager_reference(fig5a, script, budget):
         return reference_teacher(fig5a) if script is None else scripted_teacher(fig5a, script)
 
     assert_trace_matches_eager_reference(make_teacher, {"a", "b"}, budget)
+
+
+def assert_run_matches_reference_table(make_teacher, labels, budget):
+    """Run the learner and its copy on the earlier table on fresh teachers; both
+    must end alike (same automaton or same error) after the same trace."""
+    runs = []
+    for cls in (Learner, ReferenceTableLearner):
+        learner = cls(make_teacher(), labels, max_queries=budget)
+        try:
+            outcome = learner.run()
+        except SessautoError as err:
+            outcome = type(err)
+        runs.append((outcome, learner.trace, learner.table.upper, learner.table.columns))
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=targets(), budget=st.sampled_from([5, 40, None]))
+def test_run_matches_the_reference_table(target, budget):
+    assert_run_matches_reference_table(lambda: reference_teacher(target), target.alphabet, budget)
+
+
+@pytest.mark.parametrize(
+    "script, budget",
+    [(None, 5), (None, 40), (None, 60), ([], None), ([dw("a:1")], None), (None, 100_000), (SCRIPT, None)],
+)
+def test_fig5a_run_matches_the_reference_table(fig5a, script, budget):
+    def make_teacher():
+        return reference_teacher(fig5a) if script is None else scripted_teacher(fig5a, script)
+
+    assert_run_matches_reference_table(make_teacher, {"a", "b"}, budget)

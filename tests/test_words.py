@@ -4,11 +4,23 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import dw, permute_values, random_data_word, reference_bound, sw
+from helpers import (
+    dw,
+    enumerate_symbolic_words,
+    enumerate_word_classes,
+    letter,
+    permute_values,
+    random_data_word,
+    reference_bound,
+    reference_concretize,
+    reference_is_concretization,
+    sw,
+)
 from sessauto import (
     NotWellFormed,
     OpKind,
     RegisterOp,
+    SessautoError,
     Transition,
     TransitionLabel,
     UnsupportedOp,
@@ -182,6 +194,51 @@ def test_is_concretization():
     # distinct classes must get distinct values
     assert not is_concretization(dw("a:7 a:7"), sw("a:*1 a:*1"))
     assert is_concretization((), ())
+
+
+def outcome(f, *args):
+    """What f returns, or the type and message of the library error it raises."""
+    try:
+        return f(*args)
+    except SessautoError as err:
+        return type(err), str(err)
+
+
+def test_concretize_matches_reference_exhaustively():
+    # Every word of up to 3 letters over two labels, all three operations and
+    # two registers, against every data word of its length up to renaming.
+    letters = [letter(a, kind, r) for a in "ab" for kind in ("fresh", "reuse", "local")
+               for r in (1, 2)]
+    words = enumerate_symbolic_words(letters, 3)
+    classes = enumerate_word_classes(("a", "b"), 3)
+    matches = 0
+    for u in words:
+        assert outcome(concretize, u) == outcome(reference_concretize, u)
+        for w in classes:
+            if len(w) == len(u):
+                assert is_concretization(w, u) == reference_is_concretization(w, u)
+                matches += is_concretization(w, u)
+    # A well-formed word has one concretization up to renaming, the others
+    # none; 189 of these words are well formed (and have no local letter).
+    assert matches == 189
+
+
+def symbolic_words(kinds, max_size):
+    letters = st.builds(letter, st.sampled_from("ab"), st.sampled_from(kinds), st.integers(1, 3))
+    return st.lists(letters, max_size=max_size).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=symbolic_words(["fresh", "reuse"], 12) | symbolic_words(["fresh", "reuse", "local"], 6),
+    values=st.lists(st.integers(1, 3), max_size=12),
+    relabel=st.integers(0, 12),
+)
+def test_concretize_and_is_concretization_match_reference(u, values, relabel):
+    # The data word takes u's labels, but at position relabel, and values 1..3.
+    w = tuple(("b" if i == relabel else x.label, v) for i, (x, v) in enumerate(zip(u, values)))
+    assert outcome(concretize, u) == outcome(reference_concretize, u)
+    assert is_concretization(w, u) == reference_is_concretization(w, u)
 
 
 def test_word_formatting_round_trip():
