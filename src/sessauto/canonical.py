@@ -30,10 +30,10 @@ When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
 canonical automaton is just A determinized and minimized.  This holds for
 every hypothesis of the learner and every output of intersect and
-complement_bounded.  One shortlex search over A and the normal-form DFA,
-nf_violation_witness, finds the least accepted word that is not a normal
-form; A accepts only normal forms when there is none, and the learner
-returns the witness as a counterexample to its own hypothesis.
+complement_bounded.  One shortlex search over ``paired_moves`` of A and the
+normal-form DFA, nf_violation_witness, finds the least accepted word that is
+not a normal form; A accepts only normal forms when there is none, and the
+learner returns the witness as a counterexample to its own hypothesis.
 
 Two session automata accept the same data words exactly when their canonical
 forms coincide, which turns the boolean and decision operations into plain
@@ -52,6 +52,7 @@ from .symbolic import (
     determinize,
     minimize,
     moves_by_source,
+    paired_moves,
     pooled_moves,
     shortlex_search,
     subset_construction,
@@ -307,46 +308,20 @@ def normal_form_table(a: Automaton) -> SymbolicDfa:
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     """Shortlex-least symbolic word the automaton accepts that is not a normal form, or None.
 
-    A ``shortlex_search`` over the pairs (state of a, state of the
-    normal-form DFA or -1) that follows only states of a that can reach a
-    final state.  -1 stands for a prefix that is no normal form any more:
-    the normal-form DFA could not read one of its letters.  A witness ends in
-    a final state of a paired with -1 or with a non-final normal-form state.
-    Register automata raise NotSessionAutomaton.
+    A ``shortlex_search`` over ``paired_moves(a, nf)``, nf the normal-form
+    DFA, which leaves out the states of a that reach no final state.  -1
+    stands for a prefix that is no normal form any more: nf could not read
+    one of its letters.  A witness ends in a final state of a paired with -1
+    or with a non-final normal-form state.  Register automata raise
+    NotSessionAutomaton.
     """
     require_session(a)
     nf = nf_automaton(a.registers, a.alphabet)
-    sources: dict[str, set[str]] = {}
-    for t in a.transitions:
-        sources.setdefault(t.target, set()).add(t.source)
-    live = set(a.finals)
-    stack = list(live)
-    while stack:
-        for s in sources.get(stack.pop(), ()):
-            if s not in live:
-                live.add(s)
-                stack.append(s)
-    # Per state of a: (letter, its column in nf or None, target) for every live target.
-    moves: dict[str, list] = {}
-    for q, x, q2 in a.transitions:
-        if q2 in live:
-            moves.setdefault(q, []).append((x, nf.column(x), q2))
-    rows = nf.rows + ((-1,) * len(nf.letters),)  # state -1 has no moves
-
-    def successors(pair):
-        q, n = pair
-        return [(x, (q2, -1 if i is None else rows[n][i])) for x, i, q2 in moves.get(q, ())]
-
     return shortlex_search(
         [(a.initial, nf.initial)],
-        successors,
+        paired_moves(a, nf),
         lambda pair: pair[0] in a.finals and pair[1] not in nf.finals,
     )
-
-
-def accepts_only_normal_forms(a: Automaton) -> bool:
-    """Whether every accepted symbolic word is a normal form: ``canonicalize``'s shortcut."""
-    return nf_violation_witness(a) is None
 
 
 @lru_cache(maxsize=256)
@@ -358,6 +333,6 @@ def canonicalize(a: Automaton) -> SymbolicDfa:
     subset construction over the normal-form DFA and tilde(a) (see
     ``normal_form_table``).  Register automata raise NotSessionAutomaton.
     """
-    if accepts_only_normal_forms(a):
+    if nf_violation_witness(a) is None:
         return minimize(determinize(as_symbolic_nfa(a)))
     return minimize(normal_form_table(a))

@@ -194,6 +194,9 @@ def _dispatch(args) -> int:
         return _witness_exit(langops.is_universal_bounded(_load(args.file), args.k))
 
     if args.command == "learn":
+        if args.max_queries < 0:
+            print("error: --max-queries must be at least 0", file=sys.stderr)
+            return 2
         target = _load(args.file)
         if not target.alphabet:
             print("error: learning needs a target with at least one label", file=sys.stderr)

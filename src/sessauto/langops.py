@@ -7,6 +7,8 @@ stop at the shortlex-least symbolic witness.  That witness is a normal form,
 and it is returned concretized: a genuine separating data word.  The boolean
 operations that return automata, intersect and complement_bounded, are one
 ``subset_construction`` over pairs of states of two int tables, minimized.
+All of them, and emptiness, walk ``symbolic.paired_moves``, which sends a
+missing move of the DFA to -1 and drops moves into dead states.
 """
 
 from __future__ import annotations
@@ -16,33 +18,22 @@ from .canonical import canonicalize, nf_automaton, wf_automaton
 from .symbolic import (
     SymbolicDfa,
     minimize,
+    paired_moves,
     shortlex_search,
     subset_construction,
     symbolic_equivalence,
     symbolic_inclusion,
 )
-from .words import DataWord, concretize, letter_key
+from .words import DataWord, concretize
 
 
-def _pair_table(x: SymbolicDfa, y: SymbolicDfa, accepting, alphabet) -> SymbolicDfa:
-    """Minimal DFA over the pairs (state of x, state of y or -1) reached along the moves of x.
-
-    y follows each move of x, to -1 where it has none; -1 has no moves.
-    ``accepting(s, t)`` tells the final pairs, and letters are indexed in
-    the given alphabet, which holds those of x.
-    """
-    index = {letter: i for i, letter in enumerate(sorted(alphabet, key=letter_key))}
-    # Per letter of x: its index in the alphabet and its column in y, or None.
-    columns = [(index[letter], y.column(letter)) for letter in x.letters]
-    rows_y = y.rows + ((-1,) * len(y.letters),)
-
-    def successors(pair):
-        s, t = pair
-        return [(i, (s2, -1 if c is None else rows_y[t][c]))
-                for (i, c), s2 in zip(columns, x.rows[s]) if s2 >= 0]
-
-    return minimize(subset_construction((0, 0), successors, lambda pair: accepting(*pair),
-                                        alphabet, max(x.registers, y.registers)))
+def _pair_table(x: SymbolicDfa, y: SymbolicDfa, accepting) -> SymbolicDfa:
+    """Minimal DFA, over the letters of x, of ``paired_moves(x, y)`` with finals ``accepting``."""
+    index = {letter: i for i, letter in enumerate(x.letters)}
+    step = paired_moves(x, y)
+    return minimize(subset_construction(
+        (0, 0), lambda pair: [(index[a], p) for a, p in step(pair)],
+        lambda pair: accepting(*pair), x.alphabet, max(x.registers, y.registers)))
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
@@ -55,7 +46,7 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     require_session(a, b)
     k = min(a.registers, b.registers)
     x, y = canonicalize(a), canonicalize(b)
-    dfa = _pair_table(x, y, lambda s, t: s in x.finals and t in y.finals, x.alphabet | y.alphabet)
+    dfa = _pair_table(x, y, lambda s, t: s in x.finals and t in y.finals)
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
 
 
@@ -101,7 +92,7 @@ def complement_bounded(a: Automaton) -> Automaton:
     require_session(a)
     k = a.registers
     nf, can = nf_automaton(k, a.alphabet), canonicalize(a)
-    dfa = _pair_table(nf, can, lambda n, c: n in nf.finals and c not in can.finals, nf.alphabet)
+    dfa = _pair_table(nf, can, lambda n, c: n in nf.finals and c not in can.finals)
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
 
 
@@ -123,23 +114,13 @@ def is_empty(a: Automaton) -> DataWord | None:
     """None when L(a) is empty; otherwise an accepted data word.
 
     A session automaton accepts some data word exactly when its symbolic
-    language contains a well-formed word: one ``shortlex_search`` over pairs
-    (state of a, state of the well-formedness DFA, all final) finds the least.
+    language contains a well-formed word: one ``shortlex_search`` over
+    ``paired_moves(a, wf)``, wf the well-formedness DFA, finds the least.
     """
     require_session(a)
     wf = wf_automaton(a.registers, a.alphabet)
-    # Per state of a: (letter, its column in wf, target) for the letters wf reads.
-    moves: dict[str, list] = {}
-    for q, x, q2 in a.transitions:
-        if (i := wf.column(x)) is not None:
-            moves.setdefault(q, []).append((x, i, q2))
-
-    def successors(pair):
-        q, w = pair
-        return [(x, (q2, w2)) for x, i, q2 in moves.get(q, ()) if (w2 := wf.rows[w][i]) >= 0]
-
-    witness = shortlex_search([(a.initial, wf.initial)], successors,
-                              lambda pair: pair[0] in a.finals)
+    witness = shortlex_search([(a.initial, wf.initial)], paired_moves(a, wf),
+                              lambda pair: pair[0] in a.finals and pair[1] in wf.finals)
     return None if witness is None else concretize(witness)
 
 

@@ -114,6 +114,8 @@ class MembershipOracle:
     """
 
     def __init__(self, teacher: Teacher, labels: frozenset[str], budget: int | None = None):
+        if budget is not None and budget < 0:
+            raise ValueError(f"the query budget must be at least 0, got {budget}")
         self.teacher = teacher
         self.labels = labels
         self.budget = budget

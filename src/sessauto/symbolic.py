@@ -7,12 +7,13 @@ automaton and keeps its string states.  A DFA is an int table: states
 0..n-1, initial state 0, letters indexed in ``letter_key`` order.  Every
 operation that synthesizes a DFA numbers it canonically (breadth-first from
 the initial state, expanding letters in their order), which makes minimal
-automata comparable by plain structural equality.  Two kernels do the work.
-``subset_construction`` numbers: determinize, minimize, renumber and every
-pair construction of ``canonical`` and ``langops`` run on it.
-``shortlex_search`` stops at the first witness: shortest_accepted,
-symbolic_inclusion, symbolic_equivalence and the normal-form walk of
-``canonical`` look for the shortlex-least word reaching an accepting node.
+automata comparable by plain structural equality.  Two kernels do the work:
+``subset_construction`` numbers, and ``shortlex_search`` stops at the
+shortlex-least word reaching an accepting node.  Every pair walk, of an
+automaton x and a DFA y that follows it, runs on ``paired_moves``: y goes to
+-1 where it has no move, and states of x that reach no final state are left
+out.  Inclusion, equivalence, emptiness and the normal-form check search it,
+and intersect and complement_bounded number it.
 Both automaton classes are frozen and hand out only immutable values (the
 NFA's moves by source are read-only), so a cached result cannot be changed
 by its callers.
@@ -20,6 +21,7 @@ by its callers.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -153,6 +155,18 @@ def isomorphic(d1: SymbolicDfa, d2: SymbolicDfa) -> bool:
     )
 
 
+def _coreachable(sources, finals) -> set:
+    """The states that reach a final state; ``sources[t]`` lists the states moving to t."""
+    live = set(finals)
+    stack = list(live)
+    while stack:
+        for s in sources[stack.pop()]:
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    return live
+
+
 def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
     """Minimal trim partial DFA for the language, canonically numbered.
 
@@ -187,13 +201,7 @@ def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
     for b, row in enumerate(q_rows):
         for t in row:
             sources[t].append(b)
-    alive = set(q_finals)
-    stack = list(alive)
-    while stack:
-        for b in sources[stack.pop()]:
-            if b not in alive:
-                alive.add(b)
-                stack.append(b)
+    alive = _coreachable(sources, q_finals)
     return subset_construction(
         block[0],
         lambda b: [(x, t) for x, t in enumerate(q_rows[b]) if t in alive],
@@ -371,30 +379,60 @@ def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
     return shortlex_search(nfa.initials, lambda s: moves.get(s, ()), nfa.finals.__contains__)
 
 
+def paired_moves(x, y: SymbolicDfa, symmetric: bool = False):
+    """The ``successors`` of the pairs (state of x, state of y) along the moves of x.
+
+    x has states, finals and ``(source, letter, target)`` transitions: an
+    Automaton, or a SymbolicDfa, whose rows are read directly.  y follows
+    each move of x and goes to -1 where it has no move; -1 has no moves.
+    Moves into states of x that cannot reach a final state are dropped; like
+    -1, such a state accepts nothing, so every witness stays the same.
+    With ``symmetric``, y's own moves on letters x does not read lead to (-1, t).
+    """
+    # Per state of x: (letter, target, column of the letter in y or -1).
+    column = y._index.get
+    if isinstance(x, SymbolicDfa):
+        columns = [(a, column(a, -1)) for a in x.letters]
+        out = {s: [(a, s2, c) for (a, c), s2 in zip(columns, row) if s2 >= 0]
+               for s, row in enumerate(x.rows)}
+        sources = [[] for _ in range(len(x.rows) + 1)]  # the last one for -1
+        for s, row in enumerate(x.rows):
+            for s2 in row:
+                sources[s2].append(s)
+    else:
+        out, sources = defaultdict(list), defaultdict(list)
+        for s, a, s2 in x.transitions:
+            out[s].append((a, s2, column(a, -1)))
+            sources[s2].append(s)
+    live = _coreachable(sources, x.finals)
+    if len(live) < len(x.states):
+        out = {s: [m for m in moves if m[1] in live] for s, moves in out.items()}
+    # Rows of y gain a column -1 of -1, and state -1 a row of -1.
+    rows = tuple(row + (-1,) for row in y.rows) + ((-1,) * (len(y.letters) + 1),)
+
+    def successors(pair):
+        row, moves = rows[pair[1]], out.get(pair[0], ())
+        step = [(a, (s2, row[c])) for a, s2, c in moves]
+        if symmetric:
+            read = {c for _, _, c in moves}
+            step += [(a, (-1, t2)) for c, (a, t2) in enumerate(zip(y.letters, row))
+                     if t2 >= 0 and c not in read]
+        return step
+    return successors
+
+
 def _first_difference(x, y, symmetric: bool) -> SymbolicWord | None:
     """Shortlex-least word of L(x) \\ L(y), or of the symmetric difference, or None.
 
-    One search over pairs (state of x, state of y), -1 standing for a
-    missing move, that follows the letters of x, and of y too when the
-    difference is symmetric.  An NFA operand is determinized first.
+    A ``shortlex_search`` over ``paired_moves``; NFA operands are determinized.
     """
     dx, dy = (fa if isinstance(fa, SymbolicDfa) else determinize(fa) for fa in (x, y))
-    # The moves of each state by letter; state -1 indexes the empty moves appended last.
-    outx, outy = (
-        [{a: t for a, t in zip(d.letters, row) if t >= 0} for row in d.rows] + [{}]
-        for d in (dx, dy)
-    )
-
-    def successors(pair):
-        ms, mt = outx[pair[0]], outy[pair[1]]
-        letters = ms.keys() | mt.keys() if symmetric else ms
-        return [(a, (ms.get(a, -1), mt.get(a, -1))) for a in letters]
 
     def accepting(pair) -> bool:
         in_x, in_y = pair[0] in dx.finals, pair[1] in dy.finals
         return in_x != in_y if symmetric else in_x and not in_y
 
-    return shortlex_search([(0, 0)], successors, accepting)
+    return shortlex_search([(0, 0)], paired_moves(dx, dy, symmetric), accepting)
 
 
 def symbolic_inclusion(x, y) -> SymbolicWord | None:

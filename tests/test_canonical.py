@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     NamedDfa,
+    add_dead_state,
     as_named,
     as_nfa,
     as_table,
@@ -51,7 +52,7 @@ from sessauto import (
     tilde,
     wf_automaton,
 )
-from sessauto.canonical import accepts_only_normal_forms, normal_form_table
+from sessauto.canonical import normal_form_table
 from test_automata import SESSION_OPS, automata
 
 A = frozenset({"a"})
@@ -268,7 +269,7 @@ def assert_canonical_path(a, only_normal_forms):
     assert canonicalize(a) == reference_canonicalize(a)
     assert nf_violation_witness(a) == reference_nf_violation_witness(a)
     if only_normal_forms:
-        assert accepts_only_normal_forms(a)
+        assert nf_violation_witness(a) is None
 
 
 @settings(max_examples=15, deadline=None)
@@ -346,7 +347,8 @@ FORK = branches(("a:*1", "b:*2"), ("a:*1", "a:*2"))
 @example(a=chain("a:*1", "a:*2"))
 @example(a=from_symbolic_dfa(nf_automaton(3, AB), "nf", AB, 3))
 def test_nf_violation_witness_matches_reference(a):
-    assert nf_violation_witness(a) == reference_nf_violation_witness(a)
+    for c in (a, add_dead_state(a, "trap")):
+        assert nf_violation_witness(c) == reference_nf_violation_witness(c)
 
 
 def test_nf_violation_witness_is_shortlex_least():
@@ -363,7 +365,10 @@ def test_witnesses_match_reference_on_dfas(a, b):
     """On DFA operands the one search answers as the complement-product-search chain did."""
     x, y = canonicalize(a), canonicalize(b)
     nf = nf_automaton(a.registers, AB)
-    for p, q in ((x, y), (y, x), (nf, x), (x, nf), (nf, nf_automaton(b.registers, AB))):
+    # Determinized with a trap state: tables that may hold states reaching no final state.
+    xd, yd = (determinize(as_symbolic_nfa(add_dead_state(c, "trap"))) for c in (a, b))
+    for p, q in ((x, y), (y, x), (nf, x), (x, nf), (nf, nf_automaton(b.registers, AB)),
+                 (xd, yd), (yd, xd), (xd, y), (nf, xd)):
         assert symbolic_inclusion(p, q) == reference_inclusion(p, q)
         assert symbolic_equivalence(p, q) == reference_equivalence(p, q)
         assert shortest_accepted(p) == reference_shortest_accepted(p)

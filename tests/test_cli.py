@@ -195,6 +195,13 @@ def test_learn_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_learn_negative_budget(capsys):
+    assert main(["learn", FIG5A, "--max-queries", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --max-queries must be at least 0\n"
+
+
 def test_learn_target_without_labels(tmp_path, capsys):
     path = tmp_path / "e.sra"
     path.write_text("automaton e\nregisters 1\nstates q\ninitial q\nfinal q\n")

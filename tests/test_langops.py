@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    add_dead_state,
     dw,
     enumerate_word_classes,
     random_session_automaton,
@@ -192,7 +193,8 @@ def sparse_automata(draw):
 @example(a=chain("a:^1", "a:*1"))
 @example(a=chain("a:*1", "a:^2", final_only=False))
 def test_is_empty_matches_reference(a):
-    assert is_empty(a) == reference_is_empty(a)
+    for c in (a, add_dead_state(a, "trap")):
+        assert is_empty(c) == reference_is_empty(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,9 +203,10 @@ def test_is_empty_matches_reference(a):
 @example(a=universal(2), b=chain("a:*1", "b:*2", "a:^1"))
 def test_boolean_ops_match_reference(a, b):
     # The pair constructions build the automata the product chains built, to the letter.
-    assert serialize_automaton(intersect(a, b)) == serialize_automaton(reference_intersect(a, b))
-    assert (serialize_automaton(complement_bounded(a))
-            == serialize_automaton(reference_complement_bounded(a)))
+    for c, d in ((a, b), (add_dead_state(a, "trap"), add_dead_state(b, "trap"))):
+        assert serialize_automaton(intersect(c, d)) == serialize_automaton(reference_intersect(c, d))
+        assert (serialize_automaton(complement_bounded(c))
+                == serialize_automaton(reference_complement_bounded(c)))
 
 
 def test_is_empty_counts_only_data_acceptance(fig5a):

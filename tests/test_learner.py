@@ -41,7 +41,6 @@ from sessauto import (
     snf,
     validate,
 )
-from sessauto.canonical import accepts_only_normal_forms
 from sessauto.learner import find_breakpoint
 
 SCRIPT = [dw("a:3 b:3"), dw("a:7 a:4 b:7"), dw("a:9 a:3 b:9 b:3")]
@@ -159,6 +158,17 @@ def test_oracle_accepts_epsilon_as_normal_form(fig5a):
 def test_query_budget(fig5a):
     with pytest.raises(QueryBudgetExceeded):
         learn(reference_teacher(fig5a), {"a", "b"}, max_queries=5)
+
+
+def test_negative_budget_is_refused(fig5a):
+    labels = frozenset({"a", "b"})
+    with pytest.raises(ValueError, match="at least 0"):
+        MembershipOracle(reference_teacher(fig5a), labels, budget=-1)
+    with pytest.raises(ValueError, match="at least 0"):
+        Learner(reference_teacher(fig5a), labels, max_queries=-1)
+    # A budget of 0 is valid: the first query exhausts it.
+    with pytest.raises(QueryBudgetExceeded):
+        learn(reference_teacher(fig5a), labels, max_queries=0)
 
 
 def test_scripted_teacher_useless_counterexample(fig5a):
@@ -292,7 +302,7 @@ def test_hypotheses_take_the_canonical_fast_path(target):
     teacher = RecordingTeacher(target)
     Learner(teacher, target.alphabet, max_queries=None).run()
     for hypothesis in teacher.hypotheses:
-        assert accepts_only_normal_forms(hypothesis)
+        assert nf_violation_witness(hypothesis) is None
         assert canonicalize(hypothesis) == reference_canonicalize(hypothesis)
 
 

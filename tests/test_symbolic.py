@@ -16,6 +16,7 @@ from helpers import (
     sw,
 )
 from sessauto import (
+    SymbolicDfa,
     SymbolicNfa,
     complement,
     determinize,
@@ -208,6 +209,18 @@ def test_equivalence_witness_is_least_difference():
     )
     # languages differ first on the one-letter word a:*1
     assert symbolic_equivalence(x, y) == sw("a:*1")
+
+
+def test_a_dead_state_of_x_leaves_the_moves_of_y():
+    # x reads a:*1 only into state 1, which cannot accept, and accepts b:*1;
+    # y goes on to accept a:*1 a:*1, and accepts b:*1 too.
+    a, b = sw("a:*1 b:*1")
+    x = SymbolicDfa(frozenset({a, b}), ((1, 2), (1, -1), (-1, -1)), frozenset({2}))
+    y = SymbolicDfa(frozenset({a, b}), ((1, 3), (2, -1), (-1, -1), (-1, -1)), frozenset({2, 3}))
+    assert symbolic_equivalence(x, y) == sw("a:*1 a:*1")
+    assert symbolic_equivalence(y, x) == sw("a:*1 a:*1")
+    assert symbolic_inclusion(y, x) == sw("a:*1 a:*1")
+    assert symbolic_inclusion(x, y) is None
 
 
 LETTERS = AB + (letter("a", "reuse", 1), letter("b", "fresh", 2))
