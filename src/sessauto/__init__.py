@@ -19,7 +19,7 @@ from .automata import (
     simulate,
     validate,
 )
-from .canonical import PartialInjection, canonicalize, nf_automaton, tilde, wf_automaton
+from .canonical import canonicalize, nf_automaton, tilde, wf_automaton
 from .errors import (
     InvalidAutomaton,
     NoBreakpoint,

@@ -160,6 +160,16 @@ def is_data_deterministic(a: Automaton) -> bool:
     return True
 
 
+def require_labels(a: Automaton, word: DataWord | SymbolicWord) -> None:
+    """Raise UnknownLabel for the first letter whose label is outside the automaton's alphabet.
+
+    Data and symbolic letters both hold their label at index 0.
+    """
+    for letter in word:
+        if letter[0] not in a.alphabet:
+            raise UnknownLabel(f"label {letter[0]!r} is not in the alphabet of {a.name}")
+
+
 def simulate(a: Automaton, word: DataWord) -> bool:
     """Membership of a data word, by breadth-first search over configurations.
 
@@ -172,9 +182,7 @@ def simulate(a: Automaton, word: DataWord) -> bool:
     at most |Q|·(b+1)^k of them, where b = bound(word), and the run takes time
     linear in the word length for a fixed automaton and session bound.
     """
-    for label, _ in word:
-        if label not in a.alphabet:
-            raise UnknownLabel(f"label {label!r} is not in the alphabet of {a.name}")
+    require_labels(a, word)
     spans = sessions(word)
     confs: set[tuple[str, tuple]] = {(a.initial, (None,) * a.registers)}
     used: set[int] = set()
@@ -198,8 +206,14 @@ def simulate(a: Automaton, word: DataWord) -> bool:
 
 
 def accepts_symbolic(a: Automaton, word: SymbolicWord) -> bool:
-    """Acceptance of a symbolic word, reading transition labels literally."""
-    return as_symbolic_nfa(a).accepts(word)
+    """Acceptance of a symbolic word, reading transition labels literally.
+
+    A label outside the automaton's alphabet raises UnknownLabel, as in
+    ``simulate``.
+    """
+    nfa = as_symbolic_nfa(a)  # validates the session precondition
+    require_labels(a, word)
+    return nfa.accepts(word)
 
 
 def as_symbolic_nfa(a: Automaton) -> SymbolicNfa:

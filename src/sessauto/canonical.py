@@ -15,16 +15,18 @@ SymbolicDfa numbered by the one ``subset_construction`` of ``symbolic``.
 
 Step 3 never builds the product or tilde(A) itself: normal_form_table runs one
 breadth-first subset construction whose states pair a normal-form state with
-a set of tilde(A) states.  Tilde states are interned as ints and their moves
-computed once, when first needed, and letters are indices into the sorted
-alphabet; the resulting int table is minimized by Moore refinement on ints.
-Each subset keeps only its maximal members: a tilde state (q, inj) is
-dropped when the subset holds (q, inj') with inj a proper part of inj',
-because (q, inj') can then follow every run of (q, inj) (see
-normal_form_table).  The order is read off the pairs, with no fixpoint, and
-dropping a member a subset already covers leaves its language as it was, so
-the minimal DFA is the same; the subsets are far fewer (universal automata
-over k registers get exactly the 2^k of the minimal DFA).
+a set of tilde(A) states.  A partial injection is an int, one bit per
+register pair (see _relabelings), and a tilde state is that int with one
+more bit for its state of A.  The moves of a tilde state are computed once,
+when first needed, letters are indices into the sorted alphabet, and the
+resulting int table is minimized by Moore refinement on ints.  Each subset
+keeps only its maximal members: a tilde state (q, inj) is dropped when the
+subset holds (q, inj') with inj a proper part of inj', because (q, inj') can
+then follow every run of (q, inj) (see normal_form_table).  The order is
+read off the bits, with no fixpoint, and dropping a member a subset already
+covers leaves its language as it was, so the minimal DFA is the same; the
+subsets are far fewer (universal automata over k registers get exactly the
+2^k of the minimal DFA).
 
 When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
@@ -77,25 +79,6 @@ class NfState(NamedTuple):
 
     top: int
     promised: frozenset[int]
-
-
-class PartialInjection(NamedTuple):
-    """Partial injective map between register indices, as sorted pairs."""
-
-    pairs: tuple[tuple[int, int], ...] = ()
-
-    def get(self, r: int) -> int | None:
-        return dict(self.pairs).get(r)
-
-    def rewire(self, source: int, target: int) -> "PartialInjection":
-        """Map source to target, dropping whatever previously used either end."""
-        kept = tuple(
-            (a, b) for a, b in self.pairs if a != source and b != target
-        )
-        return PartialInjection(tuple(sorted(kept + ((source, target),))))
-
-    def __str__(self) -> str:
-        return "{" + ",".join(f"{a}>{b}" for a, b in self.pairs) + "}"
 
 
 def _register_dfa(registers: int, labels, start, moves, accepting) -> SymbolicDfa:
@@ -155,17 +138,24 @@ def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
     return _register_dfa(registers, labels, frozenset(), moves, lambda written: True)
 
 
-def _relabelings(op: RegisterOp, inj: PartialInjection, k: int) -> list[tuple[int, PartialInjection]]:
+def _relabelings(op: RegisterOp, inj: int, k: int) -> list[tuple[int, int]]:
     """Output registers a transition with this operation may use, each with the injection after it.
 
-    A reuse reads the output register that holds its register's value, and
-    has no move when none does.  A fresh write may pick any output register;
-    whoever used that output register before loses it.
+    An injection is an int: bit (r-1)*k + o-1 is set when output register o
+    holds the value of register r of the automaton, so row r (its k bits
+    from (r-1)*k) and column o each hold at most one set bit.  A reuse of r
+    reads the output register in r's row, and has no move when the row is
+    empty.  A fresh write of r may pick any output register o: r's row and
+    o's column are cleared, so whoever held o before loses it, and the bit
+    (r, o) is set.
     """
+    shift, ones = (op.register - 1) * k, (1 << k) - 1
+    row = inj >> shift & ones
     if op.kind is OpKind.REUSE:
-        mapped = inj.get(op.register)
-        return [] if mapped is None else [(mapped, inj)]
-    return [(r, inj.rewire(op.register, r)) for r in range(1, k + 1)]
+        return [(row.bit_length(), inj)] if row else []
+    inj &= ~(ones << shift)
+    column = ((1 << k * k) - 1) // ones  # column 1: bit (r-1)*k of every row r
+    return [(o, inj & ~(column << o - 1) | 1 << shift + o - 1) for o in range(1, k + 1)]
 
 
 def tilde(a: Automaton) -> SymbolicNfa:
@@ -173,14 +163,15 @@ def tilde(a: Automaton) -> SymbolicNfa:
 
     The result accepts exactly the well-formed words that denote the same
     data words as some word in L_symb(a).  States pair a state of ``a`` with
-    a partial injection telling, for each register of ``a``, which output
-    register currently holds the same value (see ``_relabelings``).
+    a partial injection, an int telling, for each register of ``a``, which
+    output register currently holds the same value (see ``_relabelings``).
+    A state is named ``q|inj``, the injection written as its int.
     """
     k = a.registers
     nfa = as_symbolic_nfa(a)  # validates the session precondition
     outgoing = moves_by_source(a.transitions)
-    start = (a.initial, PartialInjection())
-    names = {start: f"{a.initial}|{start[1]}"}
+    start = (a.initial, 0)
+    names = {start: f"{a.initial}|0"}
     order = [start]
     transitions: set[tuple[str, TransitionLabel, str]] = set()
     i = 0
@@ -211,14 +202,16 @@ def normal_form_table(a: Automaton) -> SymbolicDfa:
 
     A subset is (normal-form state, set of tilde states): the normal-form DFA
     is deterministic, so every reachable subset of the product pairs all its
-    members with one normal-form state.  Tilde states are interned as ints,
-    and the moves of each, as target ids by letter index, are computed once,
-    when a subset first contains it.  Only the letters the normal-form state
-    can read are pooled.
+    members with one normal-form state.  A tilde state (q, inj) is one int,
+    its mask: the injection's int (see ``_relabelings``), which takes the
+    bits below k*k, with bit k*k + i set for the i-th state q of ``a``.  The
+    moves of each, as target masks by letter index, are computed once, when
+    a subset first contains it.  Only the letters the normal-form state can
+    read are pooled.
 
     Every subset is cut down to its maximal members before it is numbered.
     Tilde states with the same state q of ``a`` are ordered by inclusion of
-    their injections' pairs, and when inj is a proper part of inj',
+    their injections' bits, and when inj is a proper part of inj',
     (q, inj') simulates (q, inj), so L(q, inj) is part of L(q, inj'):
       - a reuse of register r reads inj(r), which is inj'(r) too;
       - a fresh write rewires both alike, which keeps the inclusion;
@@ -232,77 +225,64 @@ def normal_form_table(a: Automaton) -> SymbolicDfa:
     require_session(a)
     nf = nf_automaton(k, a.alphabet)
     nf_letters = [[x for x, t in enumerate(row) if t >= 0] for row in nf.rows]
-    # Per source state: (letter index per output register, operation, target).
+    state_bit = {q: 1 << k * k + i for i, q in enumerate(sorted(a.states))}
+    injection = (1 << k * k) - 1
+    finals = sum(state_bit[q] for q in a.finals)
+    # Per state bit: (letter index per output register, operation, target bit).
     outgoing = {
-        q: [
+        state_bit[q]: [
             ([nf.column(TransitionLabel(x.label, RegisterOp(x.op.kind, r)))
-              for r in range(1, k + 1)], x.op, target)
+              for r in range(1, k + 1)], x.op, state_bit[target])
             for x, target in moves
         ]
         for q, moves in moves_by_source(a.transitions).items()
     }
-    keys = [(a.initial, PartialInjection())]
-    ids = {keys[0]: 0}
-    # Each tilde state as bits, for maximal(): bit k*k + i for the i-th state
-    # of a, and bit (r-1)*k + o-1 for every pair r>o of its injection.
-    state_bit = {q: 1 << k * k + i for i, q in enumerate(sorted(a.states))}
-    pair_bit = {(r, o): 1 << (r - 1) * k + o - 1
-                for r in range(1, k + 1) for o in range(1, k + 1)}
-    masks = [state_bit[a.initial]]
-    tilde_rows: list[list[list[int]] | None] = [None]
+    tilde_rows: dict[int, list[list[int]]] = {}
 
-    def expand(s: int) -> list[list[int]]:
-        row = tilde_rows[s] = [[] for _ in nf.letters]
-        q, inj = keys[s]
-        for slots, op, target in outgoing.get(q, ()):
+    def expand(m: int) -> list[list[int]]:
+        row = tilde_rows[m] = [[] for _ in nf.letters]
+        inj = m & injection
+        for slots, op, target in outgoing.get(m ^ inj, ()):
             for r, inj2 in _relabelings(op, inj, k):
-                key = (target, inj2)
-                t = ids.get(key)
-                if t is None:
-                    t = ids[key] = len(keys)
-                    keys.append(key)
-                    masks.append(state_bit[target] + sum(map(pair_bit.__getitem__, inj2.pairs)))
-                    tilde_rows.append(None)
-                row[slots[r - 1]].append(t)
+                row[slots[r - 1]].append(target | inj2)
         return row
 
     maximal_of: dict[frozenset[int], frozenset[int]] = {}
 
     def maximal(targets: frozenset[int]) -> frozenset[int]:
         # The members no other member simulates.  m2 simulates m when
-        # m & m2 == m: the same state of a, and every pair of m is in m2.
-        # Such an m2 is a larger int, so taken largest first, every member
-        # meets those that simulate it before itself.  A set that loses no
-        # member is returned as it is, with its hash already computed.
+        # m & m2 == m: the same state of a, and every bit of m's injection
+        # is in m2's.  Such an m2 is a larger int, so taken largest first,
+        # every member meets those that simulate it before itself.  A set
+        # that loses no member is returned as it is, with its hash already
+        # computed.
         if len(targets) == 1:
             return targets
         kept = maximal_of.get(targets)
         if kept is None:
             above: list[int] = []
-            out = []
-            for t in sorted(targets, key=masks.__getitem__, reverse=True):
-                m = masks[t]
+            for m in sorted(targets, reverse=True):
                 for m2 in above:
                     if m & m2 == m:
                         break
                 else:
                     above.append(m)
-                    out.append(t)
-            kept = targets if len(out) == len(targets) else frozenset(out)
+            kept = targets if len(above) == len(targets) else frozenset(above)
             maximal_of[targets] = kept
         return kept
 
     def successors(state):
         n, subset = state
-        rows = [tilde_rows[s] or expand(s) for s in subset]
+        rows = [tilde_rows.get(m) or expand(m) for m in subset]
         return [(x, (nf.rows[n][x], maximal(targets)))
                 for x, targets in pooled_moves(rows, nf_letters[n])]
 
     def accepting(state) -> bool:
         n, subset = state
-        return n in nf.finals and any(keys[s][0] in a.finals for s in subset)
+        return n in nf.finals and any(m & finals for m in subset)
 
-    return subset_construction((0, frozenset({0})), successors, accepting, nf.alphabet, k)
+    start = frozenset({state_bit[a.initial]})
+    return subset_construction((0, start), successors, accepting, nf.alphabet, k)
 
 
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:

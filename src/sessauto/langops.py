@@ -29,8 +29,7 @@ from .words import DataWord, concretize
 
 def _pair_table(x: SymbolicDfa, y: SymbolicDfa, accepting) -> SymbolicDfa:
     """Minimal DFA, over the letters of x, of ``paired_moves(x, y)`` with finals ``accepting``."""
-    index = {letter: i for i, letter in enumerate(x.letters)}
-    step = paired_moves(x, y)
+    index, step = x._index, paired_moves(x, y)
     return minimize(subset_construction(
         (0, 0), lambda pair: [(index[a], p) for a, p in step(pair)],
         lambda pair: accepting(*pair), x.alphabet, max(x.registers, y.registers)))

@@ -9,9 +9,10 @@ strings) rather than through the library's own equivalence machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product as product_of
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from sessauto import (
     Automaton,
@@ -327,6 +328,50 @@ def reference_canonicalize(a: Automaton) -> SymbolicDfa:
     """
     nf = nf_automaton(a.registers, a.alphabet)
     return minimize(determinize(product(nf, tilde(a))))
+
+
+class PartialInjection(NamedTuple):
+    """Partial injective map between register indices, as sorted pairs."""
+
+    pairs: tuple[tuple[int, int], ...] = ()
+
+    def get(self, r: int) -> int | None:
+        return dict(self.pairs).get(r)
+
+    def rewire(self, source: int, target: int) -> "PartialInjection":
+        """Map source to target, dropping whatever previously used either end."""
+        kept = tuple(
+            (a, b) for a, b in self.pairs if a != source and b != target
+        )
+        return PartialInjection(tuple(sorted(kept + ((source, target),))))
+
+
+def reference_relabelings(op: RegisterOp, inj: PartialInjection, k: int) -> list[tuple[int, PartialInjection]]:
+    """The relabeling rule on injections kept as sorted pairs; the oracle of ``_relabelings``.
+
+    A reuse reads the output register that holds its register's value, and
+    has no move when none does.  A fresh write may pick any output register;
+    whoever used that output register before loses it.
+    """
+    if op.kind is OpKind.REUSE:
+        mapped = inj.get(op.register)
+        return [] if mapped is None else [(mapped, inj)]
+    return [(r, inj.rewire(op.register, r)) for r in range(1, k + 1)]
+
+
+def injection_bits(inj: PartialInjection, k: int) -> int:
+    """The pairs r>o of an injection as the int ``_relabelings`` reads: bit (r-1)*k + o-1 each."""
+    return sum(1 << (r - 1) * k + o - 1 for r, o in inj.pairs)
+
+
+def partial_injections(k: int) -> list[PartialInjection]:
+    """Every partial injection from registers 1..k to registers 1..k."""
+    out = []
+    for image in product_of(range(k + 1), repeat=k):
+        used = [o for o in image if o]
+        if len(used) == len(set(used)):
+            out.append(PartialInjection(tuple((r, o) for r, o in enumerate(image, 1) if o)))
+    return out
 
 
 def reference_nf_violation_witness(hypothesis: Automaton):

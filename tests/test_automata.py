@@ -268,6 +268,14 @@ def test_accepts_symbolic(fig5a):
     assert accepts_symbolic(fig5a, ())
 
 
+def test_accepts_symbolic_unknown_label(fig5a):
+    # the same error simulate raises for a data letter with that label
+    with pytest.raises(UnknownLabel, match="label 'z' is not in the alphabet of fig5a"):
+        accepts_symbolic(fig5a, sw("z:*1"))
+    with pytest.raises(UnknownLabel, match="label 'z' is not in the alphabet of fig5a"):
+        simulate(fig5a, dw("z:1"))
+
+
 def test_accepts_symbolic_needs_session(fig1a):
     with pytest.raises(NotSessionAutomaton):
         accepts_symbolic(fig1a, sw("req:*1"))

@@ -12,12 +12,15 @@ from helpers import (
     dw,
     enumerate_symbolic_words,
     fig5c_dfa,
+    injection_bits,
+    partial_injections,
     random_data_word,
     random_session_automaton,
     reference_canonicalize,
     reference_equivalence,
     reference_inclusion,
     reference_nf_violation_witness,
+    reference_relabelings,
     reference_shortest_accepted,
     sw,
     universal,
@@ -25,7 +28,8 @@ from helpers import (
 from sessauto import (
     Automaton,
     NotSessionAutomaton,
-    PartialInjection,
+    OpKind,
+    RegisterOp,
     SymbolicDfa,
     Transition,
     accepts_symbolic,
@@ -52,7 +56,7 @@ from sessauto import (
     tilde,
     wf_automaton,
 )
-from sessauto.canonical import normal_form_table
+from sessauto.canonical import _relabelings, normal_form_table
 from test_automata import SESSION_OPS, automata
 
 A = frozenset({"a"})
@@ -160,17 +164,32 @@ def test_wf_automaton_matches_predicate():
 
 
 def test_partial_injection():
-    inj = PartialInjection()
-    assert inj.get(1) is None
-    inj = inj.rewire(1, 2)
-    assert inj.get(1) == 2
+    # k = 2: bit (r-1)*2 + o-1 holds the pair r>o
+    fresh, reuse = RegisterOp.fresh, RegisterOp.reuse
+    assert _relabelings(reuse(1), 0, 2) == []
+    inj = dict(_relabelings(fresh(1), 0, 2))[2]
+    assert inj == 0b10
+    # a reuse reads the output register that holds its register's value
+    assert _relabelings(reuse(1), inj, 2) == [(2, inj)]
     # a new source claiming the same target evicts the old pair
-    inj2 = inj.rewire(2, 2)
-    assert inj2.get(2) == 2 and inj2.get(1) is None
+    inj2 = dict(_relabelings(fresh(2), inj, 2))[2]
+    assert inj2 == 0b1000 and _relabelings(reuse(1), inj2, 2) == []
     # rewriting the same source replaces its target
-    inj3 = inj.rewire(1, 1)
-    assert inj3.get(1) == 1
-    assert str(inj) == "{1>2}"
+    inj3 = dict(_relabelings(fresh(1), inj, 2))[1]
+    assert inj3 == 0b01 and _relabelings(reuse(1), inj3, 2) == [(1, inj3)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_relabelings_match_the_pairs_reference(k):
+    # Every partial injection over k <= 3 registers, every operation: the int
+    # rule agrees with the rule on sorted pairs, move for move.
+    ops = [RegisterOp(kind, r) for kind in OpKind for r in range(1, k + 1)]
+    injections = partial_injections(k)
+    assert len(injections) == [2, 7, 34][k - 1]
+    for inj in injections:
+        for op in ops:
+            want = [(o, injection_bits(after, k)) for o, after in reference_relabelings(op, inj, k)]
+            assert _relabelings(op, injection_bits(inj, k), k) == want
 
 
 def test_tilde_state_count(fig5a):

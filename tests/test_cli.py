@@ -79,6 +79,14 @@ def test_symbolic_member():
     assert main(["symbolic-member", FIG5A, "-u", "a:^1"]) == 1
 
 
+def test_symbolic_member_unknown_label(capsys):
+    # exit 2 with the error member gives, not 1 for a rejected word
+    assert main(["symbolic-member", FIG5A, "-u", "z:*1"]) == 2
+    assert "error: label 'z' is not in the alphabet of fig5a" in capsys.readouterr().err
+    assert main(["member", FIG5A, "-w", "z:1"]) == 2
+    assert "error: label 'z' is not in the alphabet of fig5a" in capsys.readouterr().err
+
+
 def test_canonical(tmp_path, capsys):
     out = tmp_path / "can.sra"
     dot = tmp_path / "can.dot"
@@ -188,6 +196,13 @@ def test_learn_scripted(tmp_path, capsys):
     assert main(["learn", FIG5A, "--script", str(script)]) == 0
     learned = parse_automaton(capsys.readouterr().out)
     assert len(learned.states) == 5
+
+
+def test_learn_script_with_unknown_label(tmp_path, capsys):
+    script = tmp_path / "script.txt"
+    script.write_text("z:1\n")
+    assert main(["learn", FIG5A, "--script", str(script)]) == 2
+    assert "error: label 'z' is outside the learning alphabet" in capsys.readouterr().err
 
 
 def test_learn_budget(capsys):

@@ -30,6 +30,7 @@ from sessauto import (
     TeacherInconsistent,
     Transition,
     TransitionLabel,
+    UnknownLabel,
     canonicalize,
     equivalent,
     format_symbolic_word,
@@ -180,6 +181,12 @@ def test_scripted_teacher_useless_counterexample(fig5a):
 def test_scripted_teacher_exhausted(fig5a):
     with pytest.raises(TeacherInconsistent):
         learn(scripted_teacher(fig5a, []), {"a", "b"})
+
+
+def test_counterexample_with_unknown_label(fig5a):
+    # the oracle refuses a query whose label the learner does not learn over
+    with pytest.raises(UnknownLabel, match="label 'z' is outside the learning alphabet"):
+        learn(scripted_teacher(fig5a, [(("z", 1),)]), fig5a.alphabet)
 
 
 def test_scripted_teacher_empty_counterexample(fig5a):
