@@ -89,14 +89,12 @@ from .words import (
     data_equivalent,
     is_concretization,
     is_k_bounded,
-    is_well_formed,
     letter_key,
     max_register,
     occurrence_bounds,
     sessions,
     snf,
     symbolic_alphabet,
-    symbolic_classes,
     word_key,
 )
 

@@ -11,11 +11,16 @@ DFA of that set.  It is computed in three steps:
     3. product of the two, determinized and minimized.
 
 Every DFA here, the normal-form and well-formedness DFAs too, is a
-SymbolicDfa numbered by the one ``subset_construction`` of ``symbolic``.
+``LazyDfa`` of ``symbolic``, a move function whose states are numbered as
+they are first read, or that DFA explored in full: the int table
+(SymbolicDfa) of the one ``subset_construction``.  A search reads only what
+it reaches.
+``lazy_nf_automaton`` is the arithmetic move rule of step 1, which
+``nf_automaton`` explores in full.
 
-Step 3 never builds the product or tilde(A) itself: normal_form_table runs one
-breadth-first subset construction whose states pair a normal-form state with
-a set of tilde(A) states.  A partial injection is an int, one bit per
+Step 3 never builds the product or tilde(A) itself: normal_form_table is one
+subset construction whose states pair a normal-form state with a set of
+tilde(A) states.  A partial injection is an int, one bit per
 register pair (see _relabelings), and a tilde state is that int with one
 more bit for its state of A.  The moves of a tilde state are computed once,
 when first needed, letters are indices into the sorted alphabet, and the
@@ -37,9 +42,13 @@ normal-form DFA, nf_violation_witness, finds the least accepted word that is
 not a normal form; A accepts only normal forms when there is none, and the
 learner returns the witness as a counterexample to its own hypothesis.
 
-Two session automata accept the same data words exactly when their canonical
-forms coincide, which turns the boolean and decision operations into plain
-DFA constructions.
+``snf_dfa`` is the DFA of snf(L(A)) before minimizing: A determinized on
+that fast path, normal_form_table otherwise.  canonicalize minimizes it in
+full; the decisions of ``langops`` search it only as far as their witness.
+
+Two session automata accept the same data words exactly when their sets of
+normal forms coincide, which turns the boolean and decision operations into
+plain DFA constructions and searches.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from typing import NamedTuple
 
 from .automata import Automaton, as_symbolic_nfa, require_session
 from .symbolic import (
+    LazyDfa,
     SymbolicDfa,
     SymbolicNfa,
     determinize,
@@ -57,7 +67,6 @@ from .symbolic import (
     paired_moves,
     pooled_moves,
     shortlex_search,
-    subset_construction,
 )
 from .words import (
     OpKind,
@@ -81,11 +90,11 @@ class NfState(NamedTuple):
     promised: frozenset[int]
 
 
-def _register_dfa(registers: int, labels, start, moves, accepting) -> SymbolicDfa:
+def _register_dfa(registers: int, labels, start, moves, accepting) -> LazyDfa:
     """The DFA whose node reads every label with each (operation, node) pair of ``moves(node)``."""
     alphabet = symbolic_alphabet(labels, registers)
     index = {x: i for i, x in enumerate(sorted(alphabet, key=letter_key))}
-    return subset_construction(
+    return LazyDfa(
         start,
         lambda node: sorted((index[TransitionLabel(a, op)], target)
                             for op, target in moves(node) for a in labels),
@@ -95,15 +104,15 @@ def _register_dfa(registers: int, labels, start, moves, accepting) -> SymbolicDf
     )
 
 
-@lru_cache(maxsize=None)
-def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
-    """DFA of all symbolic normal forms over the given registers and labels.
+def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> LazyDfa:
+    """DFA of all symbolic normal forms over the given registers and labels, explored on demand.
 
     From state (top, promised):
       fresh r  allowed when r <= top+1 and r is not promised; moves to
                (max(top, r), promised + all registers below r)
       reuse r  allowed when r <= top; moves to (top, promised - {r})
-    Accepting states are those without pending promises.
+    Accepting states are those without pending promises.  The DFA has 2^k
+    states; a search that stops early reads only the few it reaches.
     """
     if registers < 1:
         raise ValueError("the normal-form automaton needs at least one register")
@@ -121,6 +130,13 @@ def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
 
 
 @lru_cache(maxsize=None)
+def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
+    """DFA of all symbolic normal forms over the given registers and labels: the
+    whole ``lazy_nf_automaton``."""
+    return lazy_nf_automaton(registers, labels).table()
+
+
+@lru_cache(maxsize=None)
 def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
     """DFA of all well-formed symbolic words: reuse only after a fresh write.
 
@@ -135,7 +151,7 @@ def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
             if r in written:
                 yield RegisterOp(OpKind.REUSE, r), written
 
-    return _register_dfa(registers, labels, frozenset(), moves, lambda written: True)
+    return _register_dfa(registers, labels, frozenset(), moves, lambda written: True).table()
 
 
 def _relabelings(op: RegisterOp, inj: int, k: int) -> list[tuple[int, int]]:
@@ -197,8 +213,11 @@ def tilde(a: Automaton) -> SymbolicNfa:
     )
 
 
-def normal_form_table(a: Automaton) -> SymbolicDfa:
+def normal_form_table(a: Automaton) -> LazyDfa:
     """A DFA of snf(L(a)): determinize(product(nf_automaton, tilde(a))) with pruned subsets.
+
+    The subsets are built as they are first read (see ``LazyDfa``): in full
+    by ``table()``, as far as it goes by a search.
 
     A subset is (normal-form state, set of tilde states): the normal-form DFA
     is deterministic, so every reachable subset of the product pairs all its
@@ -282,7 +301,7 @@ def normal_form_table(a: Automaton) -> SymbolicDfa:
         return n in nf.finals and any(m & finals for m in subset)
 
     start = frozenset({state_bit[a.initial]})
-    return subset_construction((0, start), successors, accepting, nf.alphabet, k)
+    return LazyDfa((0, start), successors, accepting, nf.alphabet, k)
 
 
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
@@ -304,15 +323,21 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     )
 
 
-@lru_cache(maxsize=256)
-def canonicalize(a: Automaton) -> SymbolicDfa:
-    """Minimal DFA of snf(L(a)), the canonical form of the automaton's language.
+def snf_dfa(a: Automaton) -> SymbolicDfa | LazyDfa:
+    """A DFA of snf(L(a)), not minimized, for a search to explore as far as it goes.
 
-    Automata that accept only normal forms skip the relabeling closure: their
-    symbolic language already is snf(L(a)).  Others go through one lazy
-    subset construction over the normal-form DFA and tilde(a) (see
-    ``normal_form_table``).  Register automata raise NotSessionAutomaton.
+    Automata that accept only normal forms are determinized: their symbolic
+    language already is snf(L(a)).  Others get the ``normal_form_table``, one
+    lazy subset construction over the normal-form DFA and tilde(a).  Register
+    automata raise NotSessionAutomaton.
     """
     if nf_violation_witness(a) is None:
-        return minimize(determinize(as_symbolic_nfa(a)))
-    return minimize(normal_form_table(a))
+        return determinize(as_symbolic_nfa(a))
+    return normal_form_table(a)
+
+
+@lru_cache(maxsize=256)
+def canonicalize(a: Automaton) -> SymbolicDfa:
+    """Minimal DFA of snf(L(a)), the canonical form of the automaton's language: ``snf_dfa``
+    minimized.  Register automata raise NotSessionAutomaton."""
+    return minimize(snf_dfa(a).table())

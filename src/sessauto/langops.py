@@ -1,20 +1,25 @@
 """Boolean and decision operations on session-automaton languages.
 
-Decisions go through canonical forms: two languages compare exactly like
-their sets of normal forms, so inclusion, equivalence and universality over
-k-bounded words are early-exit searches over a pair of canonical DFAs, which
-stop at the shortlex-least symbolic witness.  That witness is a normal form,
-and it is returned concretized: a genuine separating data word.  The boolean
+Two languages compare exactly like their sets of normal forms, snf(L).  So
+inclusion, equivalence and universality over k-bounded words are early-exit
+searches over pairs of states of two DFAs of such sets, which stop at the
+shortlex-least symbolic witness.  Neither DFA is minimized, and each is
+explored only as far as the search goes: ``snf_dfa`` of an automaton, and
+for universality the normal-form DFA, whose 2^k states are computed by
+arithmetic as they are reached.  Both DFAs are deterministic, so the least
+accepting pair carries the least word of the difference, whichever DFAs
+of the two languages are paired.  That witness is a normal form, and it is
+returned concretized: a genuine separating data word.  The boolean
 operations that return automata, intersect and complement_bounded, are one
-``subset_construction`` over pairs of states of two int tables, minimized.
-All of them, and emptiness, walk ``symbolic.paired_moves``, which sends a
-missing move of the DFA to -1 and drops moves into dead states.
+``subset_construction`` over pairs of states of two canonical int tables
+(or of the normal-form DFA and one), minimized.  All of them, and emptiness,
+walk ``symbolic.paired_moves``.
 """
 
 from __future__ import annotations
 
 from .automata import Automaton, Transition, from_symbolic_dfa, require_session
-from .canonical import canonicalize, nf_automaton, wf_automaton
+from .canonical import canonicalize, lazy_nf_automaton, nf_automaton, snf_dfa, wf_automaton
 from .symbolic import (
     SymbolicDfa,
     minimize,
@@ -27,11 +32,10 @@ from .symbolic import (
 from .words import DataWord, concretize
 
 
-def _pair_table(x: SymbolicDfa, y: SymbolicDfa, accepting) -> SymbolicDfa:
-    """Minimal DFA, over the letters of x, of ``paired_moves(x, y)`` with finals ``accepting``."""
-    index, step = x._index, paired_moves(x, y)
+def _pair_table(x: SymbolicDfa, y: SymbolicDfa, along: str, accepting) -> SymbolicDfa:
+    """Minimal DFA, over the letters of x, of ``paired_moves(x, y, along)`` with finals ``accepting``."""
     return minimize(subset_construction(
-        (0, 0), lambda pair: [(index[a], p) for a, p in step(pair)],
+        (0, 0), paired_moves(x, y, along, columns=True),
         lambda pair: accepting(*pair), x.alphabet, max(x.registers, y.registers)))
 
 
@@ -45,7 +49,7 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     require_session(a, b)
     k = min(a.registers, b.registers)
     x, y = canonicalize(a), canonicalize(b)
-    dfa = _pair_table(x, y, lambda s, t: s in x.finals and t in y.finals)
+    dfa = _pair_table(x, y, "both", lambda s, t: s in x.finals and t in y.finals)
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
 
 
@@ -91,21 +95,21 @@ def complement_bounded(a: Automaton) -> Automaton:
     require_session(a)
     k = a.registers
     nf, can = nf_automaton(k, a.alphabet), canonicalize(a)
-    dfa = _pair_table(nf, can, lambda n, c: n in nf.finals and c not in can.finals)
+    dfa = _pair_table(nf, can, "x", lambda n, c: n in nf.finals and c not in can.finals)
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
 
 
 def includes(a: Automaton, b: Automaton) -> DataWord | None:
     """None when L(a) is a subset of L(b); otherwise a data word in L(a) \\ L(b)."""
     require_session(a, b)
-    witness = symbolic_inclusion(canonicalize(a), canonicalize(b))
+    witness = symbolic_inclusion(snf_dfa(a), snf_dfa(b))
     return None if witness is None else concretize(witness)
 
 
 def equivalent(a: Automaton, b: Automaton) -> DataWord | None:
     """None when L(a) = L(b); otherwise a shortest data word in the symmetric difference."""
     require_session(a, b)
-    witness = symbolic_equivalence(canonicalize(a), canonicalize(b))
+    witness = symbolic_equivalence(snf_dfa(a), snf_dfa(b))
     return None if witness is None else concretize(witness)
 
 
@@ -114,19 +118,26 @@ def is_empty(a: Automaton) -> DataWord | None:
 
     A session automaton accepts some data word exactly when its symbolic
     language contains a well-formed word: one ``shortlex_search`` over
-    ``paired_moves(a, wf)``, wf the well-formedness DFA, finds the least.
+    ``paired_moves(a, wf, "both")``, wf the well-formedness DFA, finds the
+    least.  It follows only the moves wf can follow, and every state of wf
+    is final.
     """
     require_session(a)
     wf = wf_automaton(a.registers, a.alphabet)
-    witness = shortlex_search([(a.initial, wf.initial)], paired_moves(a, wf),
-                              lambda pair: pair[0] in a.finals and pair[1] in wf.finals)
+    witness = shortlex_search([(a.initial, wf.initial)], paired_moves(a, wf, "both"),
+                              lambda pair: pair[0] in a.finals)
     return None if witness is None else concretize(witness)
 
 
 def is_universal_bounded(a: Automaton, k: int) -> DataWord | None:
-    """None when L(a) contains every k-bounded data word; otherwise a missing one."""
+    """None when L(a) contains every k-bounded data word; otherwise a missing one.
+
+    The normal-form DFA over k registers, which has 2^k states, is walked
+    lazily: the search computes only the states it reaches before the
+    witness, never the whole DFA.
+    """
     require_session(a)
     if k < 1:
         raise ValueError("universality needs a bound k >= 1")
-    witness = symbolic_inclusion(nf_automaton(k, a.alphabet), canonicalize(a))
+    witness = symbolic_inclusion(lazy_nf_automaton(k, a.alphabet), snf_dfa(a))
     return None if witness is None else concretize(witness)

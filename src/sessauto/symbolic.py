@@ -4,19 +4,22 @@ These are ordinary NFAs/DFAs whose alphabet consists of TransitionLabel
 values.  They carry the symbolic-language side of every construction: the
 data-word semantics never appears here.  An NFA is the view of an input
 automaton and keeps its string states.  A DFA is an int table: states
-0..n-1, initial state 0, letters indexed in ``letter_key`` order.  Every
-operation that synthesizes a DFA numbers it canonically (breadth-first from
-the initial state, expanding letters in their order), which makes minimal
-automata comparable by plain structural equality.  Two kernels do the work:
-``subset_construction`` numbers, and ``shortlex_search`` stops at the
-shortlex-least word reaching an accepting node.  Every pair walk, of an
-automaton x and a DFA y that follows it, runs on ``paired_moves``: y goes to
--1 where it has no move, and states of x that reach no final state are left
-out.  Inclusion, equivalence, emptiness and the normal-form check search it,
-and intersect and complement_bounded number it.
-Both automaton classes are frozen and hand out only immutable values (the
-NFA's moves by source are read-only), so a cached result cannot be changed
-by its callers.
+0..n-1, initial state 0, letters indexed in ``letter_key`` order.  A
+``LazyDfa`` is a DFA given by its move function, whose states are numbered
+and expanded when they are first read.  Every operation that synthesizes a
+DFA numbers it canonically (breadth-first from the initial state, expanding
+letters in their order): ``subset_construction``, a LazyDfa explored in
+full, which makes minimal automata comparable by plain structural equality.
+``shortlex_search`` stops at the shortlex-least word reaching an accepting
+node, and reads a LazyDfa only that far.  Every pair walk, of an automaton
+or DFA x and a DFA y that follows it, runs on ``paired_moves``: y goes to -1
+where it has no move.  Inclusion, equivalence, universality, emptiness and
+the normal-form check search it, and intersect and complement_bounded
+number it.
+The NFA and the int table are frozen and hand out only immutable values
+(the NFA's moves by source are read-only), so a cached result cannot be
+changed by its callers.  A LazyDfa grows as it is read, and nothing caches
+one.
 """
 
 from __future__ import annotations
@@ -61,8 +64,26 @@ class SymbolicNfa:
         return bool(frontier & self.finals)
 
 
+class _Lettered:
+    """The letters of an ``alphabet`` in ``letter_key`` order, which number a DFA's columns."""
+
+    alphabet: frozenset[TransitionLabel]
+
+    @cached_property
+    def letters(self) -> tuple[TransitionLabel, ...]:
+        return tuple(sorted(self.alphabet, key=letter_key))
+
+    @cached_property
+    def _index(self) -> dict[TransitionLabel, int]:
+        return {x: i for i, x in enumerate(self.letters)}
+
+    def column(self, letter: TransitionLabel) -> int | None:
+        """The index of a letter in the rows, None when it is outside the alphabet."""
+        return self._index.get(letter)
+
+
 @dataclass(frozen=True)
-class SymbolicDfa:
+class SymbolicDfa(_Lettered):
     """A DFA on states 0..n-1, initial state 0, over letter indices.
 
     Letter x is the x-th letter of the alphabet in ``letter_key`` order (see
@@ -81,17 +102,18 @@ class SymbolicDfa:
     def states(self) -> range:
         return range(len(self.rows))
 
-    @cached_property
-    def letters(self) -> tuple[TransitionLabel, ...]:
-        return tuple(sorted(self.alphabet, key=letter_key))
+    def row(self, s: int) -> tuple[int, ...]:
+        return self.rows[s]
 
     @cached_property
-    def _index(self) -> dict[TransitionLabel, int]:
-        return {x: i for i, x in enumerate(self.letters)}
+    def _padded_rows(self) -> tuple[tuple[int, ...], ...]:
+        # The rows as ``paired_moves`` reads them: a column -1 of -1 ends
+        # each, and a last row of -1 stands for state -1.
+        return tuple(row + (-1,) for row in self.rows) + ((-1,) * (len(self.letters) + 1),)
 
-    def column(self, letter: TransitionLabel) -> int | None:
-        """The index of a letter in the rows, None when it is outside the alphabet."""
-        return self._index.get(letter)
+    def table(self) -> SymbolicDfa:
+        """The whole DFA: the table itself, as ``LazyDfa.table`` gives it for a lazy one."""
+        return self
 
     @property
     def transitions(self) -> tuple[tuple[int, TransitionLabel, int], ...]:
@@ -110,6 +132,49 @@ class SymbolicDfa:
             if state < 0:
                 return False
         return state in self.finals
+
+
+class LazyDfa(_Lettered):
+    """A DFA whose states are numbered and expanded when they are first read.
+
+    ``successors(node)`` lists the (letter index, next node) pairs that leave
+    a node, by increasing letter index, and ``accepting(node)`` tells whether
+    it is final.  A node may be any hashable value, a set of states or a pair
+    too.  The start node is state 0; every other node is numbered when a row
+    first reaches it, and is final when it is in ``finals``.  ``row(s)``
+    computes the moves of state s; a walk reads only the rows it reaches,
+    and keeps those it reads again (see ``paired_moves``).  ``table`` reads
+    every row; on a LazyDfa nothing has read before, it reads them from 0 up,
+    which numbers the states breadth-first with letters in order:
+    ``subset_construction``'s canonical numbering.
+    """
+
+    def __init__(self, start, successors, accepting, alphabet, registers: int = 0):
+        self.alphabet, self.registers = alphabet, registers
+        self._successors, self._accepting = successors, accepting
+        self._ids = {start: 0}
+        self._nodes = [start]
+        self.finals = {0} if accepting(start) else set()
+
+    def row(self, s: int) -> tuple[int, ...]:
+        ids, nodes = self._ids, self._nodes
+        row = [-1] * len(self.alphabet)
+        for x, target in self._successors(nodes[s]):
+            t = ids.get(target)
+            if t is None:
+                t = ids[target] = len(nodes)
+                nodes.append(target)
+                if self._accepting(target):
+                    self.finals.add(t)
+            row[x] = t
+        return tuple(row)
+
+    def table(self) -> SymbolicDfa:
+        """Every state reachable from 0, expanded, as one int table."""
+        # The loop also reaches the states that the rows it reads append.
+        row = self.row
+        rows = tuple([row(s) for s, _ in enumerate(self._nodes)])
+        return SymbolicDfa(self.alphabet, rows, frozenset(self.finals), self.registers)
 
 
 def _as_nfa(fa: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
@@ -214,30 +279,14 @@ def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
 def subset_construction(start, successors, accepting, alphabet, registers: int) -> SymbolicDfa:
     """Breadth-first subset construction over letter indices, canonically numbered.
 
-    ``successors(subset)`` lists the (letter index, next subset) pairs that
-    leave a subset, by increasing letter index, and ``accepting(subset)``
-    tells whether it is final.  Subsets are numbered in the order they are
-    found, so the numbering does not depend on how their members are named.
-    A subset may be any hashable value, a single state or a pair of states
-    too: this is the one canonical numbering, which ``determinize``,
-    ``minimize``, ``renumber``, the normal-form and well-formedness DFAs,
-    the canonical general path and the boolean operations all run on.
+    The whole ``LazyDfa`` of ``successors`` and ``accepting`` (see there):
+    subsets are numbered in the order they are found, so the numbering does
+    not depend on how their members are named.  This is the one canonical
+    numbering, which ``determinize``, ``minimize``, ``renumber``, the
+    normal-form and well-formedness DFAs, the canonical general path and the
+    boolean operations all run on.
     """
-    width = len(alphabet)
-    names = {start: 0}
-    order = [start]
-    rows: list[tuple[int, ...]] = []
-    for subset in order:
-        row = [-1] * width
-        for x, target in successors(subset):
-            t = names.get(target)
-            if t is None:
-                t = names[target] = len(order)
-                order.append(target)
-            row[x] = t
-        rows.append(tuple(row))
-    finals = frozenset(s for s, subset in enumerate(order) if accepting(subset))
-    return SymbolicDfa(alphabet, tuple(rows), finals, registers)
+    return LazyDfa(start, successors, accepting, alphabet, registers).table()
 
 
 def pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
@@ -379,41 +428,62 @@ def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
     return shortlex_search(nfa.initials, lambda s: moves.get(s, ()), nfa.finals.__contains__)
 
 
-def paired_moves(x, y: SymbolicDfa, symmetric: bool = False):
-    """The ``successors`` of the pairs (state of x, state of y) along the moves of x.
+class _Memo(dict):
+    """A dict that computes a missing key's value by ``compute(key)``, and keeps it."""
 
-    x has states, finals and ``(source, letter, target)`` transitions: an
-    Automaton, or a SymbolicDfa, whose rows are read directly.  y follows
-    each move of x and goes to -1 where it has no move; -1 has no moves.
-    Moves into states of x that cannot reach a final state are dropped; like
-    -1, such a state accepts nothing, so every witness stays the same.
-    With ``symmetric``, y's own moves on letters x does not read lead to (-1, t).
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def paired_moves(x, y, along: str = "x", columns: bool = False):
+    """The ``successors`` of the pairs (state of x, state of y) of two automata read together.
+
+    y is a DFA, a SymbolicDfa or a LazyDfa.  x is one too, or an Automaton,
+    whose ``(source, letter, target)`` transitions are read and whose moves
+    into states that cannot reach a final state are dropped: like -1 below,
+    such a state accepts nothing, so every witness stays the same.  Rows of
+    a DFA are read as the walk reaches its states, and the moves of each
+    state are worked out once, however many pairs it is in.  ``along``:
+      "x"       every move of x; y follows it and goes to -1 where it has
+                no move, and -1 has no moves;
+      "both"    only the moves of x that y follows;
+      "either"  as "x", and y's own moves on letters x does not read lead
+                to (-1, t).
+    Moves are labeled by their letter, or with ``columns`` (x a DFA, not
+    "either") by the letter's index in x, as ``subset_construction`` reads.
     """
-    # Per state of x: (letter, target, column of the letter in y or -1).
     column = y._index.get
-    if isinstance(x, SymbolicDfa):
-        columns = [(a, column(a, -1)) for a in x.letters]
-        out = {s: [(a, s2, c) for (a, c), s2 in zip(columns, row) if s2 >= 0]
-               for s, row in enumerate(x.rows)}
-        sources = [[] for _ in range(len(x.rows) + 1)]  # the last one for -1
-        for s, row in enumerate(x.rows):
-            for s2 in row:
-                sources[s2].append(s)
+    if isinstance(x, (SymbolicDfa, LazyDfa)):
+        keys = range(len(x.letters)) if columns else x.letters
+        to_y = [column(a, -1) for a in x.letters]
+        out = _Memo(lambda s: [(a, s2, c) for a, c, s2 in zip(keys, to_y, x.row(s)) if s2 >= 0])
     else:
         out, sources = defaultdict(list), defaultdict(list)
         for s, a, s2 in x.transitions:
             out[s].append((a, s2, column(a, -1)))
             sources[s2].append(s)
-    live = _coreachable(sources, x.finals)
-    if len(live) < len(x.states):
-        out = {s: [m for m in moves if m[1] in live] for s, moves in out.items()}
-    # Rows of y gain a column -1 of -1, and state -1 a row of -1.
-    rows = tuple(row + (-1,) for row in y.rows) + ((-1,) * (len(y.letters) + 1),)
+        live = _coreachable(sources, x.finals)
+        if len(live) < len(x.states):
+            for moves in out.values():
+                moves[:] = [m for m in moves if m[1] in live]
+    out[-1] = ()  # in a pair of the symmetric walk, -1 stands for x too
+    if isinstance(y, SymbolicDfa):
+        rows = y._padded_rows
+    else:  # padded the same way, as the walk reaches them
+        rows = _Memo(lambda t: y.row(t) + (-1,))
+        rows[-1] = (-1,) * (len(y.letters) + 1)
+    both, either = along == "both", along == "either"
 
     def successors(pair):
-        row, moves = rows[pair[1]], out.get(pair[0], ())
+        moves, row = out[pair[0]], rows[pair[1]]
+        if both:
+            return [(a, (s2, t2)) for a, s2, c in moves if (t2 := row[c]) >= 0]
         step = [(a, (s2, row[c])) for a, s2, c in moves]
-        if symmetric:
+        if either:
             read = {c for _, _, c in moves}
             step += [(a, (-1, t2)) for c, (a, t2) in enumerate(zip(y.letters, row))
                      if t2 >= 0 and c not in read]
@@ -424,15 +494,17 @@ def paired_moves(x, y: SymbolicDfa, symmetric: bool = False):
 def _first_difference(x, y, symmetric: bool) -> SymbolicWord | None:
     """Shortlex-least word of L(x) \\ L(y), or of the symmetric difference, or None.
 
-    A ``shortlex_search`` over ``paired_moves``; NFA operands are determinized.
+    A ``shortlex_search`` over ``paired_moves``.  LazyDfa operands are
+    explored only as far as the search goes; NFA operands are determinized.
     """
-    dx, dy = (fa if isinstance(fa, SymbolicDfa) else determinize(fa) for fa in (x, y))
+    dx, dy = (fa if isinstance(fa, (SymbolicDfa, LazyDfa)) else determinize(fa) for fa in (x, y))
 
     def accepting(pair) -> bool:
         in_x, in_y = pair[0] in dx.finals, pair[1] in dy.finals
         return in_x != in_y if symmetric else in_x and not in_y
 
-    return shortlex_search([(0, 0)], paired_moves(dx, dy, symmetric), accepting)
+    return shortlex_search([(0, 0)], paired_moves(dx, dy, "either" if symmetric else "x"),
+                           accepting)
 
 
 def symbolic_inclusion(x, y) -> SymbolicWord | None:

@@ -168,40 +168,6 @@ def _reject_local(word: SymbolicWord, what: str) -> None:
             raise UnsupportedOp(f"{what} is undefined for locally-fresh letters ({letter})")
 
 
-def is_well_formed(word: SymbolicWord) -> bool:
-    """Every reuse of a register must be preceded by a fresh write to it."""
-    _reject_local(word, "well-formedness")
-    written: set[int] = set()
-    for letter in word:
-        if letter.op.kind is OpKind.REUSE:
-            if letter.op.register not in written:
-                return False
-        else:
-            written.add(letter.op.register)
-    return True
-
-
-def symbolic_classes(word: SymbolicWord) -> list[set[int]]:
-    """Partition of positions 1..n into groups that denote the same data value.
-
-    Two positions fall together when they use the same register and no fresh
-    write to that register happens in between (up to and including the later
-    position).  Classes are listed in order of their first position.
-    """
-    _reject_local(word, "the position equivalence")
-    current: dict[int, set[int]] = {}
-    classes: list[set[int]] = []
-    for i, letter in enumerate(word, 1):
-        r = letter.op.register
-        if letter.op.kind is OpKind.FRESH or r not in current:
-            group: set[int] = {i}
-            classes.append(group)
-            current[r] = group
-        else:
-            current[r].add(i)
-    return classes
-
-
 def max_register(word: SymbolicWord) -> int:
     return max((x.op.register for x in word), default=0)
 

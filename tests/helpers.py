@@ -40,7 +40,6 @@ from sessauto import (
     format_data_word,
     format_symbolic_word,
     from_symbolic_dfa,
-    is_well_formed,
     letter_key,
     max_register,
     minimize,
@@ -56,12 +55,14 @@ from sessauto import (
     simulate,
     snf,
     symbolic_alphabet,
-    symbolic_classes,
+    symbolic_equivalence,
+    symbolic_inclusion,
     tilde,
     wf_automaton,
     word_key,
 )
 from sessauto.automata import require_session
+from sessauto.words import _reject_local
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -681,6 +682,43 @@ class ReferenceTableLearner(Learner):
                 self._log("CounterexampleProcessed", format_symbolic_word(suffix))
 
 
+# Well-formedness and the position classes of a symbolic word, by their
+# definitions: oracles of the one-pass ``concretize`` and of the
+# well-formedness DFA.
+def is_well_formed(word: SymbolicWord) -> bool:
+    """Every reuse of a register must be preceded by a fresh write to it."""
+    _reject_local(word, "well-formedness")
+    written: set[int] = set()
+    for letter in word:
+        if letter.op.kind is OpKind.REUSE:
+            if letter.op.register not in written:
+                return False
+        else:
+            written.add(letter.op.register)
+    return True
+
+
+def symbolic_classes(word: SymbolicWord) -> list[set[int]]:
+    """Partition of positions 1..n into groups that denote the same data value.
+
+    Two positions fall together when they use the same register and no fresh
+    write to that register happens in between (up to and including the later
+    position).  Classes are listed in order of their first position.
+    """
+    _reject_local(word, "the position equivalence")
+    current: dict[int, set[int]] = {}
+    classes: list[set[int]] = []
+    for i, letter in enumerate(word, 1):
+        r = letter.op.register
+        if letter.op.kind is OpKind.FRESH or r not in current:
+            group: set[int] = {i}
+            classes.append(group)
+            current[r] = group
+        else:
+            current[r].add(i)
+    return classes
+
+
 # ``concretize`` and ``is_concretization`` as they were when they went
 # through ``is_well_formed`` and ``symbolic_classes``, verbatim but for their
 # names: the oracles of the one-pass versions.
@@ -717,6 +755,33 @@ def reference_is_concretization(word: DataWord, symbolic: SymbolicWord) -> bool:
             return False
     # Distinct classes must carry distinct values.
     return len(set(values_to_class.values())) == len(values_to_class)
+
+
+# ``includes``, ``equivalent`` and ``is_universal_bounded`` as they were when
+# they searched pairs of minimized canonical DFAs, and universality the whole
+# normal-form DFA, verbatim but for their names: the oracles of the searches
+# over lazily explored tables.
+def reference_includes(a: Automaton, b: Automaton) -> DataWord | None:
+    """None when L(a) is a subset of L(b); otherwise a data word in L(a) \\ L(b)."""
+    require_session(a, b)
+    witness = symbolic_inclusion(canonicalize(a), canonicalize(b))
+    return None if witness is None else concretize(witness)
+
+
+def reference_equivalent(a: Automaton, b: Automaton) -> DataWord | None:
+    """None when L(a) = L(b); otherwise a shortest data word in the symmetric difference."""
+    require_session(a, b)
+    witness = symbolic_equivalence(canonicalize(a), canonicalize(b))
+    return None if witness is None else concretize(witness)
+
+
+def reference_is_universal_bounded(a: Automaton, k: int) -> DataWord | None:
+    """None when L(a) contains every k-bounded data word; otherwise a missing one."""
+    require_session(a)
+    if k < 1:
+        raise ValueError("universality needs a bound k >= 1")
+    witness = symbolic_inclusion(nf_automaton(k, a.alphabet), canonicalize(a))
+    return None if witness is None else concretize(witness)
 
 
 def reference_is_empty(a: Automaton):

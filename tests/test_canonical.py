@@ -13,6 +13,7 @@ from helpers import (
     enumerate_symbolic_words,
     fig5c_dfa,
     injection_bits,
+    is_well_formed,
     partial_injections,
     random_data_word,
     random_session_automaton,
@@ -40,7 +41,6 @@ from sessauto import (
     determinize,
     from_symbolic_dfa,
     intersect,
-    is_well_formed,
     isomorphic,
     minimize,
     nf_automaton,
@@ -438,7 +438,7 @@ def test_general_path_matches_fast_path(a, b):
     for c in (from_symbolic_dfa(canonicalize(a), "c", a.alphabet, a.registers),
               intersect(a, b), complement_bounded(a)):
         if len(c.states) <= 20:
-            assert minimize(normal_form_table(c)) == minimize(determinize(as_symbolic_nfa(c)))
+            assert minimize(normal_form_table(c).table()) == minimize(determinize(as_symbolic_nfa(c)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -448,7 +448,7 @@ def test_normal_form_table_is_the_determinized_product(a):
     # Pruned subsets keep their languages: same minimal DFA, never more subsets.
     nf = nf_automaton(a.registers, a.alphabet)
     product_dfa = determinize(product(nf, tilde(a)))
-    table = normal_form_table(a)
+    table = normal_form_table(a).table()
     assert minimize(table) == minimize(product_dfa)
     assert len(table.rows) <= len(product_dfa.states)
 
@@ -457,7 +457,7 @@ def test_normal_form_table_is_the_determinized_product(a):
 def test_normal_form_table_of_universal_is_minimal(k):
     # Every subset of universal(k) shrinks to the injections no other one extends;
     # unpruned, k = 4 has 79 subsets and k = 5 has 475.
-    assert len(normal_form_table(universal(k)).rows) == 2 ** k
+    assert len(normal_form_table(universal(k)).table().rows) == 2 ** k
 
 
 @settings(max_examples=40, deadline=None)
@@ -465,7 +465,7 @@ def test_normal_form_table_of_universal_is_minimal(k):
 @example(a=universal(3))
 @example(a=EMPTY)
 def test_pruned_table_matches_reference(a):
-    table = normal_form_table(a)
+    table = normal_form_table(a).table()
     # The unpruned reference took up to 0.5 s per draw below 5 000 pruned subsets
     # and 6 s at 23 376; at least 15 of 600 draws were larger than that.
     assume(len(table.rows) <= 5000)

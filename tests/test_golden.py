@@ -29,6 +29,7 @@ WITNESS_COMMANDS = (
     + [["equiv", a, b] for a, b in PAIRS if a < b]
     + [["empty", a] for a in SESSION_FIXTURES]
     + [["universal", a, "-k", "2"] for a in SESSION_FIXTURES]
+    + [["universal", a, "-k", "40"] for a in ("fig5a", "fig2b")]
 )
 
 

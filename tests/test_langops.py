@@ -9,8 +9,11 @@ from helpers import (
     enumerate_word_classes,
     random_session_automaton,
     reference_complement_bounded,
+    reference_equivalent,
+    reference_includes,
     reference_intersect,
     reference_is_empty,
+    reference_is_universal_bounded,
     universal,
 )
 from sessauto import (
@@ -28,6 +31,7 @@ from sessauto import (
     intersect,
     is_empty,
     is_universal_bounded,
+    nf_automaton,
     serialize_automaton,
     simulate,
     union,
@@ -207,6 +211,30 @@ def test_boolean_ops_match_reference(a, b):
         assert serialize_automaton(intersect(c, d)) == serialize_automaton(reference_intersect(c, d))
         assert (serialize_automaton(complement_bounded(c))
                 == serialize_automaton(reference_complement_bounded(c)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=automata(SESSION_OPS), b=automata(SESSION_OPS))
+@example(a=EMPTY, b=EMPTY)
+@example(a=universal(2), b=chain("a:*1", "b:*2", "a:^1"))
+@example(a=universal(3), b=universal(2))
+def test_decisions_match_reference(a, b):
+    # Searches over lazily explored tables stop at the witness the minimal DFAs gave.
+    for c, d in ((a, b), (add_dead_state(a, "trap"), add_dead_state(b, "trap"))):
+        assert includes(c, d) == reference_includes(c, d)
+        assert includes(d, c) == reference_includes(d, c)
+        assert equivalent(c, d) == reference_equivalent(c, d)
+        for k in (c.registers, c.registers + 1):
+            assert is_universal_bounded(c, k) == reference_is_universal_bounded(c, k)
+
+
+def test_universality_at_large_k_builds_no_normal_form_dfa(fig5a):
+    # nf_automaton(40, ...) would have 2^40 states; the search reads the few it reaches.
+    nf_automaton(fig5a.registers, fig5a.alphabet)
+    before = nf_automaton.cache_info()
+    assert is_universal_bounded(fig5a, 40) == dw("b:1")
+    after = nf_automaton.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 def test_is_empty_counts_only_data_acceptance(fig5a):

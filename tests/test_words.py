@@ -8,6 +8,7 @@ from helpers import (
     dw,
     enumerate_symbolic_words,
     enumerate_word_classes,
+    is_well_formed,
     letter,
     permute_values,
     random_data_word,
@@ -15,6 +16,7 @@ from helpers import (
     reference_concretize,
     reference_is_concretization,
     sw,
+    symbolic_classes,
 )
 from sessauto import (
     NotWellFormed,
@@ -33,14 +35,12 @@ from sessauto import (
     format_symbolic_word,
     is_concretization,
     is_k_bounded,
-    is_well_formed,
     letter_key,
     max_register,
     occurrence_bounds,
     sessions,
     snf,
     symbolic_alphabet,
-    symbolic_classes,
 )
 
 
