@@ -22,16 +22,19 @@ Step 3 never builds the product or tilde(A) itself: normal_form_table is one
 subset construction whose states pair a normal-form state with a set of
 tilde(A) states.  A partial injection is an int, one bit per
 register pair (see _relabelings), and a tilde state is that int with one
-more bit for its state of A.  The moves of a tilde state are computed once,
-when first needed, letters are indices into the sorted alphabet, and the
-resulting int table is minimized by Moore refinement on ints.  Each subset
-keeps only its maximal members: a tilde state (q, inj) is dropped when the
-subset holds (q, inj') with inj a proper part of inj', because (q, inj') can
-then follow every run of (q, inj) (see normal_form_table).  The order is
-read off the bits, with no fixpoint, and dropping a member a subset already
-covers leaves its language as it was, so the minimal DFA is the same; the
-subsets are far fewer (universal automata over k registers get exactly the
-2^k of the minimal DFA).
+more bit for its state of A.  Each tilde state gets an id when first seen,
+and a set of them is one int, a bitset over those ids.  The moves of a
+tilde state are computed once, when first needed, as one target bitset per
+letter, letters are indices into the sorted alphabet, the moves of a set
+are the OR of its members', and the resulting int table is minimized by
+Moore refinement on ints.  Each subset keeps only its maximal members: a
+tilde state (q, inj) is dropped when the subset holds (q, inj') with inj a
+proper part of inj', because (q, inj') can then follow every run of
+(q, inj) (see normal_form_table).  The order is read off the bits, with no
+fixpoint, and dropping a member a subset already covers leaves its language
+as it was, so the minimal DFA is the same; the subsets are far fewer
+(universal automata over k registers get exactly the 2^k of the minimal
+DFA).
 
 When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
@@ -62,6 +65,7 @@ from .symbolic import (
     SymbolicDfa,
     SymbolicNfa,
     determinize,
+    members,
     minimize,
     moves_by_source,
     paired_moves,
@@ -129,14 +133,14 @@ def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> LazyDfa:
                          lambda s: not s.promised)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
     """DFA of all symbolic normal forms over the given registers and labels: the
     whole ``lazy_nf_automaton``."""
     return lazy_nf_automaton(registers, labels).table()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
     """DFA of all well-formed symbolic words: reuse only after a fresh write.
 
@@ -223,10 +227,15 @@ def normal_form_table(a: Automaton) -> LazyDfa:
     is deterministic, so every reachable subset of the product pairs all its
     members with one normal-form state.  A tilde state (q, inj) is one int,
     its mask: the injection's int (see ``_relabelings``), which takes the
-    bits below k*k, with bit k*k + i set for the i-th state q of ``a``.  The
-    moves of each, as target masks by letter index, are computed once, when
-    a subset first contains it.  Only the letters the normal-form state can
-    read are pooled.
+    bits below k*k, with bit k*k + i set for the i-th state q of ``a``.
+    Each mask is interned to an id the first time it is seen, and a set of
+    tilde states is one int, the bitset of its members' ids (see
+    ``members``).  The moves of each tilde state, as a target bitset by
+    letter index, are computed once, when a subset first contains it; the
+    moves of a subset OR its members' rows (``pooled_moves``) over only the
+    letters the normal-form state can read.  A subset is accepting when its
+    normal-form state is and it meets the bitset of the members that hold a
+    final state of ``a``.
 
     Every subset is cut down to its maximal members before it is numbered.
     Tilde states with the same state q of ``a`` are ordered by inclusion of
@@ -256,51 +265,67 @@ def normal_form_table(a: Automaton) -> LazyDfa:
         ]
         for q, moves in moves_by_source(a.transitions).items()
     }
-    tilde_rows: dict[int, list[list[int]]] = {}
+    ids: dict[int, int] = {}  # mask -> member id
+    masks: list[int] = []  # member id -> mask
+    tilde_rows: list[list[int] | None] = []  # member id -> target bitset by letter index
+    final_ids = 0  # the bitset of the members that hold a final state of a
 
-    def expand(m: int) -> list[list[int]]:
-        row = tilde_rows[m] = [[] for _ in nf.letters]
+    def intern(m: int) -> int:
+        nonlocal final_ids
+        i = ids.get(m)
+        if i is None:
+            i = ids[m] = len(masks)
+            masks.append(m)
+            tilde_rows.append(None)
+            if m & finals:
+                final_ids |= 1 << i
+        return i
+
+    def expand(i: int) -> list[int]:
+        row = tilde_rows[i] = [0] * len(nf.letters)
+        m = masks[i]
         inj = m & injection
         for slots, op, target in outgoing.get(m ^ inj, ()):
             for r, inj2 in _relabelings(op, inj, k):
-                row[slots[r - 1]].append(target | inj2)
+                row[slots[r - 1]] |= 1 << intern(target | inj2)
         return row
 
-    maximal_of: dict[frozenset[int], frozenset[int]] = {}
+    maximal_of: dict[int, int] = {}
 
-    def maximal(targets: frozenset[int]) -> frozenset[int]:
+    def maximal(targets: int) -> int:
         # The members no other member simulates.  m2 simulates m when
         # m & m2 == m: the same state of a, and every bit of m's injection
-        # is in m2's.  Such an m2 is a larger int, so taken largest first,
-        # every member meets those that simulate it before itself.  A set
-        # that loses no member is returned as it is, with its hash already
-        # computed.
-        if len(targets) == 1:
+        # is in m2's.  Such an m2 is a larger mask, so taken by mask, largest
+        # first, every member meets those that simulate it before itself.
+        # Ids do not follow masks: a member may be interned after one that
+        # simulates it.
+        if targets & (targets - 1) == 0:
             return targets
         kept = maximal_of.get(targets)
         if kept is None:
             above: list[int] = []
-            for m in sorted(targets, reverse=True):
+            kept = targets
+            for m in sorted(map(masks.__getitem__, members(targets)), reverse=True):
                 for m2 in above:
                     if m & m2 == m:
+                        kept ^= 1 << ids[m]
                         break
                 else:
                     above.append(m)
-            kept = targets if len(above) == len(targets) else frozenset(above)
             maximal_of[targets] = kept
         return kept
 
     def successors(state):
         n, subset = state
-        rows = [tilde_rows.get(m) or expand(m) for m in subset]
+        rows = [tilde_rows[i] or expand(i) for i in members(subset)]
         return [(x, (nf.rows[n][x], maximal(targets)))
                 for x, targets in pooled_moves(rows, nf_letters[n])]
 
     def accepting(state) -> bool:
         n, subset = state
-        return n in nf.finals and any(m & finals for m in subset)
+        return n in nf.finals and subset & final_ids != 0
 
-    start = frozenset({state_bit[a.initial]})
+    start = 1 << intern(state_bit[a.initial])
     return LazyDfa((0, start), successors, accepting, nf.alphabet, k)
 
 

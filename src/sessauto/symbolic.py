@@ -28,7 +28,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import or_
 from types import MappingProxyType
 
 from .words import SymbolicWord, TransitionLabel, letter_key
@@ -139,8 +139,9 @@ class LazyDfa(_Lettered):
 
     ``successors(node)`` lists the (letter index, next node) pairs that leave
     a node, by increasing letter index, and ``accepting(node)`` tells whether
-    it is final.  A node may be any hashable value, a set of states or a pair
-    too.  The start node is state 0; every other node is numbered when a row
+    it is final.  A node may be any hashable value: a subset of states, held
+    as an int bitset over their ids (see ``members``), or a pair holding one.
+    The start node is state 0; every other node is numbered when a row
     first reaches it, and is final when it is in ``finals``.  ``row(s)``
     computes the moves of state s; a walk reads only the rows it reaches,
     and keeps those it reads again (see ``paired_moves``).  ``table`` reads
@@ -280,51 +281,67 @@ def subset_construction(start, successors, accepting, alphabet, registers: int) 
     """Breadth-first subset construction over letter indices, canonically numbered.
 
     The whole ``LazyDfa`` of ``successors`` and ``accepting`` (see there):
-    subsets are numbered in the order they are found, so the numbering does
-    not depend on how their members are named.  This is the one canonical
-    numbering, which ``determinize``, ``minimize``, ``renumber``, the
-    normal-form and well-formedness DFAs, the canonical general path and the
-    boolean operations all run on.
+    subsets, int bitsets over their members' ids wherever members are
+    pooled, are numbered in the order they are found, so the numbering does
+    not depend on how their members are named or which ids they get.  This
+    is the one canonical numbering, which ``determinize``, ``minimize``,
+    ``renumber``, the normal-form and well-formedness DFAs, the canonical
+    general path and the boolean operations all run on.
     """
     return LazyDfa(start, successors, accepting, alphabet, registers).table()
 
 
-def pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
-    """Targets a subset reaches by each letter index in ``letters``, where it reaches any.
-
-    ``rows`` holds one row per member of the subset: ``row[x]`` lists that
-    member's target ids by letter index x.
-    """
+def members(subset: int) -> list[int]:
+    """The ids of a subset held as an int bitset: bit i is set when member i is in it."""
     out = []
-    for x in letters:
-        targets = frozenset().union(*map(itemgetter(x), rows))
-        if targets:
-            out.append((x, targets))
+    while subset:
+        low = subset & -subset
+        out.append(low.bit_length() - 1)
+        subset ^= low
     return out
 
 
+def pooled_moves(rows, letters) -> list[tuple[int, int]]:
+    """Targets a subset reaches by each letter index in ``letters``, where it reaches any.
+
+    ``rows`` holds one row per member of the subset: ``row[x]`` is the int
+    bitset of that member's target ids by letter index x, and the targets of
+    the subset are their OR.
+    """
+    if not rows:
+        return []
+    pooled = rows[0]
+    for row in rows[1:]:
+        pooled = list(map(or_, pooled, row))
+    return [(x, targets) for x in letters if (targets := pooled[x])]
+
+
 def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
-    """Subset construction, reachable part only, canonically numbered."""
+    """Subset construction, reachable part only, canonically numbered.
+
+    The NFA's states get ids in the order the transitions name them, and a
+    subset is the int bitset of its members' ids (see ``members``).
+    """
     every = range(len(nfa.alphabet))
     index = {x: i for i, x in enumerate(sorted(nfa.alphabet, key=letter_key))}
     ids: dict[str, int] = {}
-    table: list[list[list[int]]] = []
+    table: list[list[int]] = []
 
     def state_id(s: str) -> int:
         if s not in ids:
             ids[s] = len(table)
-            table.append([[] for _ in every])
+            table.append([0] * len(every))
         return ids[s]
 
     for src, x, dst in nfa.transitions:
         if x in index:
-            table[state_id(src)][index[x]].append(state_id(dst))
-    start = frozenset(state_id(s) for s in nfa.initials)
-    finals = {ids[s] for s in nfa.finals if s in ids}
+            table[state_id(src)][index[x]] |= 1 << state_id(dst)
+    start = sum(1 << state_id(s) for s in nfa.initials)
+    finals = sum(1 << ids[s] for s in nfa.finals if s in ids)
     return subset_construction(
         start,
-        lambda subset: pooled_moves([table[s] for s in subset], every),
-        lambda subset: not finals.isdisjoint(subset),
+        lambda subset: pooled_moves([table[s] for s in members(subset)], every),
+        lambda subset: subset & finals != 0,
         nfa.alphabet,
         nfa.registers,
     )

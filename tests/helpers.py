@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product as product_of
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
@@ -62,6 +63,8 @@ from sessauto import (
     word_key,
 )
 from sessauto.automata import require_session
+from sessauto.canonical import _relabelings
+from sessauto.symbolic import LazyDfa, moves_by_source, subset_construction
 from sessauto.words import _reject_local
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -329,6 +332,123 @@ def reference_canonicalize(a: Automaton) -> SymbolicDfa:
     """
     nf = nf_automaton(a.registers, a.alphabet)
     return minimize(determinize(product(nf, tilde(a))))
+
+
+def _frozenset_pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
+    """Targets a subset reaches by each letter index in ``letters``, where it reaches any.
+
+    ``rows`` holds one row per member of the subset: ``row[x]`` lists that
+    member's target ids by letter index x.
+    """
+    out = []
+    for x in letters:
+        targets = frozenset().union(*map(itemgetter(x), rows))
+        if targets:
+            out.append((x, targets))
+    return out
+
+
+def frozenset_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
+    """``determinize`` with every subset a frozenset of state ids.
+
+    The construction as it stood before subsets became int bitsets, kept
+    verbatim as the oracle of its numbering: the result must be equal, not
+    only isomorphic.
+    """
+    every = range(len(nfa.alphabet))
+    index = {x: i for i, x in enumerate(sorted(nfa.alphabet, key=letter_key))}
+    ids: dict[str, int] = {}
+    table: list[list[list[int]]] = []
+
+    def state_id(s: str) -> int:
+        if s not in ids:
+            ids[s] = len(table)
+            table.append([[] for _ in every])
+        return ids[s]
+
+    for src, x, dst in nfa.transitions:
+        if x in index:
+            table[state_id(src)][index[x]].append(state_id(dst))
+    start = frozenset(state_id(s) for s in nfa.initials)
+    finals = {ids[s] for s in nfa.finals if s in ids}
+    return subset_construction(
+        start,
+        lambda subset: _frozenset_pooled_moves([table[s] for s in subset], every),
+        lambda subset: not finals.isdisjoint(subset),
+        nfa.alphabet,
+        nfa.registers,
+    )
+
+
+def frozenset_normal_form_table(a: Automaton) -> LazyDfa:
+    """``normal_form_table`` with every subset a frozenset of tilde masks.
+
+    The construction as it stood before subsets became int bitsets over
+    interned member ids, kept verbatim as the oracle of its numbering: the
+    tables must be equal, which ``minimize`` alone cannot tell.
+    """
+    k = a.registers
+    require_session(a)
+    nf = nf_automaton(k, a.alphabet)
+    nf_letters = [[x for x, t in enumerate(row) if t >= 0] for row in nf.rows]
+    state_bit = {q: 1 << k * k + i for i, q in enumerate(sorted(a.states))}
+    injection = (1 << k * k) - 1
+    finals = sum(state_bit[q] for q in a.finals)
+    # Per state bit: (letter index per output register, operation, target bit).
+    outgoing = {
+        state_bit[q]: [
+            ([nf.column(TransitionLabel(x.label, RegisterOp(x.op.kind, r)))
+              for r in range(1, k + 1)], x.op, state_bit[target])
+            for x, target in moves
+        ]
+        for q, moves in moves_by_source(a.transitions).items()
+    }
+    tilde_rows: dict[int, list[list[int]]] = {}
+
+    def expand(m: int) -> list[list[int]]:
+        row = tilde_rows[m] = [[] for _ in nf.letters]
+        inj = m & injection
+        for slots, op, target in outgoing.get(m ^ inj, ()):
+            for r, inj2 in _relabelings(op, inj, k):
+                row[slots[r - 1]].append(target | inj2)
+        return row
+
+    maximal_of: dict[frozenset[int], frozenset[int]] = {}
+
+    def maximal(targets: frozenset[int]) -> frozenset[int]:
+        # The members no other member simulates.  m2 simulates m when
+        # m & m2 == m: the same state of a, and every bit of m's injection
+        # is in m2's.  Such an m2 is a larger int, so taken largest first,
+        # every member meets those that simulate it before itself.  A set
+        # that loses no member is returned as it is, with its hash already
+        # computed.
+        if len(targets) == 1:
+            return targets
+        kept = maximal_of.get(targets)
+        if kept is None:
+            above: list[int] = []
+            for m in sorted(targets, reverse=True):
+                for m2 in above:
+                    if m & m2 == m:
+                        break
+                else:
+                    above.append(m)
+            kept = targets if len(above) == len(targets) else frozenset(above)
+            maximal_of[targets] = kept
+        return kept
+
+    def successors(state):
+        n, subset = state
+        rows = [tilde_rows.get(m) or expand(m) for m in subset]
+        return [(x, (nf.rows[n][x], maximal(targets)))
+                for x, targets in _frozenset_pooled_moves(rows, nf_letters[n])]
+
+    def accepting(state) -> bool:
+        n, subset = state
+        return n in nf.finals and any(m & finals for m in subset)
+
+    start = frozenset({state_bit[a.initial]})
+    return LazyDfa((0, start), successors, accepting, nf.alphabet, k)
 
 
 class PartialInjection(NamedTuple):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
+    FIXTURES,
     NamedDfa,
     add_dead_state,
     as_named,
@@ -12,6 +13,9 @@ from helpers import (
     dw,
     enumerate_symbolic_words,
     fig5c_dfa,
+    fixture,
+    frozenset_determinize,
+    frozenset_normal_form_table,
     injection_bits,
     is_well_formed,
     partial_injections,
@@ -28,6 +32,7 @@ from helpers import (
 )
 from sessauto import (
     Automaton,
+    AutomatonClass,
     NotSessionAutomaton,
     OpKind,
     RegisterOp,
@@ -36,6 +41,7 @@ from sessauto import (
     accepts_symbolic,
     as_symbolic_nfa,
     canonicalize,
+    classify,
     complement_bounded,
     concretize,
     determinize,
@@ -470,3 +476,42 @@ def test_pruned_table_matches_reference(a):
     # and 6 s at 23 376; at least 15 of 600 draws were larger than that.
     assume(len(table.rows) <= 5000)
     assert minimize(table) == reference_canonicalize(a)
+
+
+def assert_same_tables(a):
+    # Equal, numbering and all: witnesses are read off the numbering, which
+    # comparing minimal DFAs cannot see.
+    assert normal_form_table(a).table() == frozenset_normal_form_table(a).table()
+    nfa = as_symbolic_nfa(a)
+    assert determinize(nfa) == frozenset_determinize(nfa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=automata(SESSION_OPS))
+@example(a=EMPTY)
+def test_bitset_tables_match_frozenset_reference(a):
+    assume(len(normal_form_table(a).table().rows) <= 5000)
+    assert_same_tables(a)
+
+
+# universal(1..5) and every session automaton among the fixtures.
+NAMED = [universal(k) for k in range(1, 6)] + [
+    a for a in map(fixture, sorted(p.stem for p in FIXTURES.glob("*.sra")))
+    if classify(a) is AutomatonClass.SESSION
+]
+
+
+@pytest.mark.parametrize("a", NAMED, ids=[a.name for a in NAMED])
+def test_bitset_tables_of_named_automata_match_frozenset_reference(a):
+    assert_same_tables(a)
+
+
+@pytest.mark.parametrize("build", [nf_automaton, wf_automaton])
+def test_register_dfa_caches_are_bounded(build):
+    # Every relabeled automaton brings its own alphabet, so an unbounded cache
+    # grows with every distinct one a long-running process sees.
+    bound = build.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 10):
+        build(1, frozenset({f"label{i}"}))
+    assert build.cache_info().currsize <= bound
