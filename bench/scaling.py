@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Word-length scaling of the data-word layers: parse, bound, snf and simulate.
+
+Run from the root of a source checkout:
+
+    python3 bench/scaling.py --label change --out BENCH.json
+
+For each fixture automaton (fig5a, fig1b, tickets3) it builds one accepted
+word of n letters, n in {1e3, 1e4, 1e5}, and times ``parse_data_word`` on its
+text and ``bound``, ``snf`` and ``simulate`` on the word.  Each point is the
+median of 5 runs.  A point whose runs take longer than 60 s in all is
+recorded as a timeout, and the larger n of that series are not run.
+Per fixture and function, the growth exponent is the least-squares slope of
+log time over log n.  Each of these layers is linear in the word length for a
+fixed automaton, so an exponent above 1.2, or a timeout, is flagged.
+
+The package is imported from ``--src`` (default: ``src/`` of this checkout),
+so the same script measures another checkout.  The result is stored in the
+``--out`` file under ``--label``, next to the runs already there, so one file
+holds the numbers of a parent commit and of a change.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import signal
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LENGTHS = (1_000, 10_000, 100_000)
+RUNS = 5
+TIMEOUT_S = 60.0
+LIMIT = 1.2
+
+
+def fixture_word(name: str, n: int) -> tuple:
+    """An accepted word of n letters whose sessions overlap as far as the fixture allows."""
+    if name == "tickets3":
+        # Ticket i opens, i-1 is used and i-2 closes: three tickets are open at a time.
+        letters = [("open", 1), ("open", 2)]
+        letters += [x for i in range(3, n // 3 + 3) for x in (("open", i), ("use", i - 1), ("close", i - 2))]
+    else:
+        # fig5a: a opens a session and b closes it; fig1b: the same with req and ack.
+        a, b = ("a", "b") if name == "fig5a" else ("req", "ack")
+        letters = [x for i in range(1, n // 2 + 2) for x in ((a, i), (b, i))]
+    return tuple(letters[:n])
+
+
+class Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise Timeout
+
+
+def median_time(fn, arg) -> float | None:
+    """Median seconds of RUNS calls, or None when they run past TIMEOUT_S in all."""
+    times = []
+    signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
+    try:
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            fn(arg)
+            times.append(time.perf_counter() - start)
+    except Timeout:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    return statistics.median(times)
+
+
+def exponent(points: list[tuple[int, float]]) -> float | None:
+    """Least-squares slope of log time over log n."""
+    if len(points) < 2:
+        return None
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(t) for _, t in points]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def sweep(S) -> dict:
+    out = {}
+    for name in ("fig5a", "fig1b", "tickets3"):
+        a = S.parse_automaton((ROOT / "tests" / "fixtures" / f"{name}.sra").read_text())
+        layers = {
+            "parse_data_word": S.parse_data_word,
+            "bound": S.bound,
+            "snf": S.snf,
+            "simulate": lambda w: S.simulate(a, w),
+        }
+        for fn_name, fn in layers.items():
+            points, series = [], {}
+            for n in LENGTHS:
+                word = fixture_word(name, n)
+                if len(word) != n or not S.simulate(a, word):
+                    raise SystemExit(f"{name}: no accepted word of {n} letters")
+                t = median_time(fn, S.format_data_word(word) if fn is S.parse_data_word else word)
+                series[str(n)] = "timeout" if t is None else round(t, 6)
+                if t is None:
+                    break
+                points.append((n, t))
+            e = exponent(points)
+            e = None if e is None else round(e, 3)
+            out[f"{name}.{fn_name}"] = {
+                "median_s": series,
+                "exponent": e,
+                "flagged": e is None or e > LIMIT or "timeout" in series.values(),
+            }
+            print(f"# {name} {fn_name}: {series}, exponent {e}", file=sys.stderr)
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the sessauto package")
+    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--out", required=True, help="JSON file the run is stored in")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import sessauto as S
+
+    result = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "runs_per_point": RUNS,
+        "timeout_s": TIMEOUT_S,
+        "series": sweep(S),
+    }
+    result["flagged"] = sorted(k for k, v in result["series"].items() if v["flagged"])
+    path = Path(args.out)
+    doc = json.loads(path.read_text()) if path.exists() else {"lengths": list(LENGTHS), "runs": {}}
+    doc["runs"][args.label] = result
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(json.dumps({"label": args.label, "flagged": result["flagged"]}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

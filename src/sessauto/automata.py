@@ -29,7 +29,6 @@ from .words import (
     SymbolicWord,
     TransitionLabel,
     letter_key,
-    sessions,
     symbolic_alphabet,
 )
 
@@ -175,30 +174,35 @@ def simulate(a: Automaton, word: DataWord) -> bool:
 
     A configuration is (state, register assignment); the set of values read
     so far is determined by the prefix, so it needs no tracking per branch.
-    Right after a value's last occurrence every register holding it is
-    emptied (set to None, which equals no value): no later letter can reuse
-    it, and no later local or fresh check depends on it.  Configurations that
-    differ only in dead values thereby merge, so after each letter there are
-    at most |Q|·(b+1)^k of them, where b = bound(word), and the run takes time
+    No two registers ever hold the same value: a fresh write needs a value
+    never seen, a local write one outside the registers, and a reuse writes
+    nothing.  So a value's last letter erases it: its write stores None
+    (which equals no value), or its reuse clears the one register it reads.
+    No later letter can reuse a dead value or depend on it, so configurations
+    that differ only in dead values merge: after each letter there are at
+    most |Q|·(b+1)^k of them, where b = bound(word), and the run takes time
     linear in the word length for a fixed automaton and session bound.
     """
     require_labels(a, word)
-    spans = sessions(word)
+    last = {}  # a loop: a comprehension's call costs short words about 5 %
+    for i, (_, d) in enumerate(word):
+        last[d] = i
+    moves = a._moves
+    reuse, local = OpKind.REUSE, OpKind.LOCAL  # an enum class lookup per move is slow
     confs: set[tuple[str, tuple]] = {(a.initial, (None,) * a.registers)}
     used: set[int] = set()
-    for i, (label, d) in enumerate(word, 1):
+    for i, (label, d) in enumerate(word):
+        keep = None if last[d] == i else d
         nxt: set[tuple[str, tuple]] = set()
         for state, regs in confs:
-            for kind, reg, target in a._moves.get((state, label), ()):
-                if kind is OpKind.REUSE:
+            for kind, reg, target in moves.get((state, label), ()):
+                if kind is reuse:
                     if regs[reg - 1] == d:
-                        nxt.add((target, regs))
+                        nxt.add((target, regs if keep is d else regs[: reg - 1] + (None,) + regs[reg:]))
                 # local needs d outside the registers, fresh outside the whole prefix
-                elif d not in (regs if kind is OpKind.LOCAL else used):
-                    nxt.add((target, regs[: reg - 1] + (d,) + regs[reg:]))
+                elif d not in (regs if kind is local else used):
+                    nxt.add((target, regs[: reg - 1] + (keep,) + regs[reg:]))
         used.add(d)
-        if spans[d][1] == i:
-            nxt = {(state, tuple(None if v == d else v for v in regs)) for state, regs in nxt}
         confs = nxt
         if not confs:
             return False

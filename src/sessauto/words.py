@@ -15,12 +15,14 @@ dead; ``concretize`` goes back, picking the smallest unused values.
 
 Letters (TransitionLabel) and register operations (RegisterOp) are named
 tuples and OpKind hashes by identity, so words hash and compare in C; a
-letter equals the plain tuple (label, op).
+letter equals the plain tuple (label, op).  ``snf`` builds its letters with
+``tuple.__new__``, so a letter costs it no Python-level constructor call.
 """
 
 from __future__ import annotations
 
 import enum
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -136,7 +138,7 @@ def data_equivalent(w1: DataWord, w2: DataWord) -> bool:
 
 
 def sessions(word: DataWord) -> dict[int, tuple[int, int]]:
-    """Per value, the interval from its first to its last occurrence (1-based)."""
+    """Per value, in order of first occurrence, its first and last positions (1-based)."""
     out: dict[int, tuple[int, int]] = {}
     for i, (_, d) in enumerate(word, 1):
         first, _ = out.get(d, (i, i))
@@ -179,30 +181,39 @@ def snf(word: DataWord) -> SymbolicWord:
     later occurrence reuses the register assigned at the first occurrence.  A
     register becomes free again at the last occurrence of its value, so the
     number of registers used equals the session bound of the word.
+
+    Each letter costs a few dict and list operations.  The registers of live
+    values and the freed ones (a heap) are always 1..m, so with none freed
+    the next register is one past the live values.  A register's fresh and
+    reuse ops are built once per call, and each letter by ``tuple.__new__``,
+    which skips the constructors' checks: every register here is >= 1.
     """
-    spans = sessions(word)
-    # Free registers are `freed` plus everything >= next_new.
-    freed: set[int] = set()
-    next_new = 1
-    assigned: dict[int, int] = {}
+    last = {d: i for i, (_, d) in enumerate(word)}
+    new = tuple.__new__
+    fresh, reuse = [None], [None]  # the two ops on register r are fresh[r] and reuse[r]
+    freed: list[int] = []
+    held: dict[int, int] = {}  # live value -> its register
     out = []
-    for i, (a, d) in enumerate(word, 1):
-        first, last = spans[d]
-        if first == i:
-            r = min(freed) if freed else next_new
-            assigned[d] = r
-            out.append(TransitionLabel(a, RegisterOp(OpKind.FRESH, r)))
-            if last != i:
-                # The register stays busy until the value's last occurrence.
-                if freed:
-                    freed.remove(r)
-                else:
-                    next_new = r + 1
+    for i, (a, d) in enumerate(word):
+        if d in held:
+            r = held[d]
+            if last[d] == i:
+                del held[d]
+                heappush(freed, r)
+            out.append(new(TransitionLabel, (a, reuse[r])))
+            continue
+        if freed:
+            r = freed[0]
+            if last[d] != i:
+                held[d] = heappop(freed)
         else:
-            r = assigned[d]
-            out.append(TransitionLabel(a, RegisterOp(OpKind.REUSE, r)))
-            if last == i:
-                freed.add(r)
+            r = len(held) + 1
+            if r == len(fresh):
+                fresh.append(new(RegisterOp, (OpKind.FRESH, r)))
+                reuse.append(new(RegisterOp, (OpKind.REUSE, r)))
+            if last[d] != i:
+                held[d] = r
+        out.append(new(TransitionLabel, (a, fresh[r])))
     return tuple(out)
 
 

@@ -51,7 +51,6 @@ from sessauto import (
     parse_symbolic_word,
     process_counterexample,
     product,
-    sessions,
     shortest_accepted,
     simulate,
     snf,
@@ -313,9 +312,58 @@ def reference_simulate(a: Automaton, word) -> bool:
     return any(state in a.finals for state, _ in confs)
 
 
+def reference_sessions(word: DataWord) -> dict[int, tuple[int, int]]:
+    """Per value, the interval from its first to its last occurrence (1-based).
+
+    A copy kept apart from ``sessions``, so that ``reference_bound`` and
+    ``reference_snf`` share no bug with the code they check.
+    """
+    out: dict[int, tuple[int, int]] = {}
+    for i, (_, d) in enumerate(word, 1):
+        first, _ = out.get(d, (i, i))
+        out[d] = (first, i)
+    return out
+
+
+def reference_snf(word: DataWord) -> SymbolicWord:
+    """Symbolic normal form of a data word.
+
+    The oracle for ``snf``: it takes the smallest free register with ``min``
+    and builds each letter through the checked constructors.  A first
+    occurrence takes a fresh write to the smallest free register; a later
+    occurrence reuses the register assigned at the first occurrence.  A
+    register becomes free again at the last occurrence of its value, so the
+    number of registers used equals the session bound of the word.
+    """
+    spans = reference_sessions(word)
+    # Free registers are `freed` plus everything >= next_new.
+    freed: set[int] = set()
+    next_new = 1
+    assigned: dict[int, int] = {}
+    out = []
+    for i, (a, d) in enumerate(word, 1):
+        first, last = spans[d]
+        if first == i:
+            r = min(freed) if freed else next_new
+            assigned[d] = r
+            out.append(TransitionLabel(a, RegisterOp(OpKind.FRESH, r)))
+            if last != i:
+                # The register stays busy until the value's last occurrence.
+                if freed:
+                    freed.remove(r)
+                else:
+                    next_new = r + 1
+        else:
+            r = assigned[d]
+            out.append(TransitionLabel(a, RegisterOp(OpKind.REUSE, r)))
+            if last == i:
+                freed.add(r)
+    return tuple(out)
+
+
 def reference_bound(word) -> int:
     """Session bound by counting, at every position, the sessions that cover it."""
-    spans = list(sessions(word).values())
+    spans = list(reference_sessions(word).values())
     best = 0
     for i in range(1, len(word) + 1):
         covering = sum(1 for lo, hi in spans if lo <= i <= hi)

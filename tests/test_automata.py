@@ -123,11 +123,62 @@ def test_simulate_matches_unpruned_reference(kinds, data):
     a = data.draw(automata(kinds))
     rng = data.draw(st.randoms(use_true_random=True))
     w = random_run_word(rng, a, data.draw(st.integers(100, 1000)), pool=data.draw(st.integers(1, 8)))
-    # One check per end state: a lone accept bit hides runs lost or gained on the way.
     for x in (w, perturb(rng, w)):
-        for q in sorted(a.states):
-            b = replace(a, finals=frozenset({q}))
-            assert simulate(b, x) == reference_simulate(b, x)
+        assert_matches_reference_per_end_state(a, x)
+
+
+def assert_matches_reference_per_end_state(a, word):
+    # One check per end state: a lone accept bit hides runs lost or gained on the way.
+    for q in sorted(a.states):
+        b = replace(a, finals=frozenset({q}))
+        assert simulate(b, word) == reference_simulate(b, word)
+
+
+# simulate erases a value at its last letter; one word per kind of move that
+# letter can take, each read on after the erasure.
+@pytest.mark.parametrize("name, text", [
+    # reuse: 1 dies at b:1 while 2 is held, in either register
+    ("fig5a", "a:1 a:2 b:1 a:3 b:2 b:3"),
+    ("fig5a", "a:1 a:2 b:2 a:3 b:1 b:3"),
+    ("fig1a", "req:8 req:4 ack:8 req:3 ack:4 ack:3"),
+    # fresh, the value's only occurrence: 3 (2 in fig3) is never read
+    ("fig5a", "a:1 a:2 b:1 a:3 b:2"),
+    ("fig1b", "req:1 ack:1 req:2 req:3 ack:2"),
+    ("fig3", "req:1 ack:1 req:2 req:3 ack:3"),
+    # local: 5 (4 in fig3) occurs once; 8 (1 in fig3) recurs and ends on a local write
+    ("fig1a", "req:8 ack:8 req:4 req:5 ack:4"),
+    ("fig1a", "req:8 ack:8 req:4 ack:4 req:8"),
+    ("fig3", "req:1 ack:1 req:2 ack:1 ack:2"),
+    ("fig3", "req:1 ack:2 ack:2 req:3 ack:4 ack:3"),
+])
+def test_simulate_erases_at_the_last_letter(request, name, text):
+    assert_matches_reference_per_end_state(request.getfixturevalue(name), dw(text))
+
+
+def seeded_automaton(seed: int, kinds, k: int) -> Automaton:
+    """An automaton like those ``automata`` draws, from a seeded Random and with k registers."""
+    rng = Random(seed)
+    states = ["q0", "q1", "q2"]
+
+    def move(source, kind):
+        x = TransitionLabel(rng.choice(LABELS), RegisterOp(kind, rng.randint(1, k)))
+        return Transition(source, x, rng.choice(states))
+
+    transitions = {move(s, kind) for s in states for kind in kinds}
+    transitions |= {move(rng.choice(states), rng.choice(kinds)) for _ in range(12)}
+    return Automaton("h", frozenset(LABELS), k, frozenset(states), "q0",
+                     frozenset(rng.sample(states, 2)), frozenset(transitions))
+
+
+@pytest.mark.parametrize("kinds", [SESSION_OPS, REGISTER_OPS, FRESH_REGISTER_OPS],
+                         ids=["session", "register", "fresh-register"])
+def test_simulate_matches_unpruned_reference_k4(kinds):
+    a = seeded_automaton(4, kinds, 4)
+    rng = Random(2000)
+    w = random_run_word(rng, a, 2000, pool=8)
+    assert len(w) == 2000
+    for x in (w, perturb(rng, w)):
+        assert_matches_reference_per_end_state(a, x)
 
 
 @settings(max_examples=10, deadline=None)

@@ -15,6 +15,8 @@ from helpers import (
     reference_bound,
     reference_concretize,
     reference_is_concretization,
+    reference_sessions,
+    reference_snf,
     sw,
     symbolic_classes,
 )
@@ -70,6 +72,53 @@ def test_snf_register_released_at_last_occurrence():
 def test_snf_isolated_values_share_register_one():
     w = dw("a:1 a:2 a:3")
     assert format_symbolic_word(snf(w)) == "a:*1 a:*1 a:*1"
+
+
+def test_snf_single_occurrence_leaves_freed_register_waiting():
+    # 1 frees register 1; 3 occurs once there and 4 then takes it again
+    w = dw("a:1 a:2 a:1 a:3 a:4 a:4 a:2")
+    assert format_symbolic_word(snf(w)) == "a:*1 a:*2 a:^1 a:*1 a:*1 a:^1 a:^2"
+
+
+def test_snf_takes_the_smallest_freed_register():
+    # registers 2 and 1 are freed, in that order, while 3 holds on
+    w = dw("a:1 a:2 a:3 a:2 a:1 a:4 a:4 a:3")
+    assert format_symbolic_word(snf(w)) == "a:*1 a:*2 a:*3 a:^2 a:^1 a:*1 a:^1 a:^3"
+
+
+@st.composite
+def long_data_words(draw):
+    """Words of 0-300 letters; a small value pool makes many sessions overlap,
+    a large one makes most values occur once."""
+    pool = draw(st.sampled_from((2, 6, 40, 100_000)))
+    return tuple(draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, pool)), max_size=300)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_data_words())
+@example(())
+@example(dw("a:5"))
+@example(dw("a:1 a:2 a:1 a:3 a:4 a:4 a:2"))  # 3 occurs once while register 1 waits
+@example(dw("a:1 a:2 a:3 a:2 a:1 a:4 a:4 a:3"))  # registers 2 and 1 wait
+def test_snf_and_sessions_match_reference(word):
+    assert snf(word) == reference_snf(word)
+    # item order too: sessions lists values by first occurrence
+    assert list(sessions(word).items()) == list(reference_sessions(word).items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_data_words())
+@example(())
+@example(dw("a:5"))
+@example(dw("a:1 a:2 a:1 a:3 a:4 a:4 a:2"))  # 3 occurs once while register 1 waits
+def test_snf_letters_are_letters(word):
+    # A plain tuple equals a letter, so only the types show how letters were built.
+    u = snf(word)
+    assert all(type(x) is TransitionLabel and type(x.op) is RegisterOp for x in u)
+    assert sw(format_symbolic_word(u)) == u
+    copy = pickle.loads(pickle.dumps(u))
+    assert copy == u
+    assert all(type(x) is TransitionLabel and type(x.op) is RegisterOp for x in copy)
 
 
 def test_occurrence_bounds():
