@@ -1,23 +1,34 @@
 #!/usr/bin/env python3
-"""Word-length scaling of the data-word layers: parse, bound, snf and simulate.
+"""Scaling sweeps: the data-word layers over word length, and the learner.
 
 Run from the root of a source checkout:
 
     python3 bench/scaling.py --label change --out BENCH.json
 
-For each fixture automaton (fig5a, fig1b, tickets3) it builds one accepted
-word of n letters, n in {1e3, 1e4, 1e5}, and times ``parse_data_word`` on its
-text and ``bound``, ``snf`` and ``simulate`` on the word.  Each point is the
-median of 5 runs.  A point whose runs take longer than 60 s in all is
-recorded as a timeout, and the larger n of that series are not run.
-Per fixture and function, the growth exponent is the least-squares slope of
-log time over log n.  Each of these layers is linear in the word length for a
-fixed automaton, so an exponent above 1.2, or a timeout, is flagged.
+Word length.  For each fixture automaton (fig5a, fig1b, tickets3) it builds
+one accepted word of n letters, n in {1e3, 1e4, 1e5}, and times
+``parse_data_word`` on its text and ``bound``, ``snf`` and ``simulate`` on
+the word.  Each point is the median of 5 runs.  A point whose runs take
+longer than 60 s in all is recorded as a timeout, and the larger n of that
+series are not run.  Per fixture and function, the growth exponent is the
+least-squares slope of log time over log n.  Each of these layers is linear
+in the word length for a fixed automaton, so an exponent above 1.2, or a
+timeout, is flagged.
+
+Learner.  For seeds 16, 1226 and 112 of the test generator
+``random_session_automaton(Random(seed), registers=3)`` it runs the whole
+``Learner`` against the reference teacher, with no query budget, and records
+the target's canonical states, the memo entries, the teacher's membership
+and equivalence queries, the table's columns and the median time of 3 runs.
+Each run starts with the package's caches cleared, so it pays what a new
+process pays, the target's canonical form included.  A point whose runs
+take longer than 60 s in all is recorded as a timeout and flagged.
 
 The package is imported from ``--src`` (default: ``src/`` of this checkout),
-so the same script measures another checkout.  The result is stored in the
-``--out`` file under ``--label``, next to the runs already there, so one file
-holds the numbers of a parent commit and of a change.  Stdlib only.
+and the generator from ``tests/`` beside it, so the same script measures
+another checkout.  The result is stored in the ``--out`` file under
+``--label``, next to the runs already there, so one file holds the numbers
+of a parent commit and of a change.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -31,12 +42,15 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 ROOT = Path(__file__).resolve().parent.parent
 LENGTHS = (1_000, 10_000, 100_000)
 RUNS = 5
 TIMEOUT_S = 60.0
 LIMIT = 1.2
+LEARN_SEEDS = (16, 1226, 112)
+LEARN_RUNS = 3
 
 
 def fixture_word(name: str, n: int) -> tuple:
@@ -60,13 +74,13 @@ def _alarm(signum, frame):
     raise Timeout
 
 
-def median_time(fn, arg) -> float | None:
-    """Median seconds of RUNS calls, or None when they run past TIMEOUT_S in all."""
+def median_time(fn, arg, runs: int = RUNS) -> float | None:
+    """Median seconds of ``runs`` calls, or None when they run past TIMEOUT_S in all."""
     times = []
     signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
-        for _ in range(RUNS):
+        for _ in range(runs):
             start = time.perf_counter()
             fn(arg)
             times.append(time.perf_counter() - start)
@@ -87,7 +101,7 @@ def exponent(points: list[tuple[int, float]]) -> float | None:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-def sweep(S) -> dict:
+def word_sweep(S) -> dict:
     out = {}
     for name in ("fig5a", "fig1b", "tickets3"):
         a = S.parse_automaton((ROOT / "tests" / "fixtures" / f"{name}.sra").read_text())
@@ -119,25 +133,58 @@ def sweep(S) -> dict:
     return out
 
 
+def learn_sweep(S, helpers) -> dict:
+    out, learners = {}, []
+
+    def learn(target):
+        # A cold start, as in a new process: a hypothesis equal to one of an
+        # earlier run would otherwise find its canonical form cached.
+        for cached in (S.canonicalize, S.nf_automaton, S.wf_automaton):
+            cached.cache_clear()
+        learner = S.Learner(S.reference_teacher(target), target.alphabet, max_queries=None)
+        learner.run()
+        learners.append(learner)
+
+    for seed in LEARN_SEEDS:
+        target = helpers.random_session_automaton(Random(seed), registers=3)
+        point = {"canonical_states": len(S.canonicalize(target).states)}
+        t = median_time(learn, target, LEARN_RUNS)
+        if t is not None:
+            oracle = learners[-1].oracle
+            point.update(memo_entries=len(oracle.memo), teacher_queries=oracle.teacher_queries,
+                         equivalence_queries=oracle.equivalence_queries,
+                         columns=len(learners[-1].table.columns))
+        point["median_s"] = "timeout" if t is None else round(t, 6)
+        point["flagged"] = t is None
+        out[f"seed{seed}"] = point
+        print(f"# learn seed {seed}: {point}", file=sys.stderr)
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the sessauto package")
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--out", required=True, help="JSON file the run is stored in")
     args = parser.parse_args()
-    sys.path.insert(0, args.src)
+    sys.path[:0] = [args.src, str(Path(args.src).resolve().parent / "tests")]
+    import helpers
     import sessauto as S
 
     result = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "runs_per_point": RUNS,
+        "learn_runs_per_point": LEARN_RUNS,
         "timeout_s": TIMEOUT_S,
-        "series": sweep(S),
+        "series": word_sweep(S),
+        "learn": learn_sweep(S, helpers),
     }
-    result["flagged"] = sorted(k for k, v in result["series"].items() if v["flagged"])
+    result["flagged"] = sorted([k for k, v in result["series"].items() if v["flagged"]]
+                               + [f"learn.{k}" for k, v in result["learn"].items() if v["flagged"]])
     path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {"lengths": list(LENGTHS), "runs": {}}
+    doc = json.loads(path.read_text()) if path.exists() else {
+        "lengths": list(LENGTHS), "learn_seeds": list(LEARN_SEEDS), "runs": {}}
     doc["runs"][args.label] = result
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps({"label": args.label, "flagged": result["flagged"]}))

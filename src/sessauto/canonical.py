@@ -46,12 +46,13 @@ not a normal form; A accepts only normal forms when there is none, and the
 learner returns the witness as a counterexample to its own hypothesis.
 
 ``snf_dfa`` is the DFA of snf(L(A)) before minimizing: A determinized on
-that fast path, normal_form_table otherwise.  canonicalize minimizes it in
-full; the decisions of ``langops`` search it only as far as their witness.
-
-Two session automata accept the same data words exactly when their sets of
-normal forms coincide, which turns the boolean and decision operations into
-plain DFA constructions and searches.
+that fast path, normal_form_table otherwise.  Two session automata accept
+the same data words exactly when their sets of normal forms coincide, so
+every decision and boolean operation of ``langops``, and the reference
+teacher's equivalence query, is a DFA search or construction over snf_dfa,
+explored only as far as it goes.  canonicalize, snf_dfa minimized in full,
+is the output form only: the canonical automaton itself, which a reference
+teacher also keeps of its target, since every membership query walks it.
 """
 
 from __future__ import annotations
@@ -158,6 +159,9 @@ def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
     return _register_dfa(registers, labels, frozenset(), moves, lambda written: True).table()
 
 
+_REUSE = OpKind.REUSE  # read once: an enum class lookup costs ten times a global's
+
+
 def _relabelings(op: RegisterOp, inj: int, k: int) -> list[tuple[int, int]]:
     """Output registers a transition with this operation may use, each with the injection after it.
 
@@ -171,7 +175,7 @@ def _relabelings(op: RegisterOp, inj: int, k: int) -> list[tuple[int, int]]:
     """
     shift, ones = (op.register - 1) * k, (1 << k) - 1
     row = inj >> shift & ones
-    if op.kind is OpKind.REUSE:
+    if op.kind is _REUSE:
         return [(row.bit_length(), inj)] if row else []
     inj &= ~(ones << shift)
     column = ((1 << k * k) - 1) // ones  # column 1: bit (r-1)*k of every row r

@@ -11,15 +11,16 @@ accepting pair carries the least word of the difference, whichever DFAs
 of the two languages are paired.  That witness is a normal form, and it is
 returned concretized: a genuine separating data word.  The boolean
 operations that return automata, intersect and complement_bounded, are one
-``subset_construction`` over pairs of states of two canonical int tables
-(or of the normal-form DFA and one), minimized.  All of them, and emptiness,
-walk ``symbolic.paired_moves``.
+``subset_construction`` over pairs of states of two snf tables (or of the
+normal-form DFA and one), minimized once, at the end: the minimal DFA is
+the same whichever DFAs of the languages are paired.  All of them, and
+emptiness, walk ``symbolic.paired_moves``.
 """
 
 from __future__ import annotations
 
 from .automata import Automaton, Transition, from_symbolic_dfa, require_session
-from .canonical import canonicalize, lazy_nf_automaton, nf_automaton, snf_dfa, wf_automaton
+from .canonical import lazy_nf_automaton, nf_automaton, snf_dfa, wf_automaton
 from .symbolic import (
     SymbolicDfa,
     minimize,
@@ -32,7 +33,7 @@ from .symbolic import (
 from .words import DataWord, concretize
 
 
-def _pair_table(x: SymbolicDfa, y: SymbolicDfa, along: str, accepting) -> SymbolicDfa:
+def _pair_table(x, y, along: str, accepting) -> SymbolicDfa:
     """Minimal DFA, over the letters of x, of ``paired_moves(x, y, along)`` with finals ``accepting``."""
     return minimize(subset_construction(
         (0, 0), paired_moves(x, y, along, columns=True),
@@ -42,13 +43,13 @@ def _pair_table(x: SymbolicDfa, y: SymbolicDfa, along: str, accepting) -> Symbol
 def intersect(a: Automaton, b: Automaton) -> Automaton:
     """Session automaton for L(a) & L(b), over min(k_a, k_b) registers.
 
-    The product of the canonical DFAs works because a data word lies in both
+    The product of the snf DFAs works because a data word lies in both
     languages exactly when its normal form does, and normal forms needing
-    more than min(k_a, k_b) registers belong to neither canonical language.
+    more than min(k_a, k_b) registers belong to neither set of normal forms.
     """
     require_session(a, b)
     k = min(a.registers, b.registers)
-    x, y = canonicalize(a), canonicalize(b)
+    x, y = snf_dfa(a), snf_dfa(b)
     dfa = _pair_table(x, y, "both", lambda s, t: s in x.finals and t in y.finals)
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
 
@@ -85,17 +86,17 @@ def union(a: Automaton, b: Automaton) -> Automaton:
 def complement_bounded(a: Automaton) -> Automaton:
     """Session automaton for the k-bounded words outside L(a), k = a.registers.
 
-    Complementing the canonical DFA alone is not enough: the raw complement
-    also accepts well-formed words that are not normal forms, and their
+    Complementing the snf DFA alone is not enough: the raw complement also
+    accepts well-formed words that are not normal forms, and their
     concretizations can lie inside L(a).  Intersecting with the normal-form
     language keeps exactly one symbolic word per excluded data word: the
-    pairs of the normal-form DFA and the canonical DFA (-1 past its moves)
-    where the first accepts and the second does not.
+    pairs of the normal-form DFA and the snf DFA (-1 past its moves) where
+    the first accepts and the second does not.
     """
     require_session(a)
     k = a.registers
-    nf, can = nf_automaton(k, a.alphabet), canonicalize(a)
-    dfa = _pair_table(nf, can, "x", lambda n, c: n in nf.finals and c not in can.finals)
+    nf, y = nf_automaton(k, a.alphabet), snf_dfa(a)
+    dfa = _pair_table(nf, y, "x", lambda n, t: n in nf.finals and t not in y.finals)
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Automaton, Transition
-from .canonical import canonicalize, nf_automaton, nf_violation_witness
+from .canonical import canonicalize, nf_automaton, nf_violation_witness, snf_dfa
 from .errors import (
     NoBreakpoint,
     NotClosed,
@@ -53,13 +53,13 @@ class ReferenceTeacher(Teacher):
     """Perfect teacher backed by a known target automaton."""
 
     def __init__(self, target: Automaton):
-        self._canonical = canonicalize(target)
+        self._canonical = canonicalize(target)  # every membership query walks it
 
     def membership(self, word: DataWord) -> bool:
         return self._canonical.accepts(snf(word))
 
     def equivalence(self, hypothesis: Automaton) -> DataWord | None:
-        witness = symbolic_equivalence(canonicalize(hypothesis), self._canonical)
+        witness = symbolic_equivalence(snf_dfa(hypothesis), self._canonical)
         return None if witness is None else concretize(witness)
 
 

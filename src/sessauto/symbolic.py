@@ -105,12 +105,6 @@ class SymbolicDfa(_Lettered):
     def row(self, s: int) -> tuple[int, ...]:
         return self.rows[s]
 
-    @cached_property
-    def _padded_rows(self) -> tuple[tuple[int, ...], ...]:
-        # The rows as ``paired_moves`` reads them: a column -1 of -1 ends
-        # each, and a last row of -1 stands for state -1.
-        return tuple(row + (-1,) for row in self.rows) + ((-1,) * (len(self.letters) + 1),)
-
     def table(self) -> SymbolicDfa:
         """The whole DFA: the table itself, as ``LazyDfa.table`` gives it for a lazy one."""
         return self
@@ -488,11 +482,10 @@ def paired_moves(x, y, along: str = "x", columns: bool = False):
             for moves in out.values():
                 moves[:] = [m for m in moves if m[1] in live]
     out[-1] = ()  # in a pair of the symmetric walk, -1 stands for x too
-    if isinstance(y, SymbolicDfa):
-        rows = y._padded_rows
-    else:  # padded the same way, as the walk reaches them
-        rows = _Memo(lambda t: y.row(t) + (-1,))
-        rows[-1] = (-1,) * (len(y.letters) + 1)
+    # y's rows as the walk reaches them, padded: a letter y lacks reads the
+    # column -1 of -1, and the row of -1 is all -1.
+    rows = _Memo(lambda t: y.row(t) + (-1,))
+    rows[-1] = (-1,) * (len(y.letters) + 1)
     both, either = along == "both", along == "either"
 
     def successors(pair):

@@ -222,13 +222,14 @@ def concretize(word: SymbolicWord) -> DataWord:
     takes the value n, a reuse the value its register holds.  A local letter
     raises UnsupportedOp, else a reuse of an unwritten register NotWellFormed."""
     held: dict[int, int] = {}
-    fresh = 0
+    n = 0
     out = []
+    fresh, local = OpKind.FRESH, OpKind.LOCAL  # an enum class lookup per letter is slow
     for label, (kind, register) in word:
-        if kind is OpKind.FRESH:
-            fresh += 1
-            held[register] = fresh
-        elif kind is OpKind.LOCAL or register not in held:
+        if kind is fresh:
+            n += 1
+            held[register] = n
+        elif kind is local or register not in held:
             _reject_local(word, "well-formedness")
             raise NotWellFormed(f"cannot concretize {' '.join(map(str, word))}: "
                                 "a register is reused before being written")

@@ -63,6 +63,8 @@ from sessauto import (
 )
 from sessauto.automata import require_session
 from sessauto.canonical import _relabelings
+from sessauto.langops import _pair_table
+from sessauto.learner import ReferenceTeacher
 from sessauto.symbolic import LazyDfa, moves_by_source, subset_construction
 from sessauto.words import _reject_local
 
@@ -980,6 +982,46 @@ def reference_complement_bounded(a: Automaton) -> Automaton:
     outside = complement(canonicalize(a), alpha)
     dfa = minimize(determinize(product(nf_automaton(k, a.alphabet), outside)))
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
+
+
+# ``intersect``, ``complement_bounded`` and ``ReferenceTeacher.equivalence`` as
+# they were when they read minimized canonical DFAs, verbatim but for their
+# names: the oracles of the versions that pair ``snf_dfa`` tables.
+def canonicalizing_intersect(a: Automaton, b: Automaton) -> Automaton:
+    """Session automaton for L(a) & L(b), over min(k_a, k_b) registers.
+
+    The product of the canonical DFAs works because a data word lies in both
+    languages exactly when its normal form does, and normal forms needing
+    more than min(k_a, k_b) registers belong to neither canonical language.
+    """
+    require_session(a, b)
+    k = min(a.registers, b.registers)
+    x, y = canonicalize(a), canonicalize(b)
+    dfa = _pair_table(x, y, "both", lambda s, t: s in x.finals and t in y.finals)
+    return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
+
+
+def canonicalizing_complement_bounded(a: Automaton) -> Automaton:
+    """Session automaton for the k-bounded words outside L(a), k = a.registers.
+
+    Complementing the canonical DFA alone is not enough: the raw complement
+    also accepts well-formed words that are not normal forms, and their
+    concretizations can lie inside L(a).  Intersecting with the normal-form
+    language keeps exactly one symbolic word per excluded data word: the
+    pairs of the normal-form DFA and the canonical DFA (-1 past its moves)
+    where the first accepts and the second does not.
+    """
+    require_session(a)
+    k = a.registers
+    nf, can = nf_automaton(k, a.alphabet), canonicalize(a)
+    dfa = _pair_table(nf, can, "x", lambda n, c: n in nf.finals and c not in can.finals)
+    return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
+
+
+class CanonicalizingTeacher(ReferenceTeacher):
+    def equivalence(self, hypothesis: Automaton) -> DataWord | None:
+        witness = symbolic_equivalence(canonicalize(hypothesis), self._canonical)
+        return None if witness is None else concretize(witness)
 
 
 def reference_shortest_accepted(fa):

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    CanonicalizingTeacher,
     add_dead_state,
+    canonicalizing_complement_bounded,
+    canonicalizing_intersect,
     dw,
     enumerate_word_classes,
     random_session_automaton,
@@ -23,6 +26,7 @@ from sessauto import (
     Transition,
     TransitionLabel,
     bound,
+    canonicalize,
     classify,
     complement_bounded,
     data_equivalent,
@@ -37,8 +41,9 @@ from sessauto import (
     union,
     validate,
 )
+from sessauto.learner import ReferenceTeacher
 from test_automata import SESSION_OPS, automata
-from test_canonical import AUTOMATA_K2, EMPTY, FORK, chain
+from test_canonical import AUTOMATA_K2, EMPTY, FORK, NAMED, chain
 
 REPS = enumerate_word_classes(("a", "b"), 4)
 
@@ -226,6 +231,54 @@ def test_decisions_match_reference(a, b):
         assert equivalent(c, d) == reference_equivalent(c, d)
         for k in (c.registers, c.registers + 1):
             assert is_universal_bounded(c, k) == reference_is_universal_bounded(c, k)
+
+
+def assert_same_as_canonicalizing(a, b):
+    """intersect, complement_bounded and the teacher's equivalence query answer
+    as their versions that read minimized canonical DFAs did, to the letter."""
+    assert serialize_automaton(intersect(a, b)) == serialize_automaton(canonicalizing_intersect(a, b))
+    assert (serialize_automaton(complement_bounded(a))
+            == serialize_automaton(canonicalizing_complement_bounded(a)))
+    assert ReferenceTeacher(a).equivalence(b) == CanonicalizingTeacher(a).equivalence(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=AUTOMATA_K2, b=AUTOMATA_K2)
+@example(a=EMPTY, b=EMPTY)
+@example(a=universal(2), b=chain("a:*1", "b:*2", "a:^1"))
+def test_snf_table_operations_match_canonicalizing_ones(a, b):
+    for c, d in ((a, b), (add_dead_state(a, "trap"), add_dead_state(b, "trap"))):
+        assert_same_as_canonicalizing(c, d)
+        assert_same_as_canonicalizing(d, c)
+
+
+# universal(1..4) and the session fixtures, each paired with every one of them.
+SMALL_NAMED = [a for a in NAMED if a.name != "univ5"]
+
+
+@pytest.mark.parametrize("a", SMALL_NAMED, ids=[a.name for a in SMALL_NAMED])
+def test_snf_table_operations_on_named_automata_match_canonicalizing_ones(a):
+    for b in SMALL_NAMED:
+        assert_same_as_canonicalizing(a, b)
+
+
+def test_decisions_and_boolean_operations_canonicalize_nothing(fig5a, fig2b):
+    # canonicalize is the output form only: on automata it has not seen,
+    # every operation but the teacher's set-up leaves its cache alone.
+    rng = Random(18)
+    fresh = [random_session_automaton(rng, name=f"fresh{i}") for i in range(4)]
+    fresh += [add_dead_state(x, "fresh_trap") for x in (fig5a, fig2b, universal(3))]
+    teacher = ReferenceTeacher(fig5a)
+    misses = canonicalize.cache_info().misses
+    for a, b in zip(fresh, fresh[1:]):
+        intersect(a, b)
+        complement_bounded(a)
+        includes(a, b)
+        equivalent(a, b)
+        is_empty(a)
+        is_universal_bounded(a, a.registers)
+        teacher.equivalence(a)
+    assert canonicalize.cache_info().misses == misses
 
 
 def test_universality_at_large_k_builds_no_normal_form_dfa(fig5a):
