@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NotSessionAutomaton, UnknownLabel
-from .symbolic import SymbolicDfa, SymbolicNfa
+from .symbolic import StateIndex, SymbolicDfa, SymbolicNfa, index_states
 from .words import (
     DataWord,
     OpKind,
@@ -62,12 +62,9 @@ class Automaton:
     transitions: frozenset[Transition]
 
     @cached_property
-    def _moves(self) -> dict[tuple[str, str], tuple[tuple[OpKind, int, str], ...]]:
-        # (state, label) -> candidate moves, used by the run loop.
-        table: dict[tuple[str, str], list[tuple[OpKind, int, str]]] = {}
-        for source, (label, (kind, register)), target in self.transitions:
-            table.setdefault((source, label), []).append((kind, register, target))
-        return {k: tuple(v) for k, v in table.items()}
+    def state_index(self) -> StateIndex:
+        """The states numbered once, and the moves on those ids, for every reader."""
+        return index_states(self.states, self.initial, self.finals, self.alphabet, self.transitions)
 
     @cached_property
     def _symbolic(self) -> SymbolicNfa:
@@ -146,17 +143,9 @@ def is_data_deterministic(a: Automaton) -> bool:
     same globally fresh value.
     """
     require_session(a)
-    if not is_symbolically_deterministic(a):
-        return False
-    for s in a.states:
-        for label in a.alphabet:
-            fresh_regs = {
-                reg for kind, reg, _ in a._moves.get((s, label), ())
-                if kind is OpKind.FRESH
-            }
-            if len(fresh_regs) > 1:
-                return False
-    return True
+    return is_symbolically_deterministic(a) and all(
+        len({reg for kind, reg, _ in moves if kind is OpKind.FRESH}) <= 1
+        for row in a.state_index.by_label.values() for moves in row)
 
 
 def require_labels(a: Automaton, word: DataWord | SymbolicWord) -> None:
@@ -187,15 +176,16 @@ def simulate(a: Automaton, word: DataWord) -> bool:
     last = {}  # a loop: a comprehension's call costs short words about 5 %
     for i, (_, d) in enumerate(word):
         last[d] = i
-    moves = a._moves
+    by_label = a.state_index.by_label
     reuse, local = OpKind.REUSE, OpKind.LOCAL  # an enum class lookup per move is slow
-    confs: set[tuple[str, tuple]] = {(a.initial, (None,) * a.registers)}
+    confs: set[tuple[int, tuple]] = {(a.state_index.initial, (None,) * a.registers)}
     used: set[int] = set()
     for i, (label, d) in enumerate(word):
         keep = None if last[d] == i else d
-        nxt: set[tuple[str, tuple]] = set()
+        moves = by_label[label]
+        nxt: set[tuple[int, tuple]] = set()
         for state, regs in confs:
-            for kind, reg, target in moves.get((state, label), ()):
+            for kind, reg, target in moves[state]:
                 if kind is reuse:
                     if regs[reg - 1] == d:
                         nxt.add((target, regs if keep is d else regs[: reg - 1] + (None,) + regs[reg:]))
@@ -206,7 +196,7 @@ def simulate(a: Automaton, word: DataWord) -> bool:
         confs = nxt
         if not confs:
             return False
-    return any(state in a.finals for state, _ in confs)
+    return any(state in a.state_index.finals for state, _ in confs)
 
 
 def accepts_symbolic(a: Automaton, word: SymbolicWord) -> bool:
@@ -215,9 +205,13 @@ def accepts_symbolic(a: Automaton, word: SymbolicWord) -> bool:
     A label outside the automaton's alphabet raises UnknownLabel, as in
     ``simulate``.
     """
-    nfa = as_symbolic_nfa(a)  # validates the session precondition
+    require_session(a)
     require_labels(a, word)
-    return nfa.accepts(word)
+    index = a.state_index
+    frontier = {index.initial}
+    for letter in word:
+        frontier = {t for s in frontier for x, t in index.moves[s] if x == letter}
+    return not frontier.isdisjoint(index.finals)
 
 
 def as_symbolic_nfa(a: Automaton) -> SymbolicNfa:

@@ -20,21 +20,12 @@ it reaches.
 
 Step 3 never builds the product or tilde(A) itself: normal_form_table is one
 subset construction whose states pair a normal-form state with a set of
-tilde(A) states.  A partial injection is an int, one bit per
-register pair (see _relabelings), and a tilde state is that int with one
-more bit for its state of A.  Each tilde state gets an id when first seen,
-and a set of them is one int, a bitset over those ids.  The moves of a
-tilde state are computed once, when first needed, as one target bitset per
-letter, letters are indices into the sorted alphabet, the moves of a set
-are the OR of its members', and the resulting int table is minimized by
-Moore refinement on ints.  Each subset keeps only its maximal members: a
-tilde state (q, inj) is dropped when the subset holds (q, inj') with inj a
-proper part of inj', because (q, inj') can then follow every run of
-(q, inj) (see normal_form_table).  The order is read off the bits, with no
-fixpoint, and dropping a member a subset already covers leaves its language
-as it was, so the minimal DFA is the same; the subsets are far fewer
+tilde(A) states.  A tilde state is one int, an injection's bits and one bit
+for the id of its state in A's ``state_index``, and a set of them is one
+int bitset.  A set keeps only its maximal members, which leaves its
+language as it was, so the minimal DFA is the same from far fewer subsets
 (universal automata over k registers get exactly the 2^k of the minimal
-DFA).
+DFA); see normal_form_table.
 
 When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
@@ -65,10 +56,9 @@ from .symbolic import (
     LazyDfa,
     SymbolicDfa,
     SymbolicNfa,
-    determinize,
+    determinize_ids,
     members,
     minimize,
-    moves_by_source,
     paired_moves,
     pooled_moves,
     shortlex_search,
@@ -193,21 +183,18 @@ def tilde(a: Automaton) -> SymbolicNfa:
     """
     k = a.registers
     nfa = as_symbolic_nfa(a)  # validates the session precondition
-    outgoing = moves_by_source(a.transitions)
-    start = (a.initial, 0)
-    names = {start: f"{a.initial}|0"}
+    index = a.state_index
+    start = (index.initial, 0)
+    names = {start: f"{index.names[index.initial]}|0"}
     order = [start]
     transitions: set[tuple[str, TransitionLabel, str]] = set()
-    i = 0
-    while i < len(order):
-        state, inj = order[i]
-        i += 1
+    for state, inj in order:  # which also reaches the states appended below
         src = names[(state, inj)]
-        for x, target in outgoing.get(state, ()):
+        for x, target in index.moves[state]:
             for r, inj2 in _relabelings(x.op, inj, k):
                 key = (target, inj2)
                 if key not in names:
-                    names[key] = f"{target}|{inj2}"
+                    names[key] = f"{index.names[target]}|{inj2}"
                     order.append(key)
                 letter = TransitionLabel(x.label, RegisterOp(x.op.kind, r))
                 transitions.add((src, letter, names[key]))
@@ -215,7 +202,7 @@ def tilde(a: Automaton) -> SymbolicNfa:
         alphabet=nfa.alphabet,
         states=frozenset(names.values()),
         initials=frozenset({names[start]}),
-        finals=frozenset(names[(s, inj)] for (s, inj) in order if s in a.finals),
+        finals=frozenset(names[(s, inj)] for (s, inj) in order if s in index.finals),
         transitions=frozenset(transitions),
         registers=k,
     )
@@ -231,15 +218,15 @@ def normal_form_table(a: Automaton) -> LazyDfa:
     is deterministic, so every reachable subset of the product pairs all its
     members with one normal-form state.  A tilde state (q, inj) is one int,
     its mask: the injection's int (see ``_relabelings``), which takes the
-    bits below k*k, with bit k*k + i set for the i-th state q of ``a``.
-    Each mask is interned to an id the first time it is seen, and a set of
-    tilde states is one int, the bitset of its members' ids (see
-    ``members``).  The moves of each tilde state, as a target bitset by
-    letter index, are computed once, when a subset first contains it; the
-    moves of a subset OR its members' rows (``pooled_moves``) over only the
-    letters the normal-form state can read.  A subset is accepting when its
-    normal-form state is and it meets the bitset of the members that hold a
-    final state of ``a``.
+    bits below k*k, with bit k*k + q set for q its state's id in
+    ``a.state_index``.  Each mask is interned to an id the first time it is
+    seen, and a set of tilde states is one int, the bitset of its members'
+    ids (see ``members``).  The moves of each tilde state, as a target
+    bitset by letter index, are computed once, when a subset first contains
+    it; the moves of a subset OR its members' rows (``pooled_moves``) over
+    only the letters the normal-form state can read.  A subset is accepting
+    when its normal-form state is and it meets the bitset of the members
+    that hold a final state of ``a``.
 
     Every subset is cut down to its maximal members before it is numbered.
     Tilde states with the same state q of ``a`` are ordered by inclusion of
@@ -255,19 +242,19 @@ def normal_form_table(a: Automaton) -> LazyDfa:
     """
     k = a.registers
     require_session(a)
+    index = a.state_index
     nf = nf_automaton(k, a.alphabet)
     nf_letters = [[x for x, t in enumerate(row) if t >= 0] for row in nf.rows]
-    state_bit = {q: 1 << k * k + i for i, q in enumerate(sorted(a.states))}
     injection = (1 << k * k) - 1
-    finals = sum(state_bit[q] for q in a.finals)
+    finals = sum(1 << k * k + q for q in index.finals)
     # Per state bit: (letter index per output register, operation, target bit).
     outgoing = {
-        state_bit[q]: [
+        1 << k * k + q: [
             ([nf.column(TransitionLabel(x.label, RegisterOp(x.op.kind, r)))
-              for r in range(1, k + 1)], x.op, state_bit[target])
+              for r in range(1, k + 1)], x.op, 1 << k * k + target)
             for x, target in moves
         ]
-        for q, moves in moves_by_source(a.transitions).items()
+        for q, moves in enumerate(index.moves)
     }
     ids: dict[int, int] = {}  # mask -> member id
     masks: list[int] = []  # member id -> mask
@@ -289,7 +276,7 @@ def normal_form_table(a: Automaton) -> LazyDfa:
         row = tilde_rows[i] = [0] * len(nf.letters)
         m = masks[i]
         inj = m & injection
-        for slots, op, target in outgoing.get(m ^ inj, ()):
+        for slots, op, target in outgoing[m ^ inj]:
             for r, inj2 in _relabelings(op, inj, k):
                 row[slots[r - 1]] |= 1 << intern(target | inj2)
         return row
@@ -329,40 +316,43 @@ def normal_form_table(a: Automaton) -> LazyDfa:
         n, subset = state
         return n in nf.finals and subset & final_ids != 0
 
-    start = 1 << intern(state_bit[a.initial])
+    start = 1 << intern(1 << k * k + index.initial)
     return LazyDfa((0, start), successors, accepting, nf.alphabet, k)
 
 
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     """Shortlex-least symbolic word the automaton accepts that is not a normal form, or None.
 
-    A ``shortlex_search`` over ``paired_moves(a, nf)``, nf the normal-form
-    DFA, which leaves out the states of a that reach no final state.  -1
-    stands for a prefix that is no normal form any more: nf could not read
-    one of its letters.  A witness ends in a final state of a paired with -1
-    or with a non-final normal-form state.  Register automata raise
-    NotSessionAutomaton.
+    A ``shortlex_search`` over ``paired_moves(a.state_index, nf)``, nf the
+    normal-form DFA, which leaves out the states of a that reach no final
+    state.  -1 stands for a prefix that is no normal form any more: nf could
+    not read one of its letters.  A witness ends in a final state of a
+    paired with -1 or with a non-final normal-form state.  Register
+    automata raise NotSessionAutomaton.
     """
     require_session(a)
+    index = a.state_index
     nf = nf_automaton(a.registers, a.alphabet)
     return shortlex_search(
-        [(a.initial, nf.initial)],
-        paired_moves(a, nf),
-        lambda pair: pair[0] in a.finals and pair[1] not in nf.finals,
+        [(index.initial, nf.initial)],
+        paired_moves(index, nf),
+        lambda pair: pair[0] in index.finals and pair[1] not in nf.finals,
     )
 
 
 def snf_dfa(a: Automaton) -> SymbolicDfa | LazyDfa:
     """A DFA of snf(L(a)), not minimized, for a search to explore as far as it goes.
 
-    Automata that accept only normal forms are determinized: their symbolic
-    language already is snf(L(a)).  Others get the ``normal_form_table``, one
-    lazy subset construction over the normal-form DFA and tilde(a).  Register
-    automata raise NotSessionAutomaton.
+    Automata that accept only normal forms are determinized from their
+    ``state_index``: their symbolic language already is snf(L(a)).  Others
+    get the ``normal_form_table``, one lazy subset construction over the
+    normal-form DFA and tilde(a).  Register automata raise NotSessionAutomaton.
     """
-    if nf_violation_witness(a) is None:
-        return determinize(as_symbolic_nfa(a))
-    return normal_form_table(a)
+    if nf_violation_witness(a) is not None:
+        return normal_form_table(a)
+    index = a.state_index
+    return determinize_ids(index.moves, 1 << index.initial, sum(1 << q for q in index.finals),
+                           nf_automaton(a.registers, a.alphabet).alphabet, a.registers)
 
 
 @lru_cache(maxsize=256)

@@ -124,9 +124,10 @@ def is_empty(a: Automaton) -> DataWord | None:
     is final.
     """
     require_session(a)
+    index = a.state_index
     wf = wf_automaton(a.registers, a.alphabet)
-    witness = shortlex_search([(a.initial, wf.initial)], paired_moves(a, wf, "both"),
-                              lambda pair: pair[0] in a.finals)
+    witness = shortlex_search([(index.initial, wf.initial)], paired_moves(index, wf, "both"),
+                              lambda pair: pair[0] in index.finals)
     return None if witness is None else concretize(witness)
 
 

@@ -2,29 +2,30 @@
 
 These are ordinary NFAs/DFAs whose alphabet consists of TransitionLabel
 values.  They carry the symbolic-language side of every construction: the
-data-word semantics never appears here.  An NFA is the view of an input
-automaton and keeps its string states.  A DFA is an int table: states
-0..n-1, initial state 0, letters indexed in ``letter_key`` order.  A
-``LazyDfa`` is a DFA given by its move function, whose states are numbered
-and expanded when they are first read.  Every operation that synthesizes a
-DFA numbers it canonically (breadth-first from the initial state, expanding
-letters in their order): ``subset_construction``, a LazyDfa explored in
-full, which makes minimal automata comparable by plain structural equality.
-``shortlex_search`` stops at the shortlex-least word reaching an accepting
-node, and reads a LazyDfa only that far.  Every pair walk, of an automaton
-or DFA x and a DFA y that follows it, runs on ``paired_moves``: y goes to -1
+data-word semantics never appears here.  An input automaton is read
+through its ``StateIndex``, its states numbered once; a ``SymbolicNfa``
+keeps string states.  A DFA is an int table: states 0..n-1, initial state
+0, letters indexed in ``letter_key`` order.  A ``LazyDfa`` is a DFA given
+by its move function, whose states are numbered and expanded when they are
+first read.  Every operation that synthesizes a DFA numbers it canonically
+(breadth-first from the initial state, expanding letters in their order):
+``subset_construction``, a LazyDfa explored in full, which makes minimal
+automata comparable by plain structural equality.  ``shortlex_search``
+stops at the shortlex-least word reaching an accepting node, and reads a
+LazyDfa only that far.  Every pair walk, of an automaton's index or a DFA
+x and a DFA y that follows it, runs on ``paired_moves``: y goes to -1
 where it has no move.  Inclusion, equivalence, universality, emptiness and
 the normal-form check search it, and intersect and complement_bounded
 number it.
-The NFA and the int table are frozen and hand out only immutable values
-(the NFA's moves by source are read-only), so a cached result cannot be
-changed by its callers.  A LazyDfa grows as it is read, and nothing caches
-one.
+The index, the NFA and the int table are frozen and hand out only
+immutable values (the index's moves by label and the NFA's ``delta`` are
+read-only), so a cached result cannot be changed by its callers.  A
+LazyDfa grows as it is read, and nothing caches one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,6 +63,40 @@ class SymbolicNfa:
             if not frontier:
                 return False
         return bool(frontier & self.finals)
+
+
+class StateIndex(namedtuple("StateIndex", "names initial finals moves live labels")):
+    """An automaton's states numbered 0..n-1 in sorted-name order, and its moves on those ids:
+    ``names[q]`` is the name of state q, ``moves[q]`` lists its (letter, target id) pairs,
+    ``finals`` and ``live`` (the ids that reach a final state) are frozensets of ids, and
+    ``labels`` is the alphabet."""
+
+    def __reduce__(self):  # pickled without ``by_label``, which is rebuilt when read
+        return StateIndex, tuple(self)
+
+    @cached_property
+    def by_label(self) -> Mapping[str, tuple]:
+        """Each label -> id -> the (kind, register, target id) of its moves, as a run reads them."""
+        rows = {label: [[] for _ in self.names] for label in self.labels}
+        for s, out in enumerate(self.moves):
+            for (label, op), t in out:
+                if label in rows:  # a run never reads a label outside the alphabet
+                    rows[label][s].append((*op, t))
+        return MappingProxyType({label: tuple(map(tuple, r)) for label, r in rows.items()})
+
+
+def index_states(states, initial, finals, alphabet, transitions) -> StateIndex:
+    """The ``StateIndex`` of an automaton's parts: the one numbering of its states."""
+    names = tuple(sorted(states))
+    ids = {q: i for i, q in enumerate(names)}
+    moves, sources = [[] for _ in names], [[] for _ in names]
+    for s, x, t in transitions:
+        s, t = ids[s], ids[t]
+        moves[s].append((x, t))
+        sources[t].append(s)
+    final_ids = frozenset(map(ids.__getitem__, finals))
+    return StateIndex(names, ids[initial], final_ids, tuple(map(tuple, moves)),
+                      frozenset(_coreachable(sources, final_ids)), alphabet)
 
 
 class _Lettered:
@@ -311,34 +346,29 @@ def pooled_moves(rows, letters) -> list[tuple[int, int]]:
 
 
 def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
-    """Subset construction, reachable part only, canonically numbered.
+    """Subset construction, reachable part only, canonically numbered (``determinize_ids``)."""
+    ids = {s: i for i, s in enumerate(nfa.states)}
+    moves: list[list[tuple[TransitionLabel, int]]] = [[] for _ in ids]
+    for s, x, t in nfa.transitions:
+        moves[ids[s]].append((x, ids[t]))
+    return determinize_ids(moves, sum(1 << ids[s] for s in nfa.initials),
+                           sum(1 << ids[s] for s in nfa.finals), nfa.alphabet, nfa.registers)
 
-    The NFA's states get ids in the order the transitions name them, and a
-    subset is the int bitset of its members' ids (see ``members``).
-    """
-    every = range(len(nfa.alphabet))
-    index = {x: i for i, x in enumerate(sorted(nfa.alphabet, key=letter_key))}
-    ids: dict[str, int] = {}
-    table: list[list[int]] = []
 
-    def state_id(s: str) -> int:
-        if s not in ids:
-            ids[s] = len(table)
-            table.append([0] * len(every))
-        return ids[s]
-
-    for src, x, dst in nfa.transitions:
-        if x in index:
-            table[state_id(src)][index[x]] |= 1 << state_id(dst)
-    start = sum(1 << state_id(s) for s in nfa.initials)
-    finals = sum(1 << ids[s] for s in nfa.finals if s in ids)
+def determinize_ids(moves, start: int, finals: int, alphabet, registers: int) -> SymbolicDfa:
+    """Subset construction of an NFA on ids 0..n-1, reachable part only, canonically numbered:
+    ``moves[s]`` lists the (letter, target id) pairs leaving s, a letter outside ``alphabet``
+    skipped, and ``start``, ``finals`` and the subsets are bitsets of ids."""
+    column = {x: i for i, x in enumerate(sorted(alphabet, key=letter_key))}
+    rows = [[0] * len(column) for _ in moves]
+    for row, out in zip(rows, moves):
+        for x, t in out:
+            if x in column:
+                row[column[x]] |= 1 << t
+    every = range(len(column))
     return subset_construction(
-        start,
-        lambda subset: pooled_moves([table[s] for s in members(subset)], every),
-        lambda subset: subset & finals != 0,
-        nfa.alphabet,
-        nfa.registers,
-    )
+        start, lambda subset: pooled_moves([rows[s] for s in members(subset)], every),
+        lambda subset: subset & finals != 0, alphabet, registers)
 
 
 def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:
@@ -370,10 +400,7 @@ def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> Symbo
             order.append((s, t))
     initials = frozenset(names.values())
     transitions = set()
-    i = 0
-    while i < len(order):
-        s, t = order[i]
-        i += 1
+    for s, t in order:  # which also reaches the pairs appended below
         for letter in letters:
             for s2 in sorted(dx.get((s, letter), ())):
                 for t2 in sorted(dy.get((t, letter), ())):
@@ -393,14 +420,6 @@ def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> Symbo
         transitions=frozenset(transitions),
         registers=max(nx.registers, ny.registers),
     )
-
-
-def moves_by_source(transitions) -> dict[str, list[tuple[TransitionLabel, str]]]:
-    """The (letter, target) pairs leaving each source of some (source, letter, target) triples."""
-    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
-    for s, x, t in transitions:
-        moves.setdefault(s, []).append((x, t))
-    return moves
 
 
 def shortlex_search(starts, successors, accepting) -> SymbolicWord | None:
@@ -435,8 +454,10 @@ def shortlex_search(starts, successors, accepting) -> SymbolicWord | None:
 def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
     """Shortest accepted word; ties broken by the letter order, None if empty."""
     nfa = _as_nfa(fa)
-    moves = moves_by_source(nfa.transitions)
-    return shortlex_search(nfa.initials, lambda s: moves.get(s, ()), nfa.finals.__contains__)
+    delta = nfa.delta
+    return shortlex_search(nfa.initials,
+                           lambda s: [(x, t) for x in nfa.alphabet for t in delta.get((s, x), ())],
+                           nfa.finals.__contains__)
 
 
 class _Memo(dict):
@@ -453,12 +474,12 @@ class _Memo(dict):
 def paired_moves(x, y, along: str = "x", columns: bool = False):
     """The ``successors`` of the pairs (state of x, state of y) of two automata read together.
 
-    y is a DFA, a SymbolicDfa or a LazyDfa.  x is one too, or an Automaton,
-    whose ``(source, letter, target)`` transitions are read and whose moves
-    into states that cannot reach a final state are dropped: like -1 below,
-    such a state accepts nothing, so every witness stays the same.  Rows of
-    a DFA are read as the walk reaches its states, and the moves of each
-    state are worked out once, however many pairs it is in.  ``along``:
+    y is a DFA, a SymbolicDfa or a LazyDfa.  x is one too, or an automaton's
+    ``StateIndex``, whose moves into states outside ``live`` are dropped:
+    like -1 below, such a state accepts nothing, so every witness stays the
+    same.  Nothing is built up front: the moves of each state of x, and
+    each row of y, are worked out when the walk first reaches them, once
+    however many pairs they are in.  ``along``:
       "x"       every move of x; y follows it and goes to -1 where it has
                 no move, and -1 has no moves;
       "both"    only the moves of x that y follows;
@@ -473,14 +494,8 @@ def paired_moves(x, y, along: str = "x", columns: bool = False):
         to_y = [column(a, -1) for a in x.letters]
         out = _Memo(lambda s: [(a, s2, c) for a, c, s2 in zip(keys, to_y, x.row(s)) if s2 >= 0])
     else:
-        out, sources = defaultdict(list), defaultdict(list)
-        for s, a, s2 in x.transitions:
-            out[s].append((a, s2, column(a, -1)))
-            sources[s2].append(s)
-        live = _coreachable(sources, x.finals)
-        if len(live) < len(x.states):
-            for moves in out.values():
-                moves[:] = [m for m in moves if m[1] in live]
+        moves, live = x.moves, x.live
+        out = _Memo(lambda s: [(a, s2, column(a, -1)) for a, s2 in moves[s] if s2 in live])
     out[-1] = ()  # in a pair of the symmetric walk, -1 stands for x too
     # y's rows as the walk reaches them, padded: a letter y lacks reads the
     # column -1 of -1, and the row of -1 is all -1.

@@ -65,7 +65,7 @@ from sessauto.automata import require_session
 from sessauto.canonical import _relabelings
 from sessauto.langops import _pair_table
 from sessauto.learner import ReferenceTeacher
-from sessauto.symbolic import LazyDfa, moves_by_source, subset_construction
+from sessauto.symbolic import LazyDfa, subset_construction
 from sessauto.words import _reject_local
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -283,18 +283,23 @@ def reference_simulate(a: Automaton, word) -> bool:
 
     The configuration set grows with every value still held in a register,
     so this is only fast on words with few distinct values; it is the oracle
-    for ``simulate``, which forgets a value after its last occurrence.
+    for ``simulate``, which forgets a value after its last occurrence.  It
+    groups the moves by (state, label) itself, on the state names, so it
+    shares no index with ``simulate``.
     """
     for label, _ in word:
         if label not in a.alphabet:
             raise UnknownLabel(f"label {label!r} is not in the alphabet of {a.name}")
     k = a.registers
+    moves: dict[tuple[str, str], list[tuple[OpKind, int, str]]] = {}
+    for source, (label, (kind, reg)), target in a.transitions:
+        moves.setdefault((source, label), []).append((kind, reg, target))
     confs: set[tuple[str, tuple]] = {(a.initial, (None,) * k)}
     used: set[int] = set()
     for label, d in word:
         nxt: set[tuple[str, tuple]] = set()
         for state, regs in confs:
-            for kind, reg, target in a._moves.get((state, label), ()):
+            for kind, reg, target in moves.get((state, label), ()):
                 if kind is OpKind.REUSE:
                     if regs[reg - 1] != d:
                         continue
@@ -430,6 +435,18 @@ def frozenset_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
     )
 
 
+def _moves_by_source(transitions) -> dict[str, list[tuple[TransitionLabel, str]]]:
+    """The (letter, target) pairs leaving each source of some (source, letter, target) triples.
+
+    The grouping ``normal_form_table`` read before automata had a state
+    index, kept here so that its oracle below numbers the states itself.
+    """
+    moves: dict[str, list[tuple[TransitionLabel, str]]] = {}
+    for s, x, t in transitions:
+        moves.setdefault(s, []).append((x, t))
+    return moves
+
+
 def frozenset_normal_form_table(a: Automaton) -> LazyDfa:
     """``normal_form_table`` with every subset a frozenset of tilde masks.
 
@@ -451,7 +468,7 @@ def frozenset_normal_form_table(a: Automaton) -> LazyDfa:
               for r in range(1, k + 1)], x.op, state_bit[target])
             for x, target in moves
         ]
-        for q, moves in moves_by_source(a.transitions).items()
+        for q, moves in _moves_by_source(a.transitions).items()
     }
     tilde_rows: dict[int, list[list[int]]] = {}
 
