@@ -19,7 +19,7 @@ from .automata import (
     simulate,
     validate,
 )
-from .canonical import canonicalize, nf_automaton, tilde, wf_automaton
+from .canonical import canonicalize, nf_automaton, wf_automaton
 from .errors import (
     InvalidAutomaton,
     NoBreakpoint,
@@ -67,14 +67,10 @@ from .learner import (
 )
 from .symbolic import (
     SymbolicDfa,
-    SymbolicNfa,
-    complement,
     determinize,
     isomorphic,
     minimize,
-    product,
     renumber,
-    shortest_accepted,
     symbolic_equivalence,
     symbolic_inclusion,
 )

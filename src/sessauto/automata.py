@@ -66,19 +66,6 @@ class Automaton:
         """The states numbered once, and the moves on those ids, for every reader."""
         return index_states(self.states, self.initial, self.finals, self.alphabet, self.transitions)
 
-    @cached_property
-    def _symbolic(self) -> SymbolicNfa:
-        # The one symbolic view of this automaton, shared by every caller.
-        require_session(self)
-        return SymbolicNfa(
-            alphabet=symbolic_alphabet(self.alphabet, self.registers),
-            states=self.states,
-            initials=frozenset({self.initial}),
-            finals=self.finals,
-            transitions=self.transitions,
-            registers=self.registers,
-        )
-
 
 def validate(a: Automaton) -> list[str]:
     """Structural diagnostics; an empty list means the automaton is well built."""
@@ -215,12 +202,20 @@ def accepts_symbolic(a: Automaton, word: SymbolicWord) -> bool:
 
 
 def as_symbolic_nfa(a: Automaton) -> SymbolicNfa:
-    """The symbolic language of a session automaton as a plain NFA.
+    """The symbolic language of a session automaton as a plain NFA on its string state names.
 
-    Built once per automaton and shared: the NFA is frozen and its ``delta``
-    read-only.  Register automata raise NotSessionAutomaton.
+    No library path reads it: each call builds a new one, for tests and the
+    benchmark's checks.  Register automata raise NotSessionAutomaton.
     """
-    return a._symbolic
+    require_session(a)
+    return SymbolicNfa(
+        alphabet=symbolic_alphabet(a.alphabet, a.registers),
+        states=a.states,
+        initials=frozenset({a.initial}),
+        finals=a.finals,
+        transitions=a.transitions,
+        registers=a.registers,
+    )
 
 
 def from_symbolic_dfa(dfa: SymbolicDfa, name: str, labels, registers: int) -> Automaton:

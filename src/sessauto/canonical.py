@@ -36,14 +36,15 @@ normal-form DFA, nf_violation_witness, finds the least accepted word that is
 not a normal form; A accepts only normal forms when there is none, and the
 learner returns the witness as a counterexample to its own hypothesis.
 
-``snf_dfa`` is the DFA of snf(L(A)) before minimizing: A determinized on
-that fast path, normal_form_table otherwise.  Two session automata accept
-the same data words exactly when their sets of normal forms coincide, so
-every decision and boolean operation of ``langops``, and the reference
-teacher's equivalence query, is a DFA search or construction over snf_dfa,
-explored only as far as it goes.  canonicalize, snf_dfa minimized in full,
-is the output form only: the canonical automaton itself, which a reference
-teacher also keeps of its target, since every membership query walks it.
+``snf_dfa`` is the DFA of snf(L(A)) before minimizing, a LazyDfa either
+way: A determinized on that fast path, normal_form_table otherwise.  Two
+session automata accept the same data words exactly when their sets of
+normal forms coincide, so every decision and boolean operation of
+``langops``, and the reference teacher's equivalence query, is a DFA search
+or construction over snf_dfa, explored only as far as it goes.
+canonicalize, snf_dfa minimized in full, is the output form only: the
+canonical automaton itself, which a reference teacher also keeps of its
+target, since every membership query walks it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .automata import Automaton, as_symbolic_nfa, require_session
+from .automata import Automaton, require_session
 from .symbolic import (
     LazyDfa,
     SymbolicDfa,
@@ -182,7 +183,7 @@ def tilde(a: Automaton) -> SymbolicNfa:
     A state is named ``q|inj``, the injection written as its int.
     """
     k = a.registers
-    nfa = as_symbolic_nfa(a)  # validates the session precondition
+    require_session(a)
     index = a.state_index
     start = (index.initial, 0)
     names = {start: f"{index.names[index.initial]}|0"}
@@ -199,7 +200,7 @@ def tilde(a: Automaton) -> SymbolicNfa:
                 letter = TransitionLabel(x.label, RegisterOp(x.op.kind, r))
                 transitions.add((src, letter, names[key]))
     return SymbolicNfa(
-        alphabet=nfa.alphabet,
+        alphabet=symbolic_alphabet(a.alphabet, k),
         states=frozenset(names.values()),
         initials=frozenset({names[start]}),
         finals=frozenset(names[(s, inj)] for (s, inj) in order if s in index.finals),
@@ -340,13 +341,14 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     )
 
 
-def snf_dfa(a: Automaton) -> SymbolicDfa | LazyDfa:
-    """A DFA of snf(L(a)), not minimized, for a search to explore as far as it goes.
+def snf_dfa(a: Automaton) -> LazyDfa:
+    """A DFA of snf(L(a)), not minimized and unexplored, for a search to read as far as it goes.
 
     Automata that accept only normal forms are determinized from their
-    ``state_index``: their symbolic language already is snf(L(a)).  Others
-    get the ``normal_form_table``, one lazy subset construction over the
-    normal-form DFA and tilde(a).  Register automata raise NotSessionAutomaton.
+    ``state_index`` (``determinize_ids``): their symbolic language already is
+    snf(L(a)).  Others get the ``normal_form_table``, one lazy subset
+    construction over the normal-form DFA and tilde(a).  ``table()`` explores
+    either in full.  Register automata raise NotSessionAutomaton.
     """
     if nf_violation_witness(a) is not None:
         return normal_form_table(a)

@@ -25,7 +25,7 @@ import re
 
 from .automata import Automaton, Transition, is_token, validate
 from .errors import InvalidAutomaton, ParseError
-from .symbolic import SymbolicDfa, SymbolicNfa
+from .symbolic import SymbolicDfa
 from .words import (
     DataWord,
     OP_GLYPH,
@@ -202,36 +202,25 @@ def _glyph(letter: TransitionLabel) -> str:
     return f"{letter.label},{OP_GLYPH[letter.op.kind]}{letter.op.register}"
 
 
-def _dot_lines(name, states, initial_states, finals, edges) -> str:
-    # edges: dict[(src, dst)] -> sorted list of letter strings
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for i, s in enumerate(sorted(initial_states)):
-        lines.append(f'  __start{i} [shape=none, label=""];')
-    for s in sorted(states):
+def dot_export(obj: Automaton | SymbolicDfa) -> str:
+    """Graphviz text for an automaton or a symbolic DFA, stable across runs.
+
+    States are drawn by name, the numbers of a DFA as strings, and sort as
+    their names do.
+    """
+    name = obj.name if isinstance(obj, Automaton) else "dfa"
+    finals = set(map(str, obj.finals))
+    edges: dict[tuple[str, str], list[str]] = {}
+    named = ((str(s), x, str(t)) for s, x, t in obj.transitions)
+    for s, x, t in sorted(named, key=lambda e: (e[0], letter_key(e[1]), e[2])):
+        edges.setdefault((s, t), []).append(_glyph(x))
+    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start0 [shape=none, label=""];']
+    for s in sorted(map(str, obj.states)):
         shape = "doublecircle" if s in finals else "circle"
         lines.append(f'  "{s}" [shape={shape}];')
-    for i, s in enumerate(sorted(initial_states)):
-        lines.append(f'  __start{i} -> "{s}";')
+    lines.append(f'  __start0 -> "{obj.initial}";')
     for (src, dst) in sorted(edges):
         label = "\\n".join(edges[(src, dst)])
         lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def dot_export(obj: Automaton | SymbolicDfa | SymbolicNfa) -> str:
-    """Graphviz text for an automaton or a symbolic NFA/DFA, stable across runs.
-
-    States are drawn by name, the numbers of a DFA as strings, and sort as
-    their names do.
-    """
-    if isinstance(obj, SymbolicNfa):
-        name, initials = "nfa", obj.initials
-    else:
-        name, initials = obj.name if isinstance(obj, Automaton) else "dfa", {obj.initial}
-    edges: dict[tuple[str, str], list[str]] = {}
-    named = ((str(s), x, str(t)) for s, x, t in obj.transitions)
-    for s, x, t in sorted(named, key=lambda e: (e[0], letter_key(e[1]), e[2])):
-        edges.setdefault((s, t), []).append(_glyph(x))
-    return _dot_lines(name, map(str, obj.states), set(map(str, initials)),
-                      set(map(str, obj.finals)), edges)

@@ -47,7 +47,6 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     languages exactly when its normal form does, and normal forms needing
     more than min(k_a, k_b) registers belong to neither set of normal forms.
     """
-    require_session(a, b)
     k = min(a.registers, b.registers)
     x, y = snf_dfa(a), snf_dfa(b)
     dfa = _pair_table(x, y, "both", lambda s, t: s in x.finals and t in y.finals)
@@ -93,7 +92,6 @@ def complement_bounded(a: Automaton) -> Automaton:
     pairs of the normal-form DFA and the snf DFA (-1 past its moves) where
     the first accepts and the second does not.
     """
-    require_session(a)
     k = a.registers
     nf, y = nf_automaton(k, a.alphabet), snf_dfa(a)
     dfa = _pair_table(nf, y, "x", lambda n, t: n in nf.finals and t not in y.finals)
@@ -102,14 +100,12 @@ def complement_bounded(a: Automaton) -> Automaton:
 
 def includes(a: Automaton, b: Automaton) -> DataWord | None:
     """None when L(a) is a subset of L(b); otherwise a data word in L(a) \\ L(b)."""
-    require_session(a, b)
     witness = symbolic_inclusion(snf_dfa(a), snf_dfa(b))
     return None if witness is None else concretize(witness)
 
 
 def equivalent(a: Automaton, b: Automaton) -> DataWord | None:
     """None when L(a) = L(b); otherwise a shortest data word in the symmetric difference."""
-    require_session(a, b)
     witness = symbolic_equivalence(snf_dfa(a), snf_dfa(b))
     return None if witness is None else concretize(witness)
 

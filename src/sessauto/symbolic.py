@@ -3,16 +3,18 @@
 These are ordinary NFAs/DFAs whose alphabet consists of TransitionLabel
 values.  They carry the symbolic-language side of every construction: the
 data-word semantics never appears here.  An input automaton is read
-through its ``StateIndex``, its states numbered once; a ``SymbolicNfa``
-keeps string states.  A DFA is an int table: states 0..n-1, initial state
-0, letters indexed in ``letter_key`` order.  A ``LazyDfa`` is a DFA given
-by its move function, whose states are numbered and expanded when they are
-first read.  Every operation that synthesizes a DFA numbers it canonically
-(breadth-first from the initial state, expanding letters in their order):
-``subset_construction``, a LazyDfa explored in full, which makes minimal
-automata comparable by plain structural equality.  ``shortlex_search``
-stops at the shortlex-least word reaching an accepting node, and reads a
-LazyDfa only that far.  Every pair walk, of an automaton's index or a DFA
+through its ``StateIndex``, its states numbered once.  A ``SymbolicNfa``
+keeps string states; no library path reads one, and tests and the
+benchmark's checks build them as references.  A DFA is an int table:
+states 0..n-1, initial state 0, letters indexed in ``letter_key`` order.  A
+``LazyDfa`` is a DFA given by its move function, whose states are numbered
+and expanded when they are first read.  Every operation that synthesizes a
+DFA numbers it canonically (breadth-first from the initial state,
+expanding letters in their order): ``subset_construction``, a LazyDfa
+explored in full, which makes minimal automata comparable by plain
+structural equality.  ``determinize_ids`` returns its LazyDfa unexplored.
+``shortlex_search`` stops at the shortlex-least word reaching an accepting
+node, and reads a LazyDfa only that far.  Every pair walk, of an automaton's index or a DFA
 x and a DFA y that follows it, runs on ``paired_moves``: y goes to -1
 where it has no move.  Inclusion, equivalence, universality, emptiness and
 the normal-form check search it, and intersect and complement_bounded
@@ -46,7 +48,7 @@ class SymbolicNfa:
 
     @cached_property
     def delta(self) -> Mapping[tuple[str, TransitionLabel], frozenset[str]]:
-        # Read-only: every Automaton shares its symbolic view.
+        # Read-only: a cached value that no caller can change.
         table: dict[tuple[str, TransitionLabel], frozenset[str]] = {}
         for src, letter, dst in self.transitions:
             key = (src, letter)
@@ -139,10 +141,6 @@ class SymbolicDfa(_Lettered):
 
     def row(self, s: int) -> tuple[int, ...]:
         return self.rows[s]
-
-    def table(self) -> SymbolicDfa:
-        """The whole DFA: the table itself, as ``LazyDfa.table`` gives it for a lazy one."""
-        return self
 
     @property
     def transitions(self) -> tuple[tuple[int, TransitionLabel, int], ...]:
@@ -313,9 +311,10 @@ def subset_construction(start, successors, accepting, alphabet, registers: int) 
     subsets, int bitsets over their members' ids wherever members are
     pooled, are numbered in the order they are found, so the numbering does
     not depend on how their members are named or which ids they get.  This
-    is the one canonical numbering, which ``determinize``, ``minimize``,
-    ``renumber``, the normal-form and well-formedness DFAs, the canonical
-    general path and the boolean operations all run on.
+    is the one canonical numbering: ``minimize``, ``renumber`` and the
+    boolean operations run on it, and so does every LazyDfa that ``table``
+    explores, ``determinize``, the normal-form and well-formedness DFAs and
+    ``canonicalize`` among them.
     """
     return LazyDfa(start, successors, accepting, alphabet, registers).table()
 
@@ -346,19 +345,22 @@ def pooled_moves(rows, letters) -> list[tuple[int, int]]:
 
 
 def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
-    """Subset construction, reachable part only, canonically numbered (``determinize_ids``)."""
+    """Subset construction, reachable part only, canonically numbered: ``determinize_ids``
+    explored in full."""
     ids = {s: i for i, s in enumerate(nfa.states)}
     moves: list[list[tuple[TransitionLabel, int]]] = [[] for _ in ids]
     for s, x, t in nfa.transitions:
         moves[ids[s]].append((x, ids[t]))
     return determinize_ids(moves, sum(1 << ids[s] for s in nfa.initials),
-                           sum(1 << ids[s] for s in nfa.finals), nfa.alphabet, nfa.registers)
+                           sum(1 << ids[s] for s in nfa.finals), nfa.alphabet,
+                           nfa.registers).table()
 
 
-def determinize_ids(moves, start: int, finals: int, alphabet, registers: int) -> SymbolicDfa:
-    """Subset construction of an NFA on ids 0..n-1, reachable part only, canonically numbered:
+def determinize_ids(moves, start: int, finals: int, alphabet, registers: int) -> LazyDfa:
+    """The subset construction of an NFA on ids 0..n-1 as an unexplored ``LazyDfa``:
     ``moves[s]`` lists the (letter, target id) pairs leaving s, a letter outside ``alphabet``
-    skipped, and ``start``, ``finals`` and the subsets are bitsets of ids."""
+    skipped, and ``start``, ``finals`` and the subsets are bitsets of ids.  ``table()``
+    numbers its reachable part canonically; a search reads only the rows it reaches."""
     column = {x: i for i, x in enumerate(sorted(alphabet, key=letter_key))}
     rows = [[0] * len(column) for _ in moves]
     for row, out in zip(rows, moves):
@@ -366,7 +368,7 @@ def determinize_ids(moves, start: int, finals: int, alphabet, registers: int) ->
             if x in column:
                 row[column[x]] |= 1 << t
     every = range(len(column))
-    return subset_construction(
+    return LazyDfa(
         start, lambda subset: pooled_moves([rows[s] for s in members(subset)], every),
         lambda subset: subset & finals != 0, alphabet, registers)
 

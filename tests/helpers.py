@@ -26,7 +26,6 @@ from sessauto import (
     OpKind,
     RegisterOp,
     SymbolicDfa,
-    SymbolicNfa,
     SymbolicWord,
     TeacherInconsistent,
     TraceEvent,
@@ -35,7 +34,6 @@ from sessauto import (
     UnknownLabel,
     as_symbolic_nfa,
     canonicalize,
-    complement,
     concretize,
     determinize,
     format_data_word,
@@ -50,22 +48,26 @@ from sessauto import (
     parse_data_word,
     parse_symbolic_word,
     process_counterexample,
-    product,
-    shortest_accepted,
     simulate,
     snf,
     symbolic_alphabet,
     symbolic_equivalence,
     symbolic_inclusion,
-    tilde,
     wf_automaton,
     word_key,
 )
 from sessauto.automata import require_session
-from sessauto.canonical import _relabelings
+from sessauto.canonical import _relabelings, tilde
 from sessauto.langops import _pair_table
 from sessauto.learner import ReferenceTeacher
-from sessauto.symbolic import LazyDfa, subset_construction
+from sessauto.symbolic import (
+    LazyDfa,
+    SymbolicNfa,
+    complement,
+    product,
+    shortest_accepted,
+    subset_construction,
+)
 from sessauto.words import _reject_local
 
 FIXTURES = Path(__file__).parent / "fixtures"

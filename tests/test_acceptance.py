@@ -41,10 +41,10 @@ from sessauto import (
     scripted_teacher,
     simulate,
     snf,
-    tilde,
     union,
     validate,
 )
+from sessauto.canonical import tilde
 from test_canonical import expected_nf2
 
 

@@ -51,18 +51,17 @@ from sessauto import (
     minimize,
     nf_automaton,
     nf_violation_witness,
-    product,
+    parse_automaton,
     renumber,
-    shortest_accepted,
     simulate,
     snf,
     symbolic_alphabet,
     symbolic_equivalence,
     symbolic_inclusion,
-    tilde,
     wf_automaton,
 )
-from sessauto.canonical import _relabelings, normal_form_table
+from sessauto.canonical import _relabelings, normal_form_table, snf_dfa, tilde
+from sessauto.symbolic import LazyDfa, product, shortest_accepted
 from test_automata import SESSION_OPS, automata
 
 A = frozenset({"a"})
@@ -504,6 +503,38 @@ NAMED = [universal(k) for k in range(1, 6)] + [
 @pytest.mark.parametrize("a", NAMED, ids=[a.name for a in NAMED])
 def test_bitset_tables_of_named_automata_match_frozenset_reference(a):
     assert_same_tables(a)
+
+
+def assert_snf_dfa(a):
+    # One type on both paths; on the fast path, the subset construction of the
+    # automaton itself, numbered canonically whatever its state names.
+    dfa = snf_dfa(a)
+    assert isinstance(dfa, LazyDfa)
+    if nf_violation_witness(a) is None:
+        assert dfa.table() == determinize(as_symbolic_nfa(a))
+
+
+def test_snf_dfa_of_named_automata():
+    # No fixture file accepts only normal forms; the boolean operations' outputs
+    # on them and the learned goldens do.
+    session = [a for a in NAMED if not a.name.startswith("univ")]
+    normal_forms_only = (
+        [intersect(a, b) for a in session for b in session]
+        + [complement_bounded(a) for a in session]
+        + [parse_automaton(p.read_text()) for p in sorted((FIXTURES / "golden").glob("learn_*.sra"))]
+    )
+    for a in normal_forms_only:
+        assert nf_violation_witness(a) is None, a.name
+    for a in NAMED + normal_forms_only:
+        assert_snf_dfa(a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=AUTOMATA_K2)
+@example(a=EMPTY)
+def test_snf_dfa_of_random_automata(a):
+    assert_snf_dfa(a)
+    assert_snf_dfa(from_symbolic_dfa(canonicalize(a), "c", a.alphabet, a.registers))
 
 
 @pytest.mark.parametrize("build", [nf_automaton, wf_automaton])

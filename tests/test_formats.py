@@ -15,7 +15,6 @@ from sessauto import (
     parse_symbolic_word,
     parse_word,
     serialize_automaton,
-    tilde,
 )
 
 
@@ -168,6 +167,3 @@ def test_dot_export_symbolic(fig5a):
     dfa_dot = dot_export(canonicalize(fig5a))
     assert dfa_dot.startswith("digraph dfa {")
     assert "doublecircle" in dfa_dot
-    nfa_dot = dot_export(tilde(fig5a))
-    assert nfa_dot.startswith("digraph nfa {")
-    assert "__start0" in nfa_dot

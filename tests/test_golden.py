@@ -2,14 +2,15 @@
 
 The files under ``fixtures/golden`` were written by the commands below and
 must not drift: canonical forms, their DOT rendering (state names sort as
-strings, so ``tickets3``'s 15 states pin that order), the automata of the
-boolean operations, learned automata, and the exit codes and witnesses of
-the decision commands.  Regenerate a file with the command its test runs,
-for instance ``sessauto canonical tests/fixtures/fig5a.sra -o
-tests/fixtures/golden/canonical_fig5a.sra --dot
-tests/fixtures/golden/canonical_fig5a.dot`` or ``sessauto learn
-tests/fixtures/fig5a.sra > tests/fixtures/golden/learn_fig5a.sra``, and only
-when that output is meant to change.  ``witnesses.tsv`` has one line per
+strings, so ``tickets3``'s 15 states pin that order), the DOT rendering of
+every fixture file, the automata of the boolean operations, learned
+automata, and the exit codes and witnesses of the decision commands.
+Regenerate a file with the command its test runs, for instance ``sessauto
+canonical tests/fixtures/fig5a.sra -o tests/fixtures/golden/canonical_fig5a.sra
+--dot tests/fixtures/golden/canonical_fig5a.dot``, ``sessauto dot
+tests/fixtures/fig1a.sra -o tests/fixtures/golden/dot_fig1a.dot`` or
+``sessauto learn tests/fixtures/fig5a.sra > tests/fixtures/golden/learn_fig5a.sra``,
+and only when that output is meant to change.  ``witnesses.tsv`` has one line per
 command: the command with fixture names for files, its exit code and what it
 printed, separated by tabs.
 """
@@ -43,6 +44,13 @@ def test_canonical_output_is_unchanged(name, tmp_path):
     assert main(["canonical", spec(name), "-o", str(out), "--dot", str(dot)]) == 0
     assert out.read_bytes() == (GOLDEN / f"canonical_{name}.sra").read_bytes()
     assert dot.read_bytes() == (GOLDEN / f"canonical_{name}.dot").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig2b", "fig3", "fig5a", "tickets3"])
+def test_dot_output_is_unchanged(name, tmp_path):
+    out = tmp_path / "out.dot"
+    assert main(["dot", spec(name), "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"dot_{name}.dot").read_bytes()
 
 
 @pytest.mark.parametrize("a, b", [("fig1b", "fig5a"), ("fig5a", "fig2b"),

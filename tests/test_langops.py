@@ -1,3 +1,4 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -334,17 +335,15 @@ def test_universality_rejects_bad_bound(fig2b):
 
 
 def test_ops_reject_non_session(fig1a, fig2b):
-    for call in (
-        lambda: intersect(fig1a, fig2b),
-        lambda: union(fig2b, fig1a),
-        lambda: complement_bounded(fig1a),
-        lambda: includes(fig1a, fig2b),
-        lambda: equivalent(fig2b, fig1a),
-        lambda: is_empty(fig1a),
-        lambda: is_universal_bounded(fig1a, 2),
-    ):
-        with pytest.raises(NotSessionAutomaton):
-            call()
+    # The message names the first argument that is not a session automaton.
+    other = replace(fig1a, name="other")
+    for x, y in ((fig1a, fig2b), (fig2b, fig1a), (fig1a, other)):
+        for op in (intersect, union, includes, equivalent):
+            with pytest.raises(NotSessionAutomaton, match="^fig1a is not"):
+                op(x, y)
+    for call in (complement_bounded, is_empty, lambda a: is_universal_bounded(a, 2)):
+        with pytest.raises(NotSessionAutomaton, match="^fig1a is not"):
+            call(fig1a)
 
 
 def test_results_are_session_automata():

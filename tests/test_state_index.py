@@ -25,10 +25,9 @@ from sessauto import (
     nf_violation_witness,
     simulate,
     snf,
-    tilde,
 )
 from sessauto import automata as automata_module
-from sessauto.canonical import normal_form_table, snf_dfa
+from sessauto.canonical import normal_form_table, snf_dfa, tilde
 from test_canonical import AUTOMATA_K2, NAMED
 
 SMALL_NAMED = [a for a in NAMED if a.name != "univ5"]

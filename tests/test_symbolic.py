@@ -17,18 +17,15 @@ from helpers import (
 )
 from sessauto import (
     SymbolicDfa,
-    SymbolicNfa,
-    complement,
     determinize,
     isomorphic,
     minimize,
-    product,
     renumber,
-    shortest_accepted,
     symbolic_equivalence,
     symbolic_inclusion,
     word_key,
 )
+from sessauto.symbolic import SymbolicNfa, complement, product, shortest_accepted
 
 AB = (letter("a", "fresh", 1), letter("b", "reuse", 1))
 
