@@ -66,6 +66,16 @@ class Automaton:
         """The states numbered once, and the moves on those ids, for every reader."""
         return index_states(self.states, self.initial, self.finals, self.alphabet, self.transitions)
 
+    @cached_property
+    def automaton_class(self) -> AutomatonClass:
+        """Most specific class, read off the transitions once; see ``classify``."""
+        kinds = {t.label.op.kind for t in self.transitions}
+        if OpKind.LOCAL not in kinds:
+            return AutomatonClass.SESSION
+        if OpKind.FRESH not in kinds:
+            return AutomatonClass.REGISTER
+        return AutomatonClass.FRESH_REGISTER
+
 
 def validate(a: Automaton) -> list[str]:
     """Structural diagnostics; an empty list means the automaton is well built."""
@@ -102,12 +112,7 @@ def validate(a: Automaton) -> list[str]:
 
 def classify(a: Automaton) -> AutomatonClass:
     """Most specific class; only-reuse (or transition-free) automata count as session."""
-    kinds = {t.label.op.kind for t in a.transitions}
-    if OpKind.LOCAL not in kinds:
-        return AutomatonClass.SESSION
-    if OpKind.FRESH not in kinds:
-        return AutomatonClass.REGISTER
-    return AutomatonClass.FRESH_REGISTER
+    return a.automaton_class
 
 
 def require_session(*automata: Automaton) -> None:

@@ -330,15 +330,22 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     not read one of its letters.  A witness ends in a final state of a
     paired with -1 or with a non-final normal-form state.  Register
     automata raise NotSessionAutomaton.
+
+    The walk runs once per automaton: its result, a tuple or None, is kept
+    on the frozen instance as ``state_index`` is, so the learner's check of
+    a hypothesis and the teacher's ``snf_dfa`` of it share one walk.
     """
     require_session(a)
-    index = a.state_index
-    nf = nf_automaton(a.registers, a.alphabet)
-    return shortlex_search(
-        [(index.initial, nf.initial)],
-        paired_moves(index, nf),
-        lambda pair: pair[0] in index.finals and pair[1] not in nf.finals,
-    )
+    cached = vars(a)
+    if "nf_violation_witness" not in cached:
+        index = a.state_index
+        nf = nf_automaton(a.registers, a.alphabet)
+        cached["nf_violation_witness"] = shortlex_search(
+            [(index.initial, nf.initial)],
+            paired_moves(index, nf),
+            lambda pair: pair[0] in index.finals and pair[1] not in nf.finals,
+        )
+    return cached["nf_violation_witness"]
 
 
 def snf_dfa(a: Automaton) -> LazyDfa:

@@ -9,6 +9,15 @@ words; their normal forms are folded into the table through a binary search
 for a break-point, which adds one distinguishing column per counterexample.
 A counterexample may also reveal that more registers are needed, in which
 case the symbolic alphabet grows instead.
+
+A cell costs one dictionary lookup for its normal-form check.  The normal-form
+DFA over k registers accepts a word over registers up to m <= k exactly when
+the DFA over m does, and every table word stays within the table's k, since
+the alphabet grows before a column that needs more registers is added.  So
+the table keeps the state of ``nf_automaton(k, labels)`` after each row word,
+one letter on from its parent's, and whether each column read from each
+state ends in a final state.  ``close`` reads the rows once and, after each
+promotion, only the rows of the promoted word's extensions.
 """
 
 from __future__ import annotations
@@ -30,10 +39,8 @@ from .words import (
     DataWord,
     SymbolicWord,
     concretize,
-    letter_key,
     max_register,
     snf,
-    symbolic_alphabet,
     word_key,
 )
 
@@ -110,7 +117,9 @@ class MembershipOracle:
     Only normal forms reach the teacher; every other word is a definite
     non-member of any canonical symbolic language.  ``memo`` gains one entry
     per answered first-time query, in the order they were answered, so it
-    doubles as the query log.
+    doubles as the query log.  Calling the oracle looks a word up in the memo
+    and checks a first-time word for normal form in full; ``answer`` takes a
+    first-time word whose check the caller has made (the table's cells do).
     """
 
     def __init__(self, teacher: Teacher, labels: frozenset[str], budget: int | None = None):
@@ -139,10 +148,15 @@ class MembershipOracle:
 
     def __call__(self, word: SymbolicWord) -> bool:
         answer = self.memo.get(word)
-        if answer is not None:
-            return answer
+        if answer is None:
+            self._charge()  # an exhausted budget is reported before an unknown label
+            answer = self.answer(word, self._is_normal_form(word))
+        return answer
+
+    def answer(self, word: SymbolicWord, normal: bool) -> bool:
+        """Answer a word not in the memo yet, ``normal`` telling whether it is a normal form."""
         self._charge()
-        if self._is_normal_form(word):
+        if normal:
             answer = self.teacher.membership(concretize(word))
             self.teacher_queries += 1
         else:
@@ -161,6 +175,15 @@ class ObservationTable:
     cell.  Each word's row is cached and only extended by the cells of
     columns added since it was last read, which relies on columns never
     being removed or reordered.
+
+    A first-time cell u·v goes to ``MembershipOracle.answer`` with its
+    normal-form verdict read off two caches of ``nf_automaton(registers,
+    labels)``: the state after each row word u, its parent's state moved by
+    one letter (-1 once no normal form starts with u), and, per (state,
+    column index), whether the column read from that state ends in a final
+    state.  A word or column with a letter outside that DFA's alphabet takes
+    the oracle's full check, which raises ``UnknownLabel`` on a label outside
+    the learning alphabet.  ``extend_alphabet`` resets both caches.
     """
 
     def __init__(self, labels: frozenset[str]):
@@ -175,10 +198,47 @@ class ObservationTable:
         """(k, upper rows, columns): the table size that trace events carry."""
         return self.registers, len(self.upper), len(self.columns)
 
+    def _walk(self, state: int | None, word: SymbolicWord) -> int | None:
+        """The normal-form state after ``word`` from ``state``: -1 once no normal form
+        has the prefix read, None when a letter is outside the normal-form alphabet."""
+        nf = self._nf
+        for letter in word:
+            x = nf.column(letter)
+            if x is None:
+                return None
+            if state is not None and state >= 0:
+                state = nf.rows[state][x]
+        return state
+
+    def _nf_state(self, word: SymbolicWord) -> int | None:
+        states = self._nf_states
+        if word not in states:
+            states[word] = self._walk(self._nf_state(word[:-1]) if word else self._nf.initial,
+                                      word[-1:])
+        return states[word]
+
+    def _is_normal(self, state: int | None, column: int) -> bool | None:
+        """Whether a row word in ``state`` followed by the column is a normal form, None when
+        only the oracle's full check can tell."""
+        ends = self._column_ends
+        key = (state, column)
+        if key not in ends:
+            end = self._walk(state, self.columns[column])
+            ends[key] = None if end is None else end in self._nf.finals
+        return ends[key]
+
     def row(self, word: SymbolicWord, oracle: MembershipOracle) -> tuple[bool, ...]:
         row = self._rows.get(word, ())
         if len(row) < len(self.columns):
-            row += tuple(oracle(word + v) for v in self.columns[len(row):])
+            state, memo, cells = self._nf_state(word), oracle.memo, []
+            for j in range(len(row), len(self.columns)):
+                w = word + self.columns[j]
+                answer = memo.get(w)
+                if answer is None:
+                    normal = self._is_normal(state, j)
+                    answer = oracle(w) if normal is None else oracle.answer(w, normal)
+                cells.append(answer)
+            row += tuple(cells)
             self._rows[word] = row
         return row
 
@@ -196,16 +256,28 @@ class ObservationTable:
         """Promote unmatched lower rows until closed.
 
         Among several candidates the shortlex-greatest is promoted, which is
-        what keeps replayed runs stable.
+        what keeps replayed runs stable.  The rows are read once; a promotion
+        drops the candidates that now match an upper row and reads only the
+        rows of the promoted word's extensions, in letter order: the only rows
+        that a full rescan would read for the first time.
         """
-        while candidates := self.unmatched(oracle):
-            self.upper.append(max(candidates, key=word_key))
+        candidates, states = self.unmatched(oracle), self.states(oracle)
+        while candidates:
+            w = max(candidates, key=word_key)
+            self.upper.append(w)
+            states[self.row(w, oracle)] = len(self.upper) - 1
+            candidates = [c for c in candidates if self.row(c, oracle) not in states]
+            candidates += [v for v in (w + (x,) for x in self.letters)
+                           if self.row(v, oracle) not in states]
 
     def extend_alphabet(self, registers: int) -> None:
         if registers < self.registers:
             raise ValueError("the symbolic alphabet never shrinks")
         self.registers = registers
-        self.letters = tuple(sorted(symbolic_alphabet(self.labels, registers), key=letter_key))
+        self._nf = nf_automaton(registers, self.labels)
+        self.letters = self._nf.letters
+        self._nf_states: dict[SymbolicWord, int | None] = {}
+        self._column_ends: dict[tuple[int | None, int], bool | None] = {}
 
     def add_column(self, suffix: SymbolicWord) -> None:
         if suffix in self.columns:

@@ -48,6 +48,7 @@ from sessauto import (
     from_symbolic_dfa,
     intersect,
     isomorphic,
+    max_register,
     minimize,
     nf_automaton,
     nf_violation_witness,
@@ -160,6 +161,25 @@ def test_nf_examples():
     assert nf.accepts(sw("a:*1 a:*2 a:^1 a:*1"))
     # not the minimal free register
     assert not nf.accepts(sw("a:*1 a:^1 a:*2"))
+
+
+@st.composite
+def words_within(draw):
+    """(k, a symbolic word over at most k <= 3 registers): any letters, or a normal form."""
+    k = draw(st.integers(1, 3))
+    letters = sorted(symbolic_alphabet(AB, k), key=str)
+    data = st.lists(st.tuples(st.sampled_from(["a", "b"]), st.integers(1, k)), min_size=1, max_size=8)
+    return k, draw(st.lists(st.sampled_from(letters), min_size=1, max_size=8) | data.map(snf))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=words_within())
+def test_nf_automaton_is_monotone_in_the_registers(case):
+    # The learner's table checks every word on the DFA over its own k registers.
+    k, w = case
+    expect = nf_automaton(max_register(w), AB).accepts(w)
+    for registers in range(k, 6):
+        assert nf_automaton(registers, AB).accepts(w) == expect
 
 
 def test_wf_automaton_matches_predicate():
@@ -284,7 +304,8 @@ def test_canonical_of_empty_language():
 
 EMPTY = Automaton("void", AB, 2, frozenset({"q0"}), "q0", frozenset(), frozenset())
 # The general construction takes seconds on some k = 3 draws and their complements
-# (ROADMAP item 2(b)); k = 3 normal-form automata come from the learner's tests.
+# (ROADMAP items 5 and 6: maximality and register symmetry); k = 3 normal-form
+# automata come from the learner's tests.
 AUTOMATA_K2 = automata(SESSION_OPS).filter(lambda a: a.registers <= 2)
 
 

@@ -42,6 +42,7 @@ from sessauto import (
     snf,
     validate,
 )
+from sessauto import canonical as canonical_module
 from sessauto.learner import find_breakpoint
 
 SCRIPT = [dw("a:3 b:3"), dw("a:7 a:4 b:7"), dw("a:9 a:3 b:9 b:3")]
@@ -301,6 +302,42 @@ class RecordingTeacher(Teacher):
     def equivalence(self, hypothesis):
         self.hypotheses.append(hypothesis)
         return self.inner.equivalence(hypothesis)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rng=st.randoms(use_true_random=True), registers=st.integers(1, 2))
+def test_table_cell_verdicts_match_the_full_normal_form_check(rng, registers):
+    # Every first-time cell reaches the oracle through answer(), with the verdict
+    # the table read off its cached normal-form states.
+    target = random_session_automaton(rng, registers=registers, name="target")
+    learner = Learner(reference_teacher(target), target.alphabet, max_queries=None)
+    oracle, verdicts = learner.oracle, []
+    answer = oracle.answer
+
+    def recording_answer(word, normal):
+        verdicts.append((word, normal))
+        return answer(word, normal)
+
+    oracle.answer = recording_answer
+    learner.run()
+    assert verdicts
+    for word, normal in verdicts:
+        assert normal == oracle._is_normal_form(word)
+
+
+def test_one_normal_form_walk_per_round(fig5a, monkeypatch):
+    teacher = reference_teacher(fig5a)  # the target's own walk is done here
+    walks = []
+    search = canonical_module.shortlex_search
+
+    def counting_search(*args):
+        walks.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(canonical_module, "shortlex_search", counting_search)
+    learner = Learner(teacher, {"a", "b"})
+    learner.run()
+    assert len(walks) == learner.oracle.equivalence_queries > 1
 
 
 @settings(max_examples=25, deadline=None)

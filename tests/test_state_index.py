@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from helpers import dw, fixture, perturb, random_data_word, random_run_word, universal
 from sessauto import (
     Automaton,
+    AutomatonClass,
+    NotSessionAutomaton,
     Transition,
     accepts_symbolic,
     canonicalize,
+    classify,
     equivalent,
     includes,
     is_data_deterministic,
@@ -118,3 +121,34 @@ def test_a_used_automaton_still_pickles():
     copy = pickle.loads(pickle.dumps(a))
     assert copy == a and copy.state_index == a.state_index
     assert copy.state_index.by_label == a.state_index.by_label
+
+
+
+class CountingSet(frozenset):
+    """A frozenset that counts the loops over it."""
+
+    def __iter__(self):
+        self.loops.append(None)
+        return super().__iter__()
+
+
+def test_the_session_class_and_the_witness_are_read_once():
+    fig2b = fixture("fig2b")
+    transitions = CountingSet(fig2b.transitions)
+    transitions.loops = []
+    a = Automaton(fig2b.name, fig2b.alphabet, fig2b.registers, fig2b.states, fig2b.initial,
+                  fig2b.finals, transitions)
+    for _ in range(3):
+        assert classify(a) is AutomatonClass.SESSION
+    assert len(transitions.loops) == 1
+    witnesses = [nf_violation_witness(a) for _ in range(3)]
+    assert witnesses[0] is not None and all(w is witnesses[0] for w in witnesses)
+    assert len(transitions.loops) == 2  # the class, then the state index the walk reads
+    register = fixture("fig1a")
+    for _ in range(2):
+        with pytest.raises(NotSessionAutomaton, match="fig1a is not a session automaton"):
+            nf_violation_witness(register)
+    nf_violation_witness(fig2b)  # a used automaton pickles with what it cached
+    copy = pickle.loads(pickle.dumps(fig2b))
+    assert copy == fig2b and classify(copy) is AutomatonClass.SESSION
+    assert nf_violation_witness(copy) == witnesses[0]
