@@ -219,7 +219,6 @@ def as_symbolic_nfa(a: Automaton) -> SymbolicNfa:
         initials=frozenset({a.initial}),
         finals=a.finals,
         transitions=a.transitions,
-        registers=a.registers,
     )
 
 

@@ -12,9 +12,10 @@ DFA of that set.  It is computed in three steps:
 
 Every DFA here, the normal-form and well-formedness DFAs too, is a
 ``LazyDfa`` of ``symbolic``, a move function whose states are numbered as
-they are first read, or that DFA explored in full: the int table
-(SymbolicDfa) of the one ``subset_construction``.  A search reads only what
-it reaches.
+they are first read, or that DFA explored in full by ``table``: the int
+table (SymbolicDfa), canonically numbered.  A search reads only what it
+reaches.  A DFA carries no register bound: the automaton built from one,
+by ``from_symbolic_dfa``, gets it from its caller.
 ``lazy_nf_automaton`` is the arithmetic move rule of step 1, which
 ``nf_automaton`` explores in full.
 
@@ -69,7 +70,6 @@ from .words import (
     RegisterOp,
     SymbolicWord,
     TransitionLabel,
-    letter_key,
     symbolic_alphabet,
 )
 
@@ -88,16 +88,11 @@ class NfState(NamedTuple):
 
 def _register_dfa(registers: int, labels, start, moves, accepting) -> LazyDfa:
     """The DFA whose node reads every label with each (operation, node) pair of ``moves(node)``."""
-    alphabet = symbolic_alphabet(labels, registers)
-    index = {x: i for i, x in enumerate(sorted(alphabet, key=letter_key))}
-    return LazyDfa(
-        start,
-        lambda node: sorted((index[TransitionLabel(a, op)], target)
-                            for op, target in moves(node) for a in labels),
-        accepting,
-        alphabet,
-        registers,
-    )
+    dfa = LazyDfa(start, lambda node: sorted((column(TransitionLabel(a, op)), target)
+                                             for op, target in moves(node) for a in labels),
+                  accepting, symbolic_alphabet(labels, registers))
+    column = dfa.column  # bound before the first node is expanded
+    return dfa
 
 
 def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> LazyDfa:
@@ -205,7 +200,6 @@ def tilde(a: Automaton) -> SymbolicNfa:
         initials=frozenset({names[start]}),
         finals=frozenset(names[(s, inj)] for (s, inj) in order if s in index.finals),
         transitions=frozenset(transitions),
-        registers=k,
     )
 
 
@@ -318,7 +312,7 @@ def normal_form_table(a: Automaton) -> LazyDfa:
         return n in nf.finals and subset & final_ids != 0
 
     start = 1 << intern(1 << k * k + index.initial)
-    return LazyDfa((0, start), successors, accepting, nf.alphabet, k)
+    return LazyDfa((0, start), successors, accepting, nf.alphabet)
 
 
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
@@ -361,7 +355,7 @@ def snf_dfa(a: Automaton) -> LazyDfa:
         return normal_form_table(a)
     index = a.state_index
     return determinize_ids(index.moves, 1 << index.initial, sum(1 << q for q in index.finals),
-                           nf_automaton(a.registers, a.alphabet).alphabet, a.registers)
+                           nf_automaton(a.registers, a.alphabet).alphabet)
 
 
 @lru_cache(maxsize=256)

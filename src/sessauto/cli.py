@@ -156,7 +156,7 @@ def _dispatch(args) -> int:
     if args.command == "canonical":
         a = _load(args.file)
         dfa = canonicalize(a)
-        out = from_symbolic_dfa(dfa, f"can_{a.name}", a.alphabet, dfa.registers)
+        out = from_symbolic_dfa(dfa, f"can_{a.name}", a.alphabet, a.registers)
         _write_out(serialize_automaton(out), args.output)
         if args.dot:
             _write_out(dot_export(dfa), args.dot)

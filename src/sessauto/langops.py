@@ -11,10 +11,11 @@ accepting pair carries the least word of the difference, whichever DFAs
 of the two languages are paired.  That witness is a normal form, and it is
 returned concretized: a genuine separating data word.  The boolean
 operations that return automata, intersect and complement_bounded, are one
-``subset_construction`` over pairs of states of two snf tables (or of the
-normal-form DFA and one), minimized once, at the end: the minimal DFA is
-the same whichever DFAs of the languages are paired.  All of them, and
-emptiness, walk ``symbolic.paired_moves``.
+``LazyDfa`` over pairs of states of two snf tables (or of the normal-form
+DFA and one), explored in full and minimized once, at the end: the minimal
+DFA is the same whichever DFAs of the languages are paired.  The DFA has
+no register bound; each of the two gives the automaton it returns its
+own.  All of them, and emptiness, walk ``symbolic.paired_moves``.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from __future__ import annotations
 from .automata import Automaton, Transition, from_symbolic_dfa, require_session
 from .canonical import lazy_nf_automaton, nf_automaton, snf_dfa, wf_automaton
 from .symbolic import (
+    LazyDfa,
     SymbolicDfa,
     minimize,
     paired_moves,
     shortlex_search,
-    subset_construction,
     symbolic_equivalence,
     symbolic_inclusion,
 )
@@ -35,9 +36,8 @@ from .words import DataWord, concretize
 
 def _pair_table(x, y, along: str, accepting) -> SymbolicDfa:
     """Minimal DFA, over the letters of x, of ``paired_moves(x, y, along)`` with finals ``accepting``."""
-    return minimize(subset_construction(
-        (0, 0), paired_moves(x, y, along, columns=True),
-        lambda pair: accepting(*pair), x.alphabet, max(x.registers, y.registers)))
+    return minimize(LazyDfa((0, 0), paired_moves(x, y, along, columns=True),
+                            lambda pair: accepting(*pair), x.alphabet).table())
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:

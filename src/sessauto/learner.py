@@ -150,12 +150,15 @@ class MembershipOracle:
         answer = self.memo.get(word)
         if answer is None:
             self._charge()  # an exhausted budget is reported before an unknown label
-            answer = self.answer(word, self._is_normal_form(word))
+            answer = self._ask(word, self._is_normal_form(word))
         return answer
 
     def answer(self, word: SymbolicWord, normal: bool) -> bool:
         """Answer a word not in the memo yet, ``normal`` telling whether it is a normal form."""
         self._charge()
+        return self._ask(word, normal)
+
+    def _ask(self, word: SymbolicWord, normal: bool) -> bool:
         if normal:
             answer = self.teacher.membership(concretize(word))
             self.teacher_queries += 1

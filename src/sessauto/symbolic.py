@@ -5,16 +5,18 @@ values.  They carry the symbolic-language side of every construction: the
 data-word semantics never appears here.  An input automaton is read
 through its ``StateIndex``, its states numbered once.  A ``SymbolicNfa``
 keeps string states; no library path reads one, and tests and the
-benchmark's checks build them as references.  A DFA is an int table:
-states 0..n-1, initial state 0, letters indexed in ``letter_key`` order.  A
-``LazyDfa`` is a DFA given by its move function, whose states are numbered
-and expanded when they are first read.  Every operation that synthesizes a
-DFA numbers it canonically (breadth-first from the initial state,
-expanding letters in their order): ``subset_construction``, a LazyDfa
-explored in full, which makes minimal automata comparable by plain
-structural equality.  ``determinize_ids`` returns its LazyDfa unexplored.
-``shortlex_search`` stops at the shortlex-least word reaching an accepting
-node, and reads a LazyDfa only that far.  Every pair walk, of an automaton's index or a DFA
+benchmark's checks build them as references.  A DFA is its alphabet, its
+rows and its finals, and nothing else (the register bound belongs to the
+automaton read back from it): an int table on states 0..n-1, initial
+state 0, letters indexed in ``letter_key`` order.  A ``LazyDfa`` is a DFA
+given by its move function, whose states are numbered and expanded when
+they are first read.  Every operation that synthesizes a DFA numbers it
+canonically (breadth-first from the initial state, expanding letters in
+their order): a LazyDfa explored in full by ``table``, which makes
+minimal automata comparable by plain structural equality.
+``determinize_ids`` returns its LazyDfa unexplored.  ``shortlex_search``
+stops at the shortlex-least word reaching an accepting node, and reads a
+LazyDfa only that far.  Every pair walk, of an automaton's index or a DFA
 x and a DFA y that follows it, runs on ``paired_moves``: y goes to -1
 where it has no move.  Inclusion, equivalence, universality, emptiness and
 the normal-form check search it, and intersect and complement_bounded
@@ -44,7 +46,6 @@ class SymbolicNfa:
     initials: frozenset[str]
     finals: frozenset[str]
     transitions: frozenset[tuple[str, TransitionLabel, str]]
-    registers: int = 0
 
     @cached_property
     def delta(self) -> Mapping[tuple[str, TransitionLabel], frozenset[str]]:
@@ -131,7 +132,6 @@ class SymbolicDfa(_Lettered):
     alphabet: frozenset[TransitionLabel]
     rows: tuple[tuple[int, ...], ...]
     finals: frozenset[int]
-    registers: int = 0
 
     initial = 0  # not a field: every table starts in state 0
 
@@ -172,13 +172,11 @@ class LazyDfa(_Lettered):
     first reaches it, and is final when it is in ``finals``.  ``row(s)``
     computes the moves of state s; a walk reads only the rows it reaches,
     and keeps those it reads again (see ``paired_moves``).  ``table`` reads
-    every row; on a LazyDfa nothing has read before, it reads them from 0 up,
-    which numbers the states breadth-first with letters in order:
-    ``subset_construction``'s canonical numbering.
+    every row.
     """
 
-    def __init__(self, start, successors, accepting, alphabet, registers: int = 0):
-        self.alphabet, self.registers = alphabet, registers
+    def __init__(self, start, successors, accepting, alphabet):
+        self.alphabet = alphabet
         self._successors, self._accepting = successors, accepting
         self._ids = {start: 0}
         self._nodes = [start]
@@ -198,11 +196,22 @@ class LazyDfa(_Lettered):
         return tuple(row)
 
     def table(self) -> SymbolicDfa:
-        """Every state reachable from 0, expanded, as one int table."""
+        """Every state reachable from 0, expanded, as one int table, canonically numbered.
+
+        On a LazyDfa nothing has read before, the rows are read from 0 up,
+        which numbers the states breadth-first with letters in order: nodes,
+        int bitsets over their members' ids wherever members are pooled, are
+        numbered in the order they are found, so the numbering does not
+        depend on how their members are named or which ids they get.  This is
+        the one canonical numbering: ``minimize``, ``renumber`` and the
+        boolean operations run on it, and so does every LazyDfa explored in
+        full, ``determinize``, the normal-form and well-formedness DFAs and
+        ``canonicalize`` among them.
+        """
         # The loop also reaches the states that the rows it reads append.
         row = self.row
         rows = tuple([row(s) for s, _ in enumerate(self._nodes)])
-        return SymbolicDfa(self.alphabet, rows, frozenset(self.finals), self.registers)
+        return SymbolicDfa(self.alphabet, rows, frozenset(self.finals))
 
 
 def _as_nfa(fa: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
@@ -214,7 +223,6 @@ def _as_nfa(fa: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
         initials=frozenset({fa.initial}),
         finals=fa.finals,
         transitions=frozenset(fa.transitions),
-        registers=fa.registers,
     )
 
 
@@ -225,20 +233,17 @@ def renumber(dfa: SymbolicDfa) -> SymbolicDfa:
     come out structurally equal.
     """
     rows = dfa.rows
-    return subset_construction(
-        0,
-        lambda s: [(x, t) for x, t in enumerate(rows[s]) if t >= 0],
-        dfa.finals.__contains__,
-        dfa.alphabet,
-        dfa.registers,
-    )
+    return LazyDfa(0, lambda s: [(x, t) for x, t in enumerate(rows[s]) if t >= 0],
+                   dfa.finals.__contains__, dfa.alphabet).table()
 
 
 def isomorphic(d1: SymbolicDfa, d2: SymbolicDfa) -> bool:
-    """Structural equality up to state numbers (trim both sides first via renumber).
+    """Structural equality of the reachable parts up to state numbers (both ``renumber``ed).
 
-    Moves are compared by letter, so DFAs over different alphabets that use
-    the same letters compare equal.
+    Only unreachable states are dropped: a reachable state that accepts
+    nothing still counts, so a DFA with one is not isomorphic to its
+    ``minimize``.  Moves are compared by letter, so DFAs over different
+    alphabets that use the same letters compare equal.
     """
     a, b = renumber(d1), renumber(d2)
     return (
@@ -295,28 +300,8 @@ def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
         for t in row:
             sources[t].append(b)
     alive = _coreachable(sources, q_finals)
-    return subset_construction(
-        block[0],
-        lambda b: [(x, t) for x, t in enumerate(q_rows[b]) if t in alive],
-        q_finals.__contains__,
-        dfa.alphabet,
-        dfa.registers,
-    )
-
-
-def subset_construction(start, successors, accepting, alphabet, registers: int) -> SymbolicDfa:
-    """Breadth-first subset construction over letter indices, canonically numbered.
-
-    The whole ``LazyDfa`` of ``successors`` and ``accepting`` (see there):
-    subsets, int bitsets over their members' ids wherever members are
-    pooled, are numbered in the order they are found, so the numbering does
-    not depend on how their members are named or which ids they get.  This
-    is the one canonical numbering: ``minimize``, ``renumber`` and the
-    boolean operations run on it, and so does every LazyDfa that ``table``
-    explores, ``determinize``, the normal-form and well-formedness DFAs and
-    ``canonicalize`` among them.
-    """
-    return LazyDfa(start, successors, accepting, alphabet, registers).table()
+    return LazyDfa(block[0], lambda b: [(x, t) for x, t in enumerate(q_rows[b]) if t in alive],
+                   q_finals.__contains__, dfa.alphabet).table()
 
 
 def members(subset: int) -> list[int]:
@@ -352,25 +337,24 @@ def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
     for s, x, t in nfa.transitions:
         moves[ids[s]].append((x, ids[t]))
     return determinize_ids(moves, sum(1 << ids[s] for s in nfa.initials),
-                           sum(1 << ids[s] for s in nfa.finals), nfa.alphabet,
-                           nfa.registers).table()
+                           sum(1 << ids[s] for s in nfa.finals), nfa.alphabet).table()
 
 
-def determinize_ids(moves, start: int, finals: int, alphabet, registers: int) -> LazyDfa:
+def determinize_ids(moves, start: int, finals: int, alphabet) -> LazyDfa:
     """The subset construction of an NFA on ids 0..n-1 as an unexplored ``LazyDfa``:
     ``moves[s]`` lists the (letter, target id) pairs leaving s, a letter outside ``alphabet``
     skipped, and ``start``, ``finals`` and the subsets are bitsets of ids.  ``table()``
     numbers its reachable part canonically; a search reads only the rows it reaches."""
-    column = {x: i for i, x in enumerate(sorted(alphabet, key=letter_key))}
+    dfa = LazyDfa(start, lambda subset: pooled_moves([rows[s] for s in members(subset)], every),
+                  lambda subset: subset & finals != 0, alphabet)
+    column = dfa._index  # the rows below are built before the first move is read
     rows = [[0] * len(column) for _ in moves]
     for row, out in zip(rows, moves):
         for x, t in out:
             if x in column:
                 row[column[x]] |= 1 << t
     every = range(len(column))
-    return LazyDfa(
-        start, lambda subset: pooled_moves([rows[s] for s in members(subset)], every),
-        lambda subset: subset & finals != 0, alphabet, registers)
+    return dfa
 
 
 def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:
@@ -386,7 +370,7 @@ def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:
         tuple(sink if x is None or row[x] < 0 else row[x] for x in columns)
         for row in dfa.rows
     ) + ((sink,) * len(columns),)
-    return SymbolicDfa(alpha, rows, frozenset(range(sink + 1)) - dfa.finals, dfa.registers)
+    return SymbolicDfa(alpha, rows, frozenset(range(sink + 1)) - dfa.finals)
 
 
 def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
@@ -420,7 +404,6 @@ def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> Symbo
         initials=initials,
         finals=finals,
         transitions=frozenset(transitions),
-        registers=max(nx.registers, ny.registers),
     )
 
 
@@ -488,7 +471,7 @@ def paired_moves(x, y, along: str = "x", columns: bool = False):
       "either"  as "x", and y's own moves on letters x does not read lead
                 to (-1, t).
     Moves are labeled by their letter, or with ``columns`` (x a DFA, not
-    "either") by the letter's index in x, as ``subset_construction`` reads.
+    "either") by the letter's index in x, as a ``LazyDfa`` reads.
     """
     column = y._index.get
     if isinstance(x, (SymbolicDfa, LazyDfa)):

@@ -66,7 +66,6 @@ from sessauto.symbolic import (
     complement,
     product,
     shortest_accepted,
-    subset_construction,
 )
 from sessauto.words import _reject_local
 
@@ -102,7 +101,6 @@ class NamedDfa:
     initial: str
     finals: frozenset[str]
     delta: dict[tuple[str, TransitionLabel], str]
-    registers: int = 0
 
 
 def as_table(dfa: NamedDfa) -> SymbolicDfa:
@@ -114,7 +112,7 @@ def as_table(dfa: NamedDfa) -> SymbolicDfa:
         tuple(ids[dfa.delta[(s, x)]] if (s, x) in dfa.delta else -1 for x in letters)
         for s in names
     )
-    return SymbolicDfa(dfa.alphabet, rows, frozenset(ids[s] for s in dfa.finals), dfa.registers)
+    return SymbolicDfa(dfa.alphabet, rows, frozenset(ids[s] for s in dfa.finals))
 
 
 def as_named(dfa: SymbolicDfa) -> NamedDfa:
@@ -125,7 +123,6 @@ def as_named(dfa: SymbolicDfa) -> NamedDfa:
         initial=str(dfa.initial),
         finals=frozenset(map(str, dfa.finals)),
         delta={(str(s), x): str(t) for s, x, t in dfa.transitions},
-        registers=dfa.registers,
     )
 
 
@@ -141,7 +138,6 @@ def as_nfa(fa) -> SymbolicNfa:
         initials=frozenset({fa.initial}),
         finals=fa.finals,
         transitions=frozenset((s, x, t) for (s, x), t in fa.delta.items()),
-        registers=fa.registers,
     )
 
 
@@ -171,7 +167,6 @@ def fig5c_dfa() -> SymbolicDfa:
         initial="q0",
         finals=frozenset({"q0", "q1", "q3"}),
         delta=delta,
-        registers=2,
     ))
 
 
@@ -428,13 +423,12 @@ def frozenset_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
             table[state_id(src)][index[x]].append(state_id(dst))
     start = frozenset(state_id(s) for s in nfa.initials)
     finals = {ids[s] for s in nfa.finals if s in ids}
-    return subset_construction(
+    return LazyDfa(
         start,
         lambda subset: _frozenset_pooled_moves([table[s] for s in subset], every),
         lambda subset: not finals.isdisjoint(subset),
         nfa.alphabet,
-        nfa.registers,
-    )
+    ).table()
 
 
 def _moves_by_source(transitions) -> dict[str, list[tuple[TransitionLabel, str]]]:
@@ -517,7 +511,7 @@ def frozenset_normal_form_table(a: Automaton) -> LazyDfa:
         return n in nf.finals and any(m & finals for m in subset)
 
     start = frozenset({state_bit[a.initial]})
-    return LazyDfa((0, start), successors, accepting, nf.alphabet, k)
+    return LazyDfa((0, start), successors, accepting, nf.alphabet)
 
 
 class PartialInjection(NamedTuple):
@@ -1145,7 +1139,6 @@ def reference_determinize(nfa: SymbolicNfa) -> NamedDfa:
         initial="0",
         finals=finals,
         delta=out,
-        registers=nfa.registers,
     )
 
 
@@ -1178,7 +1171,6 @@ def reference_renumber(dfa: NamedDfa) -> NamedDfa:
         initial="0",
         finals=frozenset(names[s] for s in dfa.finals if s in names),
         delta=delta,
-        registers=dfa.registers,
     )
 
 
@@ -1195,8 +1187,7 @@ def reference_minimize(dfa: NamedDfa) -> NamedDfa:
     for s in list(dfa.states) + [sink]:
         for x in dfa.alphabet:
             delta.setdefault((s, x), sink)
-    total = NamedDfa(dfa.alphabet, dfa.states | {sink}, dfa.initial, dfa.finals, delta,
-                        registers=dfa.registers)
+    total = NamedDfa(dfa.alphabet, dfa.states | {sink}, dfa.initial, dfa.finals, delta)
     letters = _sorted_letters(total.alphabet)
 
     block: dict[str, int] = {s: (1 if s in total.finals else 0) for s in total.states}
@@ -1253,7 +1244,6 @@ def reference_minimize(dfa: NamedDfa) -> NamedDfa:
         initial=str(q_initial),
         finals=frozenset(str(b) for b in q_finals if b in keep),
         delta=delta,
-        registers=dfa.registers,
     )
     return reference_renumber(out)
 

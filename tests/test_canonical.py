@@ -91,7 +91,6 @@ def expected_nf2() -> SymbolicDfa:
         initial="n0",
         finals=frozenset({"n0", "n1", "n3"}),
         delta=delta,
-        registers=2,
     ))
 
 
@@ -248,7 +247,6 @@ def test_canonical_fig5a_is_fig5c(fig5a):
     got = canonicalize(fig5a)
     assert len(got.states) == 4
     assert isomorphic(got, fig5c_dfa())
-    assert got.registers == 2
 
 
 def test_canonical_fig2b_is_all_normal_forms(fig2b):
@@ -361,7 +359,7 @@ def normal_form_parts(draw):
     dropped = draw(st.frozensets(st.sampled_from(sorted(nf.delta, key=str))))
     finals = draw(st.frozensets(st.sampled_from(sorted(nf.states))))
     moves = {key: t for key, t in nf.delta.items() if key not in dropped}
-    part = NamedDfa(nf.alphabet, nf.states, nf.initial, finals, moves, k)
+    part = NamedDfa(nf.alphabet, nf.states, nf.initial, finals, moves)
     return from_symbolic_dfa(as_table(part), "part", AB, k)
 
 

@@ -99,6 +99,16 @@ def test_canonical(tmp_path, capsys):
     assert "automaton can_fig5a" in capsys.readouterr().out
 
 
+def test_canonical_writes_the_declared_register_count(tmp_path):
+    # fig5a declaring a third register it never uses: the canonical DFA has no
+    # register count, and the automaton written from it keeps the declared one.
+    wide = tmp_path / "wide.sra"
+    wide.write_text((FIXTURES / "fig5a.sra").read_text().replace("registers 2", "registers 3"))
+    out = tmp_path / "can.sra"
+    assert main(["canonical", str(wide), "-o", str(out)]) == 0
+    assert "registers 3" in out.read_text().splitlines()
+
+
 def test_canonical_of_register_automaton_fails():
     assert main(["canonical", FIG1A]) == 2
 

@@ -75,6 +75,16 @@ def test_union_keeps_larger_register_count():
     assert intersect(x, y).registers == 1
 
 
+def test_complement_keeps_the_register_count():
+    rng = Random(404)
+    for k in (1, 2, 3):
+        a = random_session_automaton(rng, registers=k, max_states=3, name="a")
+        assert complement_bounded(a).registers == k
+    wide = random_session_automaton(rng, registers=1, name="wide")
+    wide = replace(wide, registers=3)  # declares registers it never uses
+    assert complement_bounded(wide).registers == 3
+
+
 def test_union_distinct_alphabets():
     rng = Random(403)
     x = random_session_automaton(rng, labels=("a",), name="x")

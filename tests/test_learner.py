@@ -162,6 +162,24 @@ def test_query_budget(fig5a):
         learn(reference_teacher(fig5a), {"a", "b"}, max_queries=5)
 
 
+def test_an_exhausted_budget_is_reported_before_an_unknown_label(fig5a):
+    labels = frozenset({"a", "b"})
+    with pytest.raises(QueryBudgetExceeded):
+        MembershipOracle(reference_teacher(fig5a), labels, budget=0)(sw("c:*1"))
+    with pytest.raises(UnknownLabel):
+        MembershipOracle(reference_teacher(fig5a), labels, budget=None)(sw("c:*1"))
+
+
+def test_a_first_time_query_checks_the_budget_once(fig5a):
+    oracle = MembershipOracle(reference_teacher(fig5a), frozenset({"a", "b"}), budget=10)
+    charge, charges = oracle._charge, []
+    oracle._charge = lambda: charges.append(None) or charge()
+    oracle(sw("a:*1 b:^1"))
+    oracle.answer(sw("a:*1"), True)
+    oracle(sw("a:*1 b:^1"))  # a memo hit is not charged
+    assert len(charges) == 2
+
+
 def test_negative_budget_is_refused(fig5a):
     labels = frozenset({"a", "b"})
     with pytest.raises(ValueError, match="at least 0"):

@@ -101,6 +101,15 @@ def test_minimize_idempotent():
         assert isomorphic(m1, m2)
 
 
+def test_isomorphic_drops_only_unreachable_states():
+    # State 1 is reached by a and accepts nothing: minimize drops it, isomorphic does not.
+    dead = SymbolicDfa(frozenset(AB), ((1, -1), (-1, -1)), frozenset({0}))
+    assert not isomorphic(dead, minimize(dead))
+    # State 1 is never reached: isomorphic drops it as minimize does.
+    unreached = SymbolicDfa(frozenset(AB), ((-1, -1), (0, 0)), frozenset({0}))
+    assert isomorphic(unreached, minimize(unreached))
+
+
 def test_minimal_forms_of_equal_languages_are_isomorphic():
     rng = Random(105)
     pools: dict[frozenset, object] = {}
@@ -240,14 +249,14 @@ def tables(draw):
 def partial_dfas(draw):
     states, alphabet, edges, finals = draw(tables())
     return NamedDfa(alphabet, frozenset(states), "s0", finals,
-                    {(s, x): t for s, x, t in edges}, registers=1)
+                    {(s, x): t for s, x, t in edges})
 
 
 @st.composite
 def nfas(draw):
     states, alphabet, edges, finals = draw(tables())
     initials = draw(st.frozensets(st.sampled_from(states)))
-    return SymbolicNfa(alphabet, frozenset(states), initials, finals, frozenset(edges), registers=1)
+    return SymbolicNfa(alphabet, frozenset(states), initials, finals, frozenset(edges))
 
 
 ONE = frozenset({"s0"})
