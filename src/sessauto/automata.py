@@ -51,6 +51,12 @@ class Transition(NamedTuple):
     target: str
 
 
+def transition_order(move) -> tuple:
+    """The sort key of a move (source, letter, target): by source, letter, then target."""
+    source, label, target = move
+    return source, letter_key(label), target
+
+
 @dataclass(frozen=True)
 class Automaton:
     name: str
@@ -96,7 +102,7 @@ def validate(a: Automaton) -> list[str]:
         out.append(f"InitialNotAState: initial state {a.initial!r} is not in the state set")
     for s in sorted(a.finals - a.states):
         out.append(f"FinalNotAState: final state {s!r} is not in the state set")
-    for t in sorted(a.transitions, key=lambda t: (t.source, letter_key(t.label), t.target)):
+    for t in sorted(a.transitions, key=transition_order):
         where = f"{t.source} -{t.label}-> {t.target}"
         if t.source not in a.states:
             out.append(f"TransitionEndpointNotAState: source of {where}")

@@ -32,10 +32,11 @@ When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
 canonical automaton is just A determinized and minimized.  This holds for
 every hypothesis of the learner and every output of intersect and
-complement_bounded.  One shortlex search over ``paired_moves`` of A and the
-normal-form DFA, nf_violation_witness, finds the least accepted word that is
-not a normal form; A accepts only normal forms when there is none, and the
-learner returns the witness as a counterexample to its own hypothesis.
+complement_bounded.  The check is an inclusion, nf_violation_witness: the
+difference search of ``symbolic_inclusion`` from A's ``state_index`` into
+the normal-form DFA finds the least accepted word that is not a normal
+form; A accepts only normal forms when there is none, and the learner
+returns the witness as a counterexample to its own hypothesis.
 
 ``snf_dfa`` is the DFA of snf(L(A)) before minimizing, a LazyDfa either
 way: A determinized on that fast path, normal_form_table otherwise.  Two
@@ -61,9 +62,8 @@ from .symbolic import (
     determinize_ids,
     members,
     minimize,
-    paired_moves,
     pooled_moves,
-    shortlex_search,
+    symbolic_inclusion,
 )
 from .words import (
     OpKind,
@@ -318,27 +318,21 @@ def normal_form_table(a: Automaton) -> LazyDfa:
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     """Shortlex-least symbolic word the automaton accepts that is not a normal form, or None.
 
-    A ``shortlex_search`` over ``paired_moves(a.state_index, nf)``, nf the
-    normal-form DFA, which leaves out the states of a that reach no final
-    state.  -1 stands for a prefix that is no normal form any more: nf could
-    not read one of its letters.  A witness ends in a final state of a
-    paired with -1 or with a non-final normal-form state.  Register
-    automata raise NotSessionAutomaton.
+    The inclusion of L_symb(a) in the normal forms: ``symbolic_inclusion``
+    of ``a.state_index`` in the normal-form DFA, which leaves out the states
+    of a that reach no final state.  -1 stands for a prefix that is no
+    normal form any more: the normal-form DFA could not read one of its
+    letters.  Register automata raise NotSessionAutomaton.
 
-    The walk runs once per automaton: its result, a tuple or None, is kept
+    The search runs once per automaton: its result, a tuple or None, is kept
     on the frozen instance as ``state_index`` is, so the learner's check of
-    a hypothesis and the teacher's ``snf_dfa`` of it share one walk.
+    a hypothesis and the teacher's ``snf_dfa`` of it share one search.
     """
     require_session(a)
     cached = vars(a)
     if "nf_violation_witness" not in cached:
-        index = a.state_index
-        nf = nf_automaton(a.registers, a.alphabet)
-        cached["nf_violation_witness"] = shortlex_search(
-            [(index.initial, nf.initial)],
-            paired_moves(index, nf),
-            lambda pair: pair[0] in index.finals and pair[1] not in nf.finals,
-        )
+        cached["nf_violation_witness"] = symbolic_inclusion(
+            a.state_index, nf_automaton(a.registers, a.alphabet))
     return cached["nf_violation_witness"]
 
 

@@ -120,10 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except SessautoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (SessautoError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 
-from .automata import Automaton, Transition, is_token, validate
+from .automata import Automaton, Transition, is_token, transition_order, validate
 from .errors import InvalidAutomaton, ParseError
 from .symbolic import SymbolicDfa
 from .words import (
@@ -33,7 +33,6 @@ from .words import (
     RegisterOp,
     SymbolicWord,
     TransitionLabel,
-    letter_key,
 )
 
 MAX_VALUE = 2**64 - 1
@@ -41,8 +40,7 @@ MAX_VALUE = 2**64 - 1
 _DATA_LETTER = re.compile(r"^([A-Za-z0-9_]+):(\d+)$")
 _SYMBOLIC_LETTER = re.compile(r"^([A-Za-z0-9_]+):([*^o])(\d+)$")
 _OP_BY_ASCII = {"*": OpKind.FRESH, "^": OpKind.REUSE, "o": OpKind.LOCAL}
-_KEYWORD_BY_KIND = {OpKind.FRESH: "fresh", OpKind.REUSE: "reuse", OpKind.LOCAL: "local"}
-_KIND_BY_KEYWORD = {v: k for k, v in _KEYWORD_BY_KIND.items()}
+_DOT_KEYWORDS = frozenset({"digraph", "edge", "graph", "node", "strict", "subgraph"})
 
 
 def parse_data_word(text: str) -> DataWord:
@@ -141,13 +139,13 @@ def parse_automaton(text: str, check: bool = True) -> Automaton:
             if len(rest) != 5:
                 fail(line_no, "expected: trans SRC LABEL fresh|local|reuse REG DST")
             src, label, opword, reg, dst = rest
-            if opword not in _KIND_BY_KEYWORD:
+            try:
+                kind = OpKind(opword)
+            except ValueError:
                 fail(line_no, f"unknown operation {opword!r} (want fresh, local or reuse)")
             if not reg.isdecimal() or int(reg) < 1:
                 fail(line_no, f"register {reg!r} must be a positive integer")
-            transitions.append(
-                Transition(src, TransitionLabel(label, RegisterOp(_KIND_BY_KEYWORD[opword], int(reg))), dst)
-            )
+            transitions.append(Transition(src, TransitionLabel(label, RegisterOp(kind, int(reg))), dst))
         else:
             fail(line_no, f"unknown directive {keyword!r}")
 
@@ -177,10 +175,6 @@ def parse_automaton(text: str, check: bool = True) -> Automaton:
     return a
 
 
-def _transition_order(t: Transition):
-    return (t.source, letter_key(t.label), t.target)
-
-
 def serialize_automaton(a: Automaton) -> str:
     """Stable text form; parsing it back yields an equal automaton."""
     lines = [f"automaton {a.name}"]
@@ -190,11 +184,9 @@ def serialize_automaton(a: Automaton) -> str:
     lines.append(f"initial {a.initial}")
     if a.finals:
         lines.append("final " + " ".join(sorted(a.finals)))
-    for t in sorted(a.transitions, key=_transition_order):
+    for t in sorted(a.transitions, key=transition_order):
         op = t.label.op
-        lines.append(
-            f"trans {t.source} {t.label.label} {_KEYWORD_BY_KIND[op.kind]} {op.register} {t.target}"
-        )
+        lines.append(f"trans {t.source} {t.label.label} {op.kind.value} {op.register} {t.target}")
     return "\n".join(lines) + "\n"
 
 
@@ -206,13 +198,16 @@ def dot_export(obj: Automaton | SymbolicDfa) -> str:
     """Graphviz text for an automaton or a symbolic DFA, stable across runs.
 
     States are drawn by name, the numbers of a DFA as strings, and sort as
-    their names do.
+    their names do.  The graph takes the automaton's name, quoted where DOT
+    reads no bare ID: a name that starts with a digit, or a DOT keyword.
     """
     name = obj.name if isinstance(obj, Automaton) else "dfa"
+    if name[:1].isdigit() or name.lower() in _DOT_KEYWORDS:
+        name = f'"{name}"'
     finals = set(map(str, obj.finals))
     edges: dict[tuple[str, str], list[str]] = {}
     named = ((str(s), x, str(t)) for s, x, t in obj.transitions)
-    for s, x, t in sorted(named, key=lambda e: (e[0], letter_key(e[1]), e[2])):
+    for s, x, t in sorted(named, key=transition_order):
         edges.setdefault((s, t), []).append(_glyph(x))
     lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start0 [shape=none, label=""];']
     for s in sorted(map(str, obj.states)):

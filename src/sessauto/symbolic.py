@@ -5,10 +5,12 @@ values.  They carry the symbolic-language side of every construction: the
 data-word semantics never appears here.  An input automaton is read
 through its ``StateIndex``, its states numbered once.  A ``SymbolicNfa``
 keeps string states; no library path reads one, and tests and the
-benchmark's checks build them as references.  A DFA is its alphabet, its
-rows and its finals, and nothing else (the register bound belongs to the
-automaton read back from it): an int table on states 0..n-1, initial
-state 0, letters indexed in ``letter_key`` order.  A ``LazyDfa`` is a DFA
+benchmark's checks build them as references: ``product``,
+``shortest_accepted`` and ``determinize`` take one and nothing else.  A
+DFA is its alphabet, its rows and its finals, and nothing else (the
+register bound belongs to the automaton read back from it): an int table
+on states 0..n-1, initial state 0, letters indexed in ``letter_key``
+order.  A ``LazyDfa`` is a DFA
 given by its move function, whose states are numbered and expanded when
 they are first read.  Every operation that synthesizes a DFA numbers it
 canonically (breadth-first from the initial state, expanding letters in
@@ -18,9 +20,10 @@ minimal automata comparable by plain structural equality.
 stops at the shortlex-least word reaching an accepting node, and reads a
 LazyDfa only that far.  Every pair walk, of an automaton's index or a DFA
 x and a DFA y that follows it, runs on ``paired_moves``: y goes to -1
-where it has no move.  Inclusion, equivalence, universality, emptiness and
-the normal-form check search it, and intersect and complement_bounded
-number it.
+where it has no move.  ``_first_difference`` searches it, the one
+difference search: inclusion, equivalence, universality and the
+normal-form check.  Emptiness searches it for a common word, and intersect
+and complement_bounded number it.
 The index, the NFA and the int table are frozen and hand out only
 immutable values (the index's moves by label and the NFA's ``delta`` are
 read-only), so a cached result cannot be changed by its callers.  A
@@ -175,6 +178,8 @@ class LazyDfa(_Lettered):
     every row.
     """
 
+    initial = 0  # the start node's number
+
     def __init__(self, start, successors, accepting, alphabet):
         self.alphabet = alphabet
         self._successors, self._accepting = successors, accepting
@@ -212,18 +217,6 @@ class LazyDfa(_Lettered):
         row = self.row
         rows = tuple([row(s) for s, _ in enumerate(self._nodes)])
         return SymbolicDfa(self.alphabet, rows, frozenset(self.finals))
-
-
-def _as_nfa(fa: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
-    if isinstance(fa, SymbolicNfa):
-        return fa
-    return SymbolicNfa(
-        alphabet=fa.alphabet,
-        states=frozenset(fa.states),
-        initials=frozenset({fa.initial}),
-        finals=fa.finals,
-        transitions=frozenset(fa.transitions),
-    )
 
 
 def renumber(dfa: SymbolicDfa) -> SymbolicDfa:
@@ -373,9 +366,8 @@ def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:
     return SymbolicDfa(alpha, rows, frozenset(range(sink + 1)) - dfa.finals)
 
 
-def product(x: SymbolicNfa | SymbolicDfa, y: SymbolicNfa | SymbolicDfa) -> SymbolicNfa:
+def product(nx: SymbolicNfa, ny: SymbolicNfa) -> SymbolicNfa:
     """Intersection product, reachable pairs only."""
-    nx, ny = _as_nfa(x), _as_nfa(y)
     letters = sorted(nx.alphabet | ny.alphabet, key=letter_key)
     dx, dy = nx.delta, ny.delta
     names: dict[tuple[str, str], str] = {}
@@ -436,9 +428,8 @@ def shortlex_search(starts, successors, accepting) -> SymbolicWord | None:
     return None
 
 
-def shortest_accepted(fa: SymbolicNfa | SymbolicDfa) -> SymbolicWord | None:
+def shortest_accepted(nfa: SymbolicNfa) -> SymbolicWord | None:
     """Shortest accepted word; ties broken by the letter order, None if empty."""
-    nfa = _as_nfa(fa)
     delta = nfa.delta
     return shortlex_search(nfa.initials,
                            lambda s: [(x, t) for x in nfa.alphabet for t in delta.get((s, x), ())],
@@ -459,12 +450,13 @@ class _Memo(dict):
 def paired_moves(x, y, along: str = "x", columns: bool = False):
     """The ``successors`` of the pairs (state of x, state of y) of two automata read together.
 
-    y is a DFA, a SymbolicDfa or a LazyDfa.  x is one too, or an automaton's
-    ``StateIndex``, whose moves into states outside ``live`` are dropped:
-    like -1 below, such a state accepts nothing, so every witness stays the
-    same.  Nothing is built up front: the moves of each state of x, and
-    each row of y, are worked out when the walk first reaches them, once
-    however many pairs they are in.  ``along``:
+    y is a DFA, a SymbolicDfa or a LazyDfa.  x is one too or, to search
+    for inclusion or emptiness, an automaton's ``StateIndex``, whose moves
+    into states outside ``live`` are dropped: like -1 below, such a state
+    accepts nothing, so every witness stays the same.  Nothing is built up
+    front: the moves of each state of x, and each row of y, are worked out
+    when the walk first reaches them, once however many pairs they are in.
+    ``along``:
       "x"       every move of x; y follows it and goes to -1 where it has
                 no move, and -1 has no moves;
       "both"    only the moves of x that y follows;
@@ -504,16 +496,16 @@ def paired_moves(x, y, along: str = "x", columns: bool = False):
 def _first_difference(x, y, symmetric: bool) -> SymbolicWord | None:
     """Shortlex-least word of L(x) \\ L(y), or of the symmetric difference, or None.
 
-    A ``shortlex_search`` over ``paired_moves``.  LazyDfa operands are
-    explored only as far as the search goes; NFA operands are determinized.
+    The one difference search: a ``shortlex_search`` over ``paired_moves``
+    from (x.initial, 0).  y is a DFA, x one too or, for inclusion, an
+    automaton's ``StateIndex``; a LazyDfa is explored only as far as the
+    search goes.
     """
-    dx, dy = (fa if isinstance(fa, (SymbolicDfa, LazyDfa)) else determinize(fa) for fa in (x, y))
-
     def accepting(pair) -> bool:
-        in_x, in_y = pair[0] in dx.finals, pair[1] in dy.finals
+        in_x, in_y = pair[0] in x.finals, pair[1] in y.finals
         return in_x != in_y if symmetric else in_x and not in_y
 
-    return shortlex_search([(0, 0)], paired_moves(dx, dy, "either" if symmetric else "x"),
+    return shortlex_search([(x.initial, 0)], paired_moves(x, y, "either" if symmetric else "x"),
                            accepting)
 
 

@@ -383,7 +383,7 @@ def reference_canonicalize(a: Automaton) -> SymbolicDfa:
     only normal forms; this is the oracle its shortcut is compared against.
     """
     nf = nf_automaton(a.registers, a.alphabet)
-    return minimize(determinize(product(nf, tilde(a))))
+    return minimize(determinize(product(as_nfa(nf), tilde(a))))
 
 
 def _frozenset_pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
@@ -568,7 +568,8 @@ def reference_nf_violation_witness(hypothesis: Automaton):
     """
     alpha = symbolic_alphabet(hypothesis.alphabet, hypothesis.registers)
     outside = complement(nf_automaton(hypothesis.registers, frozenset(hypothesis.alphabet)), alpha)
-    return reference_shortest_accepted(determinize(product(as_symbolic_nfa(hypothesis), outside)))
+    return reference_shortest_accepted(
+        determinize(product(as_symbolic_nfa(hypothesis), as_nfa(outside))))
 
 
 class EagerTraceLearner(Learner):
@@ -972,7 +973,7 @@ def reference_is_empty(a: Automaton):
     well-formedness DFA, then ``shortest_accepted``.  Kept as its oracle."""
     require_session(a)
     wf = wf_automaton(a.registers, a.alphabet)
-    witness = shortest_accepted(product(as_symbolic_nfa(a), wf))
+    witness = shortest_accepted(product(as_symbolic_nfa(a), as_nfa(wf)))
     return None if witness is None else concretize(witness)
 
 
@@ -981,7 +982,7 @@ def reference_intersect(a: Automaton, b: Automaton) -> Automaton:
     product of the canonical DFAs, determinized and minimized.  Kept as its oracle."""
     require_session(a, b)
     k = min(a.registers, b.registers)
-    dfa = minimize(determinize(product(canonicalize(a), canonicalize(b))))
+    dfa = minimize(determinize(product(as_nfa(canonicalize(a)), as_nfa(canonicalize(b)))))
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
 
 
@@ -993,7 +994,7 @@ def reference_complement_bounded(a: Automaton) -> Automaton:
     k = a.registers
     alpha = symbolic_alphabet(a.alphabet, k)
     outside = complement(canonicalize(a), alpha)
-    dfa = minimize(determinize(product(nf_automaton(k, a.alphabet), outside)))
+    dfa = minimize(determinize(product(as_nfa(nf_automaton(k, a.alphabet)), as_nfa(outside))))
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
 
 
@@ -1076,7 +1077,7 @@ def reference_inclusion(x, y):
     """Shortest witness of L(x) \\ L(y): the complement of y, the product, then the search."""
     alpha = as_nfa(x).alphabet | as_nfa(y).alphabet
     outside = complement(determinize(as_nfa(y)), alpha)
-    return reference_shortest_accepted(product(x, outside))
+    return reference_shortest_accepted(product(as_nfa(x), as_nfa(outside)))
 
 
 def reference_equivalence(x, y):

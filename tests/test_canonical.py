@@ -414,7 +414,7 @@ def test_witnesses_match_reference_on_dfas(a, b):
                  (xd, yd), (yd, xd), (xd, y), (nf, xd)):
         assert symbolic_inclusion(p, q) == reference_inclusion(p, q)
         assert symbolic_equivalence(p, q) == reference_equivalence(p, q)
-        assert shortest_accepted(p) == reference_shortest_accepted(p)
+        assert shortest_accepted(as_nfa(p)) == reference_shortest_accepted(p)
 
 
 def test_cached_canonical_form_is_read_only(fig5a):
@@ -471,7 +471,7 @@ def test_general_path_matches_fast_path(a, b):
 def test_normal_form_table_is_the_determinized_product(a):
     # Pruned subsets keep their languages: same minimal DFA, never more subsets.
     nf = nf_automaton(a.registers, a.alphabet)
-    product_dfa = determinize(product(nf, tilde(a)))
+    product_dfa = determinize(product(as_nfa(nf), tilde(a)))
     table = normal_form_table(a).table()
     assert minimize(table) == minimize(product_dfa)
     assert len(table.rows) <= len(product_dfa.states)

@@ -158,6 +158,14 @@ def test_dot_export_automaton(fig5a):
     assert dot == dot_export(fig5a)
 
 
+@pytest.mark.parametrize("name", ["2b", "42", "graph", "Node"])
+def test_dot_export_quotes_names_dot_reads_no_bare_id_of(name):
+    # DOT takes no bare ID that starts with a digit unless it is a numeral,
+    # and reads a keyword, in any case, as the keyword.
+    a = parse_automaton(f"automaton {name}\nlabels a\nregisters 1\nstates q\ninitial q\n")
+    assert dot_export(a).startswith(f'digraph "{name}" {{\n')
+
+
 def test_dot_export_register_ops(fig1a):
     dot = dot_export(fig1a)
     assert "⊙" in dot

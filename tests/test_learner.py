@@ -346,13 +346,13 @@ def test_table_cell_verdicts_match_the_full_normal_form_check(rng, registers):
 def test_one_normal_form_walk_per_round(fig5a, monkeypatch):
     teacher = reference_teacher(fig5a)  # the target's own walk is done here
     walks = []
-    search = canonical_module.shortlex_search
+    search = canonical_module.symbolic_inclusion
 
     def counting_search(*args):
         walks.append(args)
         return search(*args)
 
-    monkeypatch.setattr(canonical_module, "shortlex_search", counting_search)
+    monkeypatch.setattr(canonical_module, "symbolic_inclusion", counting_search)
     learner = Learner(teacher, {"a", "b"})
     learner.run()
     assert len(walks) == learner.oracle.equivalence_queries > 1
@@ -399,6 +399,23 @@ def test_learned_simulated_and_canonical_membership_agree_on_long_words(target, 
         w = random_run_word(rng, a, length)
         for x in (w, perturb(rng, w)):
             assert simulate(learned, x) == simulate(target, x) == canonical.accepts(snf(x))
+
+
+def test_three_register_memberships_agree_on_a_long_overlapping_word():
+    # Ticket i opens, i-1 is used and i-2 closes: three sessions are open at
+    # once over 3000 letters, k = 3.
+    tickets3 = fixture("tickets3")
+    letters = [("open", 1), ("open", 2)]
+    letters += [x for i in range(3, 1003) for x in (("open", i), ("use", i - 1), ("close", i - 2))]
+    w = tuple(letters[:3000])
+    learned = Learner(reference_teacher(tickets3), tickets3.alphabet, max_queries=None).run()
+    canonical = canonicalize(tickets3)
+    rng = Random(3)
+    verdicts = []
+    for x in (w, *(perturb(rng, w) for _ in range(6))):
+        verdicts.append(simulate(tickets3, x))
+        assert canonical.accepts(snf(x)) == simulate(learned, x) == verdicts[-1]
+    assert verdicts == [True] + [False] * 6
 
 
 def assert_trace_matches_eager_reference(make_teacher, labels, budget):

@@ -7,6 +7,7 @@ from helpers import (
     enumerate_symbolic_words,
     NamedDfa,
     as_named,
+    as_nfa,
     as_table,
     letter,
     nfa_accepts_brute,
@@ -184,13 +185,14 @@ def test_symbolic_inclusion_and_equivalence():
     for _ in range(80):
         x, y = random_nfa(rng), random_nfa(rng)
         lx, ly = language(x), language(y)
-        w = symbolic_inclusion(x, y)
+        dx, dy = determinize(x), determinize(y)
+        w = symbolic_inclusion(dx, dy)
         if w is None:
             assert lx <= ly
             checked_holds += 1
         else:
             assert nfa_accepts_brute(x, w) and not nfa_accepts_brute(y, w)
-        w = symbolic_equivalence(x, y)
+        w = symbolic_equivalence(dx, dy)
         if w is None:
             assert lx == ly
         else:
@@ -214,7 +216,7 @@ def test_equivalence_witness_is_least_difference():
         transitions=frozenset(),
     )
     # languages differ first on the one-letter word a:*1
-    assert symbolic_equivalence(x, y) == sw("a:*1")
+    assert symbolic_equivalence(determinize(x), determinize(y)) == sw("a:*1")
 
 
 def test_a_dead_state_of_x_leaves_the_moves_of_y():
@@ -299,8 +301,9 @@ NOTHING = SymbolicNfa(frozenset(AB), ONE, ONE, frozenset(), frozenset())
 
 def test_witnesses_are_shortlex_least_on_nondeterministic_input():
     assert shortest_accepted(FORK) == sw("a:*1 a:*1")
-    assert symbolic_inclusion(FORK, NOTHING) == sw("a:*1 a:*1")
-    assert symbolic_equivalence(NOTHING, FORK) == sw("a:*1 a:*1")
+    fork, nothing = determinize(FORK), determinize(NOTHING)
+    assert symbolic_inclusion(fork, nothing) == sw("a:*1 a:*1")
+    assert symbolic_equivalence(nothing, fork) == sw("a:*1 a:*1")
 
 
 @settings(max_examples=150, deadline=None)
@@ -308,14 +311,15 @@ def test_witnesses_are_shortlex_least_on_nondeterministic_input():
 @example(x=FORK, y=NOTHING, deterministic=False)
 def test_witnesses_are_brute_force_least(x, y, deterministic):
     if deterministic:
-        x, y = determinize(x), determinize(y)
+        x, y = as_nfa(determinize(x)), as_nfa(determinize(y))
     letters = x.alphabet | y.alphabet
     in_x = brute_accepted(x, letters, 5)
     in_y = brute_accepted(y, letters, 5)
+    dx, dy = determinize(x), determinize(y)
     cases = [
         (shortest_accepted(x), in_x),
-        (symbolic_inclusion(x, y), [w for w in in_x if w not in in_y]),
-        (symbolic_equivalence(x, y), sorted(set(in_x) ^ set(in_y), key=word_key)),
+        (symbolic_inclusion(dx, dy), [w for w in in_x if w not in in_y]),
+        (symbolic_equivalence(dx, dy), sorted(set(in_x) ^ set(in_y), key=word_key)),
     ]
     for got, words in cases:
         if words:
