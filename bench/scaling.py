@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Scaling sweeps: the data-word layers over word length, and the learner.
+"""Scaling sweeps: the data-word layers over word length, the learner, and universal automata.
 
 Run from the root of a source checkout:
 
@@ -24,9 +24,21 @@ Each run starts with the package's caches cleared, so it pays what a new
 process pays, the target's canonical form included.  A point whose runs
 take longer than 60 s in all is recorded as a timeout and flagged.
 
+Universal automata.  For k = 1..6 it times ``canonicalize(universal(k))``
+and ``is_universal_bounded(universal(k), k)``, each the median of 3 runs
+from cold caches, and records the canonical states (2^k by the theory)
+and the subsets of ``snf_dfa`` explored in full.  A point whose runs take
+longer than 60 s in all is recorded as a timeout and flagged, and the
+larger k of that series are not run.  One more point canonicalizes 60
+random k = 3 automata of the benchmark generator
+(``random_session_automaton``, 3 or 4 states, density 0.3) from cold
+caches, the median of 3 runs, and records their subsets and canonical
+states in total and a SHA-256 of the canonical DFAs, which two checkouts
+that build the same canonical forms share.
+
 The package is imported from ``--src`` (default: ``src/`` of this checkout),
-and the generator from ``tests/`` beside it, so the same script measures
-another checkout.  The result is stored in the ``--out`` file under
+and the generators from ``tests/`` and ``perfbench/`` beside it, so the same
+script measures another checkout.  The result is stored in the ``--out`` file under
 ``--label``, next to the runs already there, so one file holds the numbers
 of a parent commit and of a change.  Stdlib only.
 """
@@ -34,6 +46,7 @@ of a parent commit and of a change.  Stdlib only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import platform
@@ -51,6 +64,9 @@ TIMEOUT_S = 60.0
 LIMIT = 1.2
 LEARN_SEEDS = (16, 1226, 112)
 LEARN_RUNS = 3
+UNIVERSAL_KS = range(1, 7)
+UNIVERSAL_RUNS = 3
+DRAWS, DRAW_SEED = 60, 24
 
 
 def fixture_word(name: str, n: int) -> tuple:
@@ -133,14 +149,20 @@ def word_sweep(S) -> dict:
     return out
 
 
+def cold(S) -> None:
+    """Clear every cache of the canonical layer, as a new process starts."""
+    for f in vars(S.canonical).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
 def learn_sweep(S, helpers) -> dict:
     out, learners = {}, []
 
     def learn(target):
         # A cold start, as in a new process: a hypothesis equal to one of an
         # earlier run would otherwise find its canonical form cached.
-        for cached in (S.canonicalize, S.nf_automaton, S.wf_automaton):
-            cached.cache_clear()
+        cold(S)
         learner = S.Learner(S.reference_teacher(target), target.alphabet, max_queries=None)
         learner.run()
         learners.append(learner)
@@ -161,13 +183,63 @@ def learn_sweep(S, helpers) -> dict:
     return out
 
 
+def universal_sweep(S, helpers, gen) -> dict:
+    out = {}
+    layers = {
+        "canonicalize": S.canonicalize,
+        "is_universal_bounded": lambda a: S.is_universal_bounded(a, a.registers),
+    }
+    for fn_name, fn in layers.items():
+        def run(k, fn=fn):
+            cold(S)
+            fn(helpers.universal(k))
+
+        series = {}
+        for k in UNIVERSAL_KS:
+            t = median_time(run, k, UNIVERSAL_RUNS)
+            point = {"median_s": "timeout" if t is None else round(t, 6)}
+            if t is not None:
+                a = helpers.universal(k)
+                point.update(canonical_states=len(S.canonicalize(a).rows),
+                             subsets=len(S.canonical.snf_dfa(a).table().rows))
+            series[str(k)] = point
+            print(f"# universal {fn_name} k={k}: {point}", file=sys.stderr)
+            if t is None:
+                break
+        out[fn_name] = {"points": series, "flagged": t is None}
+
+    rng = Random(DRAW_SEED)
+    draws = [gen.random_session_automaton(rng, 3, 3 + i % 2, 0.3, f"d{i}") for i in range(DRAWS)]
+
+    def canonicalize_all(automata):
+        cold(S)
+        for a in automata:
+            S.canonicalize(a)
+
+    t = median_time(canonicalize_all, draws, UNIVERSAL_RUNS)
+    point = {"draws": DRAWS, "seed": DRAW_SEED, "median_s": "timeout" if t is None else round(t, 6)}
+    if t is not None:
+        digest = hashlib.sha256()
+        for a in draws:
+            c = S.canonicalize(a)
+            digest.update(repr((c.rows, sorted(c.finals))).encode())
+        point.update(subsets=sum(len(S.canonical.snf_dfa(a).table().rows) for a in draws),
+                     canonical_states=sum(len(S.canonicalize(a).rows) for a in draws),
+                     canonical_sha256=digest.hexdigest())
+    out["random3_draws"] = dict(point, flagged=t is None)
+    print(f"# universal random k=3 draws: {point}", file=sys.stderr)
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the sessauto package")
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--out", required=True, help="JSON file the run is stored in")
     args = parser.parse_args()
-    sys.path[:0] = [args.src, str(Path(args.src).resolve().parent / "tests")]
+    checkout = Path(args.src).resolve().parent
+    sys.path[:0] = [args.src, str(checkout / "tests"), str(checkout / "perfbench")]
+    import gen
     import helpers
     import sessauto as S
 
@@ -179,12 +251,16 @@ def main() -> int:
         "timeout_s": TIMEOUT_S,
         "series": word_sweep(S),
         "learn": learn_sweep(S, helpers),
+        "universal": universal_sweep(S, helpers, gen),
     }
     result["flagged"] = sorted([k for k, v in result["series"].items() if v["flagged"]]
-                               + [f"learn.{k}" for k, v in result["learn"].items() if v["flagged"]])
+                               + [f"learn.{k}" for k, v in result["learn"].items() if v["flagged"]]
+                               + [f"universal.{k}" for k, v in result["universal"].items()
+                                  if v["flagged"]])
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {
-        "lengths": list(LENGTHS), "learn_seeds": list(LEARN_SEEDS), "runs": {}}
+        "lengths": list(LENGTHS), "learn_seeds": list(LEARN_SEEDS),
+        "universal_ks": list(UNIVERSAL_KS), "runs": {}}
     doc["runs"][args.label] = result
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps({"label": args.label, "flagged": result["flagged"]}))

@@ -57,7 +57,7 @@ from sessauto import (
     word_key,
 )
 from sessauto.automata import require_session
-from sessauto.canonical import _relabelings, tilde
+from sessauto.canonical import _relabelings, lazy_nf_automaton, tilde
 from sessauto.langops import _pair_table
 from sessauto.learner import ReferenceTeacher
 from sessauto.symbolic import (
@@ -443,18 +443,56 @@ def _moves_by_source(transitions) -> dict[str, list[tuple[TransitionLabel, str]]
     return moves
 
 
-def frozenset_normal_form_table(a: Automaton) -> LazyDfa:
+def coreachable_states(a: Automaton) -> frozenset[str]:
+    """The states of ``a`` that reach a final state, by a fixpoint over its transitions."""
+    live = set(a.finals)
+    grew = True
+    while grew:
+        grew = False
+        for s, _, t in a.transitions:
+            if t in live and s not in live:
+                live.add(s)
+                grew = True
+    return frozenset(live)
+
+
+def nf_promises(k: int, labels) -> list[frozenset[int]]:
+    """The promised registers of each state of ``nf_automaton(k, labels)``, by state number,
+    read off the nodes of the normal-form DFA explored over those very labels."""
+    dfa = lazy_nf_automaton(k, frozenset(labels))
+    dfa.table()
+    return [node.promised for node in dfa._nodes]
+
+
+def held_outputs(inj: int, k: int) -> set[int]:
+    """The output registers some register of the automaton holds under an injection's int."""
+    return {o for r in range(1, k + 1) for o in range(1, k + 1) if inj >> (r - 1) * k + o - 1 & 1}
+
+
+def dead_member(promised: frozenset[int], state: str, inj: int, k: int, live) -> bool:
+    """Whether the trim drops the tilde state (state, inj) paired with a normal-form state that
+    promises ``promised``: its state reaches no final one, or a promised output register is
+    held by no register of the automaton, so it is never reused and the promise never ends."""
+    return state not in live or not promised <= held_outputs(inj, k)
+
+
+def frozenset_normal_form_table(a: Automaton, trim: bool = True) -> LazyDfa:
     """``normal_form_table`` with every subset a frozenset of tilde masks.
 
     The construction as it stood before subsets became int bitsets over
-    interned member ids, kept verbatim as the oracle of its numbering: the
-    tables must be equal, which ``minimize`` alone cannot tell.
+    interned member ids, with the members ``dead_member`` drops taken out of
+    every target subset: the tables must be equal, numbering and all, which
+    ``minimize`` alone cannot tell.  ``trim=False`` keeps them, the
+    construction as it stood before the trim.
     """
     k = a.registers
     require_session(a)
     nf = nf_automaton(k, a.alphabet)
     nf_letters = [[x for x, t in enumerate(row) if t >= 0] for row in nf.rows]
-    state_bit = {q: 1 << k * k + i for i, q in enumerate(sorted(a.states))}
+    promises = nf_promises(k, a.alphabet)
+    live = coreachable_states(a)
+    names = sorted(a.states)
+    state_bit = {q: 1 << k * k + i for i, q in enumerate(names)}
     injection = (1 << k * k) - 1
     finals = sum(state_bit[q] for q in a.finals)
     # Per state bit: (letter index per output register, operation, target bit).
@@ -475,6 +513,13 @@ def frozenset_normal_form_table(a: Automaton) -> LazyDfa:
             for r, inj2 in _relabelings(op, inj, k):
                 row[slots[r - 1]].append(target | inj2)
         return row
+
+    def alive(n: int, targets: frozenset[int]) -> frozenset[int]:
+        if not trim:
+            return targets
+        return frozenset(m for m in targets
+                         if not dead_member(promises[n], names[(m >> k * k).bit_length() - 1],
+                                            m & injection, k, live))
 
     maximal_of: dict[frozenset[int], frozenset[int]] = {}
 
@@ -503,8 +548,10 @@ def frozenset_normal_form_table(a: Automaton) -> LazyDfa:
     def successors(state):
         n, subset = state
         rows = [tilde_rows.get(m) or expand(m) for m in subset]
-        return [(x, (nf.rows[n][x], maximal(targets)))
-                for x, targets in _frozenset_pooled_moves(rows, nf_letters[n])]
+        to = nf.rows[n]
+        return [(x, (to[x], maximal(targets)))
+                for x, pooled in _frozenset_pooled_moves(rows, nf_letters[n])
+                if (targets := alive(to[x], pooled))]
 
     def accepting(state) -> bool:
         n, subset = state

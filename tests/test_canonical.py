@@ -1,3 +1,4 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -10,6 +11,8 @@ from helpers import (
     as_named,
     as_nfa,
     as_table,
+    coreachable_states,
+    dead_member,
     dw,
     enumerate_symbolic_words,
     fig5c_dfa,
@@ -18,6 +21,7 @@ from helpers import (
     frozenset_normal_form_table,
     injection_bits,
     is_well_formed,
+    nf_promises,
     partial_injections,
     random_data_word,
     random_session_automaton,
@@ -61,7 +65,7 @@ from sessauto import (
     symbolic_inclusion,
     wf_automaton,
 )
-from sessauto.canonical import _relabelings, normal_form_table, snf_dfa, tilde
+from sessauto.canonical import _relabelings, nf_shape, normal_form_table, snf_dfa, tilde
 from sessauto.symbolic import LazyDfa, product, shortest_accepted
 from test_automata import SESSION_OPS, automata
 
@@ -497,8 +501,9 @@ def test_pruned_table_matches_reference(a):
 
 
 def assert_same_tables(a):
-    # Equal, numbering and all: witnesses are read off the numbering, which
-    # comparing minimal DFAs cannot see.
+    # Equal, numbering and all: the bitset construction builds the same subsets,
+    # trimmed and pruned alike, in the same order, which comparing minimal DFAs
+    # cannot see.  (Shortlex-least witnesses do not depend on the numbering.)
     assert normal_form_table(a).table() == frozenset_normal_form_table(a).table()
     nfa = as_symbolic_nfa(a)
     assert determinize(nfa) == frozenset_determinize(nfa)
@@ -522,6 +527,84 @@ NAMED = [universal(k) for k in range(1, 6)] + [
 @pytest.mark.parametrize("a", NAMED, ids=[a.name for a in NAMED])
 def test_bitset_tables_of_named_automata_match_frozenset_reference(a):
     assert_same_tables(a)
+
+
+def assert_trim_keeps_languages(a):
+    """The trimmed table is no larger than the untrimmed construction, and has its minimal DFA."""
+    trimmed = normal_form_table(a).table()
+    untrimmed = frozenset_normal_form_table(a, trim=False).table()
+    assert len(trimmed.rows) <= len(untrimmed.rows)
+    assert minimize(trimmed) == minimize(untrimmed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=AUTOMATA_K2)
+@example(a=EMPTY)
+def test_trim_keeps_languages(a):
+    assert_trim_keeps_languages(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=automata(SESSION_OPS))
+def test_trim_keeps_languages_up_to_three_registers(a):
+    # The untrimmed construction grows faster than the trimmed one.
+    assume(len(normal_form_table(a).table().rows) <= 1000)
+    assert_trim_keeps_languages(a)
+
+
+@pytest.mark.parametrize("a", NAMED, ids=[a.name for a in NAMED])
+def test_trim_keeps_languages_of_named_automata(a):
+    assert_trim_keeps_languages(a)
+
+
+def test_trimmed_table_sizes(fig1b):
+    # fig1b loses one subset; universal(k) has none to lose (see
+    # test_normal_form_table_of_universal_is_minimal).
+    assert len(frozenset_normal_form_table(fig1b, trim=False).table().rows) == 13
+    assert len(normal_form_table(fig1b).table().rows) == 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=automata(SESSION_OPS))
+@example(a=fixture("fig1b"))
+@example(a=chain("a:*1", "a:*2"))
+@example(a=add_dead_state(universal(2), "trap"))
+def test_trimmed_members_accept_nothing(a):
+    """Every (normal-form state, tilde state) pair the trim drops has an empty language in the
+    product of the normal-form DFA and tilde(a), by coreachability in that product."""
+    k = a.registers
+    nf, t = as_nfa(nf_automaton(k, a.alphabet)), tilde(a)
+    # Every state of both is initial: product names the initial pairs p0, p1, ... in
+    # sorted order, and reaches every pair from them.
+    nf_states, t_states = sorted(nf.states), sorted(t.states)
+    pairs = product(replace(nf, initials=nf.states), replace(t, initials=t.states))
+    live = set(pairs.finals)
+    grew = True
+    while grew:
+        grew = False
+        for s, _, s2 in pairs.transitions:
+            if s2 in live and s not in live:
+                live.add(s)
+                grew = True
+    promises = nf_promises(k, a.alphabet)
+    states_live = coreachable_states(a)
+    for i, n in enumerate(nf_states):
+        for j, member in enumerate(t_states):
+            q, inj = member.rsplit("|", 1)
+            if dead_member(promises[int(n)], q, int(inj), k, states_live):
+                assert f"p{i * len(t_states) + j}" not in live, (n, member)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_nf_shape_is_read_off_the_nf_states(k):
+    # One entry per k and number of labels serves every label set: nf_automaton
+    # numbers its states, and orders the letters of each label, alike whatever
+    # the labels.
+    for labels in (A, AB, frozenset({"z"}), frozenset({"b", "a"}), frozenset({"req", "ack", "x"})):
+        nf = nf_automaton(k, labels)
+        promised = tuple(sum(1 << r - 1 for r in p) for p in nf_promises(k, labels))
+        letters = tuple(tuple(x for x, t in enumerate(row) if t >= 0) for row in nf.rows)
+        assert nf_shape(k, len(labels)) == (promised, letters)
 
 
 def assert_snf_dfa(a):
