@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Scaling sweeps: the data-word layers over word length, the learner, and universal automata.
+"""Scaling sweeps: the data-word layers over word length, the learner, universal automata and
+the decisions.
 
 Run from the root of a source checkout:
 
@@ -36,6 +37,14 @@ caches, the median of 3 runs, and records their subsets and canonical
 states in total and a SHA-256 of the canonical DFAs, which two checkouts
 that build the same canonical forms share.
 
+Decisions.  For each case of the benchmark's decide workload,
+``perfbench/workloads.py::decide_cases(0, 0)``, it times every kind of
+``DECIDE_OPS`` (``DecideOp.run``, the inputs relabelled under a fixed tag
+per run), each the median of 3 runs from cold caches, and records a SHA-256
+of the witnesses and output automata of every op, which two checkouts that
+decide alike share.  A point whose runs take longer than 60 s in all is
+recorded as a timeout and flagged.
+
 The package is imported from ``--src`` (default: ``src/`` of this checkout),
 and the generators from ``tests/`` and ``perfbench/`` beside it, so the same
 script measures another checkout.  The result is stored in the ``--out`` file under
@@ -67,6 +76,7 @@ LEARN_RUNS = 3
 UNIVERSAL_KS = range(1, 7)
 UNIVERSAL_RUNS = 3
 DRAWS, DRAW_SEED = 60, 24
+DECIDE_RUNS = 3
 
 
 def fixture_word(name: str, n: int) -> tuple:
@@ -150,10 +160,12 @@ def word_sweep(S) -> dict:
 
 
 def cold(S) -> None:
-    """Clear every cache of the canonical layer, as a new process starts."""
-    for f in vars(S.canonical).values():
-        if hasattr(f, "cache_clear"):
-            f.cache_clear()
+    """Clear every cache of the package's modules, as a new process starts."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{S.__name__}."):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
 
 
 def learn_sweep(S, helpers) -> dict:
@@ -231,6 +243,37 @@ def universal_sweep(S, helpers, gen) -> dict:
     return out
 
 
+def describe(S, answer) -> str:
+    """A decision's answer as text: an automaton serialized, a witness formatted, or None."""
+    if isinstance(answer, S.Automaton):
+        return S.serialize_automaton(answer)
+    return "None" if answer is None else S.format_data_word(answer)
+
+
+def decide_sweep(S, workloads) -> dict:
+    cases, digest, flagged = {}, hashlib.sha256(), False
+    for j, (name, a, b) in enumerate(workloads.decide_cases(0, 0)):
+        case = workloads.DecideCase(name, a, b)
+        point = {}
+        for kind in workloads.DECIDE_OPS:
+            answers = []
+
+            def run(ops):
+                cold(S)
+                answers.append(next(ops).run())
+
+            ops = iter([workloads.DecideOp(case, kind, f"s{j}") for _ in range(DECIDE_RUNS)])
+            t = median_time(run, ops, DECIDE_RUNS)
+            point[kind] = "timeout" if t is None else round(t, 6)
+            flagged |= t is None
+            digest.update(repr((name, kind, describe(S, answers[-1]) if t else "timeout")).encode())
+        cases[f"{j}.{name}"] = point
+        print(f"# decide {name}: {point}", file=sys.stderr)
+    total = sum(t for point in cases.values() for t in point.values() if t != "timeout")
+    return {"cases": cases, "total_s": round(total, 6), "answers_sha256": digest.hexdigest(),
+            "flagged": flagged}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory that holds the sessauto package")
@@ -242,6 +285,7 @@ def main() -> int:
     import gen
     import helpers
     import sessauto as S
+    import workloads
 
     result = {
         "python": platform.python_version(),
@@ -252,11 +296,13 @@ def main() -> int:
         "series": word_sweep(S),
         "learn": learn_sweep(S, helpers),
         "universal": universal_sweep(S, helpers, gen),
+        "decide": decide_sweep(S, workloads),
     }
     result["flagged"] = sorted([k for k, v in result["series"].items() if v["flagged"]]
                                + [f"learn.{k}" for k, v in result["learn"].items() if v["flagged"]]
                                + [f"universal.{k}" for k, v in result["universal"].items()
-                                  if v["flagged"]])
+                                  if v["flagged"]]
+                               + ["decide"] * result["decide"]["flagged"])
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {
         "lengths": list(LENGTHS), "learn_seeds": list(LEARN_SEEDS),

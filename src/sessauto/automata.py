@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import NotSessionAutomaton, UnknownLabel
+from .errors import InvalidAutomaton, NotSessionAutomaton, UnknownLabel
 from .symbolic import StateIndex, SymbolicDfa, SymbolicNfa, index_states
 from .words import (
     DataWord,
@@ -69,8 +69,14 @@ class Automaton:
 
     @cached_property
     def state_index(self) -> StateIndex:
-        """The states numbered once, and the moves on those ids, for every reader."""
-        return index_states(self.states, self.initial, self.finals, self.alphabet, self.transitions)
+        """The states numbered once, and the moves on those ids, for every reader.  A move on a
+        letter outside the automaton's own symbolic alphabet, or a name outside ``states``,
+        raises InvalidAutomaton with the diagnostics of ``validate``."""
+        try:
+            return index_states(self.states, self.initial, self.finals, self.alphabet,
+                                self.registers, self.transitions)
+        except (KeyError, ValueError):
+            raise InvalidAutomaton(validate(self)) from None
 
     @cached_property
     def automaton_class(self) -> AutomatonClass:
@@ -234,15 +240,15 @@ def from_symbolic_dfa(dfa: SymbolicDfa, name: str, labels, registers: int) -> Au
     Synthesized state names get a reserved ``__`` prefix so they can never
     collide with names from input files.
     """
-    rename = {s: f"__{s}" for s in dfa.states}
+    names, letters, new = [f"__{s}" for s in dfa.states], dfa.letters, tuple.__new__
     return Automaton(
         name=name,
         alphabet=frozenset(labels),
         registers=registers,
-        states=frozenset(rename.values()),
-        initial=rename[dfa.initial],
-        finals=frozenset(rename[s] for s in dfa.finals),
-        transitions=frozenset(
-            Transition(rename[s], x, rename[t]) for s, x, t in dfa.transitions
-        ),
+        states=frozenset(names),
+        initial=names[dfa.initial],
+        finals=frozenset(map(names.__getitem__, dfa.finals)),
+        transitions=frozenset(new(Transition, (names[s], letters[x], names[t]))
+                              for s, row in enumerate(dfa.rows)
+                              for x, t in enumerate(row) if t >= 0),
     )

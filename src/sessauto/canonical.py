@@ -36,14 +36,14 @@ When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
 canonical automaton is just A determinized and minimized.  This holds for
 every hypothesis of the learner and every output of intersect and
-complement_bounded.  The check is an inclusion, nf_violation_witness: the
-difference search of ``symbolic_inclusion`` from A's ``state_index`` into
-the normal-form DFA finds the least accepted word that is not a normal
-form; A accepts only normal forms when there is none, and the learner
-returns the witness as a counterexample to its own hypothesis.
+complement_bounded.  The check is an inclusion, nf_violation_witness: one
+pair search of A's ``symbolic_dfa``, its ``state_index`` determinized as
+far as the search goes, against the normal-form DFA finds the least word A
+accepts that is not a normal form.  A accepts only normal forms when there
+is none; the learner returns the witness as a counterexample.
 
 ``snf_dfa`` is the DFA of snf(L(A)) before minimizing, a LazyDfa either
-way: A determinized on that fast path, normal_form_table otherwise.  Two
+way: ``symbolic_dfa`` on that fast path, normal_form_table otherwise.  Two
 session automata accept the same data words exactly when their sets of
 normal forms coincide, so every decision and boolean operation of
 ``langops``, and the reference teacher's equivalence query, is a DFA search
@@ -402,41 +402,45 @@ def normal_form_table(a: Automaton) -> LazyDfa:
     return LazyDfa((0, start), successors, accepting, nf.alphabet)
 
 
+def symbolic_dfa(a: Automaton, trim: bool) -> LazyDfa:
+    """L_symb(a) determinized from ``a.state_index`` (``determinize_ids``), unexplored.  With
+    ``trim``, moves into states that reach no final state are left out: the language stays,
+    and a search meets no subset that accepts nothing."""
+    index = a.state_index
+    moves = [[m for m in out if m[1] in index.live] for out in index.moves] if trim else index.moves
+    return determinize_ids(moves, 1 << index.initial, sum(1 << q for q in index.finals),
+                           symbolic_alphabet(a.alphabet, a.registers))
+
+
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     """Shortlex-least symbolic word the automaton accepts that is not a normal form, or None.
 
     The inclusion of L_symb(a) in the normal forms: ``symbolic_inclusion``
-    of ``a.state_index`` in the normal-form DFA, which leaves out the states
-    of a that reach no final state.  -1 stands for a prefix that is no
-    normal form any more: the normal-form DFA could not read one of its
-    letters.  Register automata raise NotSessionAutomaton.
-
-    The search runs once per automaton: its result, a tuple or None, is kept
-    on the frozen instance as ``state_index`` is, so the learner's check of
-    a hypothesis and the teacher's ``snf_dfa`` of it share one search.
+    of its trimmed ``symbolic_dfa`` in the normal-form DFA, which goes to -1
+    on a prefix that is no normal form any more.  Register automata raise
+    NotSessionAutomaton.  The search runs once per automaton: its result, a
+    tuple or None, is kept on the frozen instance as ``state_index`` is, so
+    the learner's check of a hypothesis and the teacher's ``snf_dfa`` of it
+    share one search.
     """
     require_session(a)
     cached = vars(a)
     if "nf_violation_witness" not in cached:
         cached["nf_violation_witness"] = symbolic_inclusion(
-            a.state_index, nf_automaton(a.registers, a.alphabet))
+            symbolic_dfa(a, True), nf_automaton(a.registers, a.alphabet))
     return cached["nf_violation_witness"]
 
 
 def snf_dfa(a: Automaton) -> LazyDfa:
     """A DFA of snf(L(a)), not minimized and unexplored, for a search to read as far as it goes.
 
-    Automata that accept only normal forms are determinized from their
-    ``state_index`` (``determinize_ids``): their symbolic language already is
-    snf(L(a)).  Others get the ``normal_form_table``, one lazy subset
-    construction over the normal-form DFA and tilde(a).  ``table()`` explores
-    either in full.  Register automata raise NotSessionAutomaton.
+    Automata that accept only normal forms give their ``symbolic_dfa``:
+    their symbolic language already is snf(L(a)).  Others get the
+    ``normal_form_table``, one lazy subset construction over the normal-form
+    DFA and tilde(a).  ``table()`` explores either in full.  Register
+    automata raise NotSessionAutomaton.
     """
-    if nf_violation_witness(a) is not None:
-        return normal_form_table(a)
-    index = a.state_index
-    return determinize_ids(index.moves, 1 << index.initial, sum(1 << q for q in index.finals),
-                           nf_automaton(a.registers, a.alphabet).alphabet)
+    return normal_form_table(a) if nf_violation_witness(a) is not None else symbolic_dfa(a, False)
 
 
 @lru_cache(maxsize=256)

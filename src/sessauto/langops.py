@@ -1,43 +1,34 @@
 """Boolean and decision operations on session-automaton languages.
 
 Two languages compare exactly like their sets of normal forms, snf(L).  So
-inclusion, equivalence and universality over k-bounded words are early-exit
-searches over pairs of states of two DFAs of such sets, which stop at the
-shortlex-least symbolic witness.  Neither DFA is minimized, and each is
-explored only as far as the search goes: ``snf_dfa`` of an automaton, and
-for universality the normal-form DFA, whose 2^k states are computed by
-arithmetic as they are reached.  Both DFAs are deterministic, so the least
-accepting pair carries the least word of the difference, whichever DFAs
-of the two languages are paired.  That witness is a normal form, and it is
-returned concretized: a genuine separating data word.  The boolean
-operations that return automata, intersect and complement_bounded, are one
-``LazyDfa`` over pairs of states of two snf tables (or of the normal-form
-DFA and one), explored in full and minimized once, at the end: the minimal
-DFA is the same whichever DFAs of the languages are paired.  The DFA has
-no register bound; each of the two gives the automaton it returns its
-own.  All of them, and emptiness, walk ``symbolic.paired_moves``.
+inclusion, equivalence and universality over k-bounded words are
+``symbolic.pair_search``es over two DFAs of such sets, explored only as far
+as the shortlex-least symbolic witness and never minimized: ``snf_dfa`` of
+an automaton, and for universality the normal-form DFA, whose 2^k states
+are computed as they are reached.  The walk is deterministic, so its least
+accepting pair carries the least word of the difference whichever DFAs of
+the two languages are paired.  That witness is a normal form, returned
+concretized: a genuine separating data word.  Emptiness searches an
+automaton's own ``symbolic_dfa`` with the well-formedness DFA.  intersect
+and complement_bounded explore the same walk in full (``pair_table``) and
+minimize it once: the minimal DFA is the same whichever DFAs are paired.
+A DFA has no register bound; each operation gives its automaton its own.
 """
 
 from __future__ import annotations
 
 from .automata import Automaton, Transition, from_symbolic_dfa, require_session
-from .canonical import lazy_nf_automaton, nf_automaton, snf_dfa, wf_automaton
+from .canonical import lazy_nf_automaton, nf_automaton, snf_dfa, symbolic_dfa, wf_automaton
 from .symbolic import (
-    LazyDfa,
-    SymbolicDfa,
+    ALONG_BOTH,
+    ALONG_X,
     minimize,
-    paired_moves,
-    shortlex_search,
+    pair_search,
+    pair_table,
     symbolic_equivalence,
     symbolic_inclusion,
 )
 from .words import DataWord, concretize
-
-
-def _pair_table(x, y, along: str, accepting) -> SymbolicDfa:
-    """Minimal DFA, over the letters of x, of ``paired_moves(x, y, along)`` with finals ``accepting``."""
-    return minimize(LazyDfa((0, 0), paired_moves(x, y, along, columns=True),
-                            lambda pair: accepting(*pair), x.alphabet).table())
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
@@ -49,7 +40,8 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
     """
     k = min(a.registers, b.registers)
     x, y = snf_dfa(a), snf_dfa(b)
-    dfa = _pair_table(x, y, "both", lambda s, t: s in x.finals and t in y.finals)
+    dfa = minimize(pair_table(x, y, ALONG_BOTH,
+                              lambda pair: pair[0] in x.finals and pair[1] in y.finals))
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
 
 
@@ -94,7 +86,8 @@ def complement_bounded(a: Automaton) -> Automaton:
     """
     k = a.registers
     nf, y = nf_automaton(k, a.alphabet), snf_dfa(a)
-    dfa = _pair_table(nf, y, "x", lambda n, t: n in nf.finals and t not in y.finals)
+    dfa = minimize(pair_table(nf, y, ALONG_X,
+                              lambda pair: pair[0] in nf.finals and pair[1] not in y.finals))
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
 
 
@@ -114,16 +107,14 @@ def is_empty(a: Automaton) -> DataWord | None:
     """None when L(a) is empty; otherwise an accepted data word.
 
     A session automaton accepts some data word exactly when its symbolic
-    language contains a well-formed word: one ``shortlex_search`` over
-    ``paired_moves(a, wf, "both")``, wf the well-formedness DFA, finds the
-    least.  It follows only the moves wf can follow, and every state of wf
-    is final.
+    language contains a well-formed word: one ``pair_search`` of its
+    ``symbolic_dfa`` paired with wf, the well-formedness DFA, along the moves
+    both make, finds the least.  Every state of wf is final.
     """
     require_session(a)
-    index = a.state_index
-    wf = wf_automaton(a.registers, a.alphabet)
-    witness = shortlex_search([(index.initial, wf.initial)], paired_moves(index, wf, "both"),
-                              lambda pair: pair[0] in index.finals)
+    x = symbolic_dfa(a, True)
+    witness = pair_search(x, wf_automaton(a.registers, a.alphabet), ALONG_BOTH,
+                          lambda pair: pair[0] in x.finals)
     return None if witness is None else concretize(witness)
 
 

@@ -7,23 +7,17 @@ through its ``StateIndex``, its states numbered once.  A ``SymbolicNfa``
 keeps string states; no library path reads one, and tests and the
 benchmark's checks build them as references: ``product``,
 ``shortest_accepted`` and ``determinize`` take one and nothing else.  A
-DFA is its alphabet, its rows and its finals, and nothing else (the
-register bound belongs to the automaton read back from it): an int table
-on states 0..n-1, initial state 0, letters indexed in ``letter_key``
-order.  A ``LazyDfa`` is a DFA
-given by its move function, whose states are numbered and expanded when
-they are first read.  Every operation that synthesizes a DFA numbers it
-canonically (breadth-first from the initial state, expanding letters in
-their order): a LazyDfa explored in full by ``table``, which makes
-minimal automata comparable by plain structural equality.
-``determinize_ids`` returns its LazyDfa unexplored.  ``shortlex_search``
-stops at the shortlex-least word reaching an accepting node, and reads a
-LazyDfa only that far.  Every pair walk, of an automaton's index or a DFA
-x and a DFA y that follows it, runs on ``paired_moves``: y goes to -1
-where it has no move.  ``_first_difference`` searches it, the one
-difference search: inclusion, equivalence, universality and the
-normal-form check.  Emptiness searches it for a common word, and intersect
-and complement_bounded number it.
+DFA is its alphabet, its rows and its finals (the register bound belongs
+to the automaton read back from it): an int table on states 0..n-1,
+initial state 0, letters indexed in ``letter_key`` order, or a
+``LazyDfa``, given by its move function, whose states are numbered and
+expanded when they are first read.  Every operation that synthesizes a
+DFA numbers it canonically (breadth-first from the initial state, letters
+in order), which makes minimal automata comparable by plain equality.
+Every decision runs one search, ``pair_search``: breadth-first over the
+pairs of states of two DFAs on the union of their letters, whose rows it
+zips by column, -1 standing for no state.  It reads a LazyDfa only as far
+as the witness; ``pair_table`` is the same walk in full.
 The index, the NFA and the int table are frozen and hand out only
 immutable values (the index's moves by label and the NFA's ``delta`` are
 read-only), so a cached result cannot be changed by its callers.  A
@@ -32,14 +26,15 @@ LazyDfa grows as it is read, and nothing caches one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from operator import or_
+from functools import cached_property, lru_cache
+from operator import itemgetter, or_
 from types import MappingProxyType
 
-from .words import SymbolicWord, TransitionLabel, letter_key
+from .words import SymbolicWord, TransitionLabel, letter_key, symbolic_alphabet
 
 
 @dataclass(frozen=True)
@@ -86,23 +81,34 @@ class StateIndex(namedtuple("StateIndex", "names initial finals moves live label
         rows = {label: [[] for _ in self.names] for label in self.labels}
         for s, out in enumerate(self.moves):
             for (label, op), t in out:
-                if label in rows:  # a run never reads a label outside the alphabet
-                    rows[label][s].append((*op, t))
+                rows[label][s].append((*op, t))
         return MappingProxyType({label: tuple(map(tuple, r)) for label, r in rows.items()})
 
 
-def index_states(states, initial, finals, alphabet, transitions) -> StateIndex:
-    """The ``StateIndex`` of an automaton's parts: the one numbering of its states."""
+def index_states(states, initial, finals, alphabet, registers: int, transitions) -> StateIndex:
+    """The ``StateIndex`` of an automaton's parts: the one numbering of its states.  A move off
+    the labels or registers 1..``registers`` raises ValueError, a name off ``states`` KeyError."""
     names = tuple(sorted(states))
     ids = {q: i for i, q in enumerate(names)}
     moves, sources = [[] for _ in names], [[] for _ in names]
+    letters = symbolic_alphabet(alphabet, registers)  # one set lookup a move, but for local ones
     for s, x, t in transitions:
+        if x not in letters and (x.label not in alphabet or not 1 <= x.op.register <= registers):
+            raise ValueError(f"the move {s} -{x}-> {t} is outside the symbolic alphabet")
         s, t = ids[s], ids[t]
         moves[s].append((x, t))
         sources[t].append(s)
     final_ids = frozenset(map(ids.__getitem__, finals))
     return StateIndex(names, ids[initial], final_ids, tuple(map(tuple, moves)),
                       frozenset(_coreachable(sources, final_ids)), alphabet)
+
+
+@lru_cache(maxsize=256)
+def _letter_order(alphabet: frozenset[TransitionLabel]) -> tuple[tuple, Mapping]:
+    """The letters of an alphabet in ``letter_key`` order, and each one's index: one sort per
+    alphabet, shared by every DFA over it."""
+    letters = tuple(sorted(alphabet, key=letter_key))
+    return letters, {x: i for i, x in enumerate(letters)}
 
 
 class _Lettered:
@@ -112,11 +118,11 @@ class _Lettered:
 
     @cached_property
     def letters(self) -> tuple[TransitionLabel, ...]:
-        return tuple(sorted(self.alphabet, key=letter_key))
+        return _letter_order(self.alphabet)[0]
 
     @cached_property
-    def _index(self) -> dict[TransitionLabel, int]:
-        return {x: i for i, x in enumerate(self.letters)}
+    def _index(self) -> Mapping[TransitionLabel, int]:
+        return _letter_order(self.alphabet)[1]
 
     def column(self, letter: TransitionLabel) -> int | None:
         """The index of a letter in the rows, None when it is outside the alphabet."""
@@ -174,7 +180,7 @@ class LazyDfa(_Lettered):
     The start node is state 0; every other node is numbered when a row
     first reaches it, and is final when it is in ``finals``.  ``row(s)``
     computes the moves of state s; a walk reads only the rows it reaches,
-    and keeps those it reads again (see ``paired_moves``).  ``table`` reads
+    and keeps those it reads again (see ``pair_search``).  ``table`` reads
     every row.
     """
 
@@ -208,10 +214,9 @@ class LazyDfa(_Lettered):
         int bitsets over their members' ids wherever members are pooled, are
         numbered in the order they are found, so the numbering does not
         depend on how their members are named or which ids they get.  This is
-        the one canonical numbering: ``minimize``, ``renumber`` and the
-        boolean operations run on it, and so does every LazyDfa explored in
-        full, ``determinize``, the normal-form and well-formedness DFAs and
-        ``canonicalize`` among them.
+        the one canonical numbering, which ``pair_table`` gives too: every
+        DFA explored in full has it, ``determinize``, the normal-form and
+        well-formedness DFAs and ``canonicalize`` among them.
         """
         # The loop also reaches the states that the rows it reads append.
         row = self.row
@@ -225,9 +230,7 @@ def renumber(dfa: SymbolicDfa) -> SymbolicDfa:
     Unreachable states are dropped.  Two minimal DFAs of the same language
     come out structurally equal.
     """
-    rows = dfa.rows
-    return LazyDfa(0, lambda s: [(x, t) for x, t in enumerate(rows[s]) if t >= 0],
-                   dfa.finals.__contains__, dfa.alphabet).table()
+    return pair_table(dfa, dfa, ALONG_X, lambda pair: pair[0] in dfa.finals)
 
 
 def isomorphic(d1: SymbolicDfa, d2: SymbolicDfa) -> bool:
@@ -272,13 +275,13 @@ def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
     rows = dfa.rows + ((-1,) * len(dfa.alphabet),)
     block = [int(s in dfa.finals) for s in range(len(rows))]
     count = len(set(block))
+    # Per state, the blocks of its successors in one C call: itemgetter of
+    # one index returns a scalar, and of none raises, so no letters read ().
+    successors = [itemgetter(*row) for row in rows] if dfa.alphabet else [lambda _: ()] * len(rows)
     while True:
         signatures: dict[tuple, int] = {}
-        block = [
-            signatures.setdefault((block[s],) + tuple(map(block.__getitem__, row)),
-                                  len(signatures))
-            for s, row in enumerate(rows)
-        ]
+        block = [signatures.setdefault((b, blocks(block)), len(signatures))
+                 for b, blocks in zip(block, successors)]
         if len(signatures) == count:
             break
         count = len(signatures)
@@ -323,14 +326,18 @@ def pooled_moves(rows, letters) -> list[tuple[int, int]]:
 
 
 def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
-    """Subset construction, reachable part only, canonically numbered: ``determinize_ids``
-    explored in full."""
+    """Subset construction, reachable part only, canonically numbered: ``_subsets`` in full."""
+    return _subsets(nfa).table()
+
+
+def _subsets(nfa: SymbolicNfa) -> LazyDfa:
+    """The subset construction of an NFA, unexplored: ``determinize_ids`` on its states numbered."""
     ids = {s: i for i, s in enumerate(nfa.states)}
     moves: list[list[tuple[TransitionLabel, int]]] = [[] for _ in ids]
     for s, x, t in nfa.transitions:
         moves[ids[s]].append((x, ids[t]))
     return determinize_ids(moves, sum(1 << ids[s] for s in nfa.initials),
-                           sum(1 << ids[s] for s in nfa.finals), nfa.alphabet).table()
+                           sum(1 << ids[s] for s in nfa.finals), nfa.alphabet)
 
 
 def determinize_ids(moves, start: int, finals: int, alphabet) -> LazyDfa:
@@ -399,43 +406,6 @@ def product(nx: SymbolicNfa, ny: SymbolicNfa) -> SymbolicNfa:
     )
 
 
-def shortlex_search(starts, successors, accepting) -> SymbolicWord | None:
-    """Shortlex-least word leading from ``starts`` to an accepting node, or None.
-
-    ``successors(node)`` lists the (letter, node) pairs that leave a node, in
-    any order.  Nodes are visited once, in groups that share their least
-    access word: a group's successors by one letter, less every node seen
-    before, form the next group.  Groups are expanded in the order they are
-    found, letters in ``letter_key`` order, so they come in shortlex order of
-    their words even where one word reaches several nodes.  The first group
-    holding an accepting node carries the witness.
-    """
-    seen = set(starts)
-    queue = [((), frozenset(seen))]
-    for word, group in queue:
-        if any(map(accepting, group)):
-            return word
-        moves: dict[TransitionLabel, set] = {}
-        for node in group:
-            for letter, target in successors(node):
-                if target not in seen:
-                    moves.setdefault(letter, set()).add(target)
-        for letter in sorted(moves, key=letter_key):
-            targets = moves[letter] - seen
-            if targets:
-                seen |= targets
-                queue.append((word + (letter,), targets))
-    return None
-
-
-def shortest_accepted(nfa: SymbolicNfa) -> SymbolicWord | None:
-    """Shortest accepted word; ties broken by the letter order, None if empty."""
-    delta = nfa.delta
-    return shortlex_search(nfa.initials,
-                           lambda s: [(x, t) for x in nfa.alphabet for t in delta.get((s, x), ())],
-                           nfa.finals.__contains__)
-
-
 class _Memo(dict):
     """A dict that computes a missing key's value by ``compute(key)``, and keeps it."""
 
@@ -447,73 +417,99 @@ class _Memo(dict):
         return value
 
 
-def paired_moves(x, y, along: str = "x", columns: bool = False):
-    """The ``successors`` of the pairs (state of x, state of y) of two automata read together.
 
-    y is a DFA, a SymbolicDfa or a LazyDfa.  x is one too or, to search
-    for inclusion or emptiness, an automaton's ``StateIndex``, whose moves
-    into states outside ``live`` are dropped: like -1 below, such a state
-    accepts nothing, so every witness stays the same.  Nothing is built up
-    front: the moves of each state of x, and each row of y, are worked out
-    when the walk first reaches them, once however many pairs they are in.
-    ``along``:
-      "x"       every move of x; y follows it and goes to -1 where it has
-                no move, and -1 has no moves;
-      "both"    only the moves of x that y follows;
-      "either"  as "x", and y's own moves on letters x does not read lead
-                to (-1, t).
-    Moves are labeled by their letter, or with ``columns`` (x a DFA, not
-    "either") by the letter's index in x, as a ``LazyDfa`` reads.
-    """
-    column = y._index.get
-    if isinstance(x, (SymbolicDfa, LazyDfa)):
-        keys = range(len(x.letters)) if columns else x.letters
-        to_y = [column(a, -1) for a in x.letters]
-        out = _Memo(lambda s: [(a, s2, c) for a, c, s2 in zip(keys, to_y, x.row(s)) if s2 >= 0])
+
+# The follow rules of the pair walk: it goes on with a pair (s, t) of next
+# states, -1 standing for no state, when follow((s, t)) >= 0.
+ALONG_X = itemgetter(0)  # wherever x moves; y follows it, or goes to -1
+ALONG_BOTH = min  # where both move
+ALONG_EITHER = max  # where either moves
+
+
+def _rows(dfa, letters):
+    """A DFA's rows by state, on the columns of ``letters``, which hold its own, and the row of
+    -1, all -1.  A LazyDfa's rows, and widened ones, are computed when first read, and kept."""
+    if len(dfa.letters) < len(letters):  # a letter the DFA lacks reads the -1 appended
+        columns = [-1 if (c := dfa.column(a)) is None else c for a in letters]
+        rows = _Memo(lambda s: tuple(map((dfa.row(s) + (-1,)).__getitem__, columns)))
+    elif isinstance(dfa, LazyDfa):
+        rows = _Memo(dfa.row)
     else:
-        moves, live = x.moves, x.live
-        out = _Memo(lambda s: [(a, s2, column(a, -1)) for a, s2 in moves[s] if s2 in live])
-    out[-1] = ()  # in a pair of the symmetric walk, -1 stands for x too
-    # y's rows as the walk reaches them, padded: a letter y lacks reads the
-    # column -1 of -1, and the row of -1 is all -1.
-    rows = _Memo(lambda t: y.row(t) + (-1,))
-    rows[-1] = (-1,) * (len(y.letters) + 1)
-    both, either = along == "both", along == "either"
-
-    def successors(pair):
-        moves, row = out[pair[0]], rows[pair[1]]
-        if both:
-            return [(a, (s2, t2)) for a, s2, c in moves if (t2 := row[c]) >= 0]
-        step = [(a, (s2, row[c])) for a, s2, c in moves]
-        if either:
-            read = {c for _, _, c in moves}
-            step += [(a, (-1, t2)) for c, (a, t2) in enumerate(zip(y.letters, row))
-                     if t2 >= 0 and c not in read]
-        return step
-    return successors
+        return [*dfa.rows, (-1,) * len(letters)]
+    rows[-1] = (-1,) * len(letters)
+    return rows
 
 
-def _first_difference(x, y, symmetric: bool) -> SymbolicWord | None:
-    """Shortlex-least word of L(x) \\ L(y), or of the symmetric difference, or None.
+def _pair_walk(x, y, follow, accepting, stop: bool):
+    """The pair walk of two DFAs on the union of their letters: a pair (s, t) moves to
+    ``zip(row s of x, row t of y)``, rows read as the walk reaches them.  The pairs ``follow``
+    goes on with are numbered breadth-first from (0, 0), letters in order, and their rows
+    computed, as far as the first pair ``accepting`` holds when ``stop``.  Returns the letters,
+    the rows, the pairs numbered after each row, and the accepting pairs' numbers."""
+    alphabet = x.alphabet | y.alphabet
+    letters = (x.letters if len(x.alphabet) == len(alphabet) else
+               y.letters if len(y.alphabet) == len(alphabet) else _letter_order(alphabet)[0])
+    xs = _rows(x, letters)
+    ys = xs if y is x else _rows(y, letters)
+    pairs, finals = [], []
 
-    The one difference search: a ``shortlex_search`` over ``paired_moves``
-    from (x.initial, 0).  y is a DFA, x one too or, for inclusion, an
-    automaton's ``StateIndex``; a LazyDfa is explored only as far as the
-    search goes.
-    """
-    def accepting(pair) -> bool:
-        in_x, in_y = pair[0] in x.finals, pair[1] in y.finals
-        return in_x != in_y if symmetric else in_x and not in_y
+    def number(pair) -> int:  # given when the pair is first read; -1 when it is not followed
+        if follow(pair) < 0:
+            return -1
+        pairs.append(pair)
+        if accepting(pair):
+            finals.append(len(pairs) - 1)
+        return len(pairs) - 1
 
-    return shortlex_search([(x.initial, 0)], paired_moves(x, y, "either" if symmetric else "x"),
-                           accepting)
+    number = _Memo(number).__getitem__
+    number((0, 0))
+    rows, ends = [], []
+    for s, t in pairs:  # which also reaches the pairs numbered below
+        if stop and finals:
+            break
+        rows.append(tuple(map(number, zip(xs[s], ys[t]))))
+        ends.append(len(pairs))
+    return letters, rows, ends, finals
+
+
+def pair_table(x, y, follow, accepting) -> SymbolicDfa:
+    """The DFA of the pairs of states of x and y that ``follow`` goes on with, with finals
+    ``accepting``, over the union of their letters: the pair walk in full, numbered canonically."""
+    _, rows, _, finals = _pair_walk(x, y, follow, accepting, False)
+    return SymbolicDfa(x.alphabet | y.alphabet, tuple(rows), frozenset(finals))
+
+
+def pair_search(x, y, follow, accepting) -> SymbolicWord | None:
+    """Shortlex-least word leading the pair (0, 0) of two DFAs to a pair ``accepting`` holds, or
+    None: the one search of the library, the pair walk as far as the first such pair.  The walk
+    is deterministic, so breadth-first order with letters in order is shortlex order of the
+    pairs' least access words.  The witness is spelled from the rows: a pair's number was given
+    by the first row holding it, at the first column that does."""
+    letters, rows, ends, finals = _pair_walk(x, y, follow, accepting, True)
+    if not finals:
+        return None
+    word, n = [], finals[0]
+    while n:
+        row = bisect_right(ends, n)  # the first row that numbered n
+        word.append(letters[rows[row].index(n)])
+        n = row
+    return tuple(reversed(word))
+
+
+def shortest_accepted(nfa: SymbolicNfa) -> SymbolicWord | None:
+    """Shortest accepted word; ties broken by the letter order, None if empty: a ``pair_search``
+    of the subset construction, read as far as the search goes, paired with itself."""
+    dfa = _subsets(nfa)
+    return pair_search(dfa, dfa, ALONG_X, lambda pair: pair[0] in dfa.finals)
 
 
 def symbolic_inclusion(x, y) -> SymbolicWord | None:
     """Shortlex-least witness of L(x) \\ L(y), or None when L(x) is included in L(y)."""
-    return _first_difference(x, y, False)
+    in_x, in_y = x.finals, y.finals
+    return pair_search(x, y, ALONG_X, lambda pair: pair[0] in in_x and pair[1] not in in_y)
 
 
 def symbolic_equivalence(x, y) -> SymbolicWord | None:
     """Shortlex-least witness in the symmetric difference, or None when equivalent."""
-    return _first_difference(x, y, True)
+    in_x, in_y = x.finals, y.finals
+    return pair_search(x, y, ALONG_EITHER, lambda pair: (pair[0] in in_x) != (pair[1] in in_y))

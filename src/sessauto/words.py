@@ -22,6 +22,7 @@ letter equals the plain tuple (label, op).  ``snf`` builds its letters with
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate
 from typing import NamedTuple
@@ -100,8 +101,9 @@ def word_key(word: SymbolicWord) -> tuple:
     return (len(word), tuple(letter_key(x) for x in word))
 
 
-def symbolic_alphabet(labels, max_register: int) -> frozenset[TransitionLabel]:
-    """All fresh/reuse letters over the given labels and registers 1..max_register."""
+@lru_cache(maxsize=256)
+def symbolic_alphabet(labels: frozenset[str], max_register: int) -> frozenset[TransitionLabel]:
+    """All fresh/reuse letters over the given labels and registers 1..max_register, shared."""
     return frozenset(
         TransitionLabel(a, RegisterOp(kind, r))
         for a in labels

@@ -58,12 +58,14 @@ from sessauto import (
 )
 from sessauto.automata import require_session
 from sessauto.canonical import _relabelings, lazy_nf_automaton, tilde
-from sessauto.langops import _pair_table
 from sessauto.learner import ReferenceTeacher
 from sessauto.symbolic import (
+    ALONG_BOTH,
+    ALONG_X,
     LazyDfa,
     SymbolicNfa,
     complement,
+    pair_table,
     product,
     shortest_accepted,
 )
@@ -1047,7 +1049,8 @@ def reference_complement_bounded(a: Automaton) -> Automaton:
 
 # ``intersect``, ``complement_bounded`` and ``ReferenceTeacher.equivalence`` as
 # they were when they read minimized canonical DFAs, verbatim but for their
-# names: the oracles of the versions that pair ``snf_dfa`` tables.
+# names and the call of the pair construction, now ``minimize(pair_table(...))``:
+# the oracles of the versions that pair ``snf_dfa`` tables.
 def canonicalizing_intersect(a: Automaton, b: Automaton) -> Automaton:
     """Session automaton for L(a) & L(b), over min(k_a, k_b) registers.
 
@@ -1058,7 +1061,8 @@ def canonicalizing_intersect(a: Automaton, b: Automaton) -> Automaton:
     require_session(a, b)
     k = min(a.registers, b.registers)
     x, y = canonicalize(a), canonicalize(b)
-    dfa = _pair_table(x, y, "both", lambda s, t: s in x.finals and t in y.finals)
+    dfa = minimize(pair_table(x, y, ALONG_BOTH,
+                              lambda pair: pair[0] in x.finals and pair[1] in y.finals))
     return from_symbolic_dfa(dfa, f"{a.name}_and_{b.name}", a.alphabet | b.alphabet, k)
 
 
@@ -1075,7 +1079,8 @@ def canonicalizing_complement_bounded(a: Automaton) -> Automaton:
     require_session(a)
     k = a.registers
     nf, can = nf_automaton(k, a.alphabet), canonicalize(a)
-    dfa = _pair_table(nf, can, "x", lambda n, c: n in nf.finals and c not in can.finals)
+    dfa = minimize(pair_table(nf, can, ALONG_X,
+                              lambda pair: pair[0] in nf.finals and pair[1] not in can.finals))
     return from_symbolic_dfa(dfa, f"not_{a.name}", a.alphabet, k)
 
 
@@ -1089,7 +1094,7 @@ def reference_shortest_accepted(fa):
     """Breadth-first search one state at a time, stopping at the first final state.
 
     The chain that ``shortest_accepted``, ``symbolic_inclusion`` and
-    ``symbolic_equivalence`` replaced with one grouped search, kept as their
+    ``symbolic_equivalence`` replaced with one pair search, kept as their
     oracle on deterministic input.  On an NFA it may miss the shortlex-least
     word: two states that share an access word are expanded one after the
     other, all letters of the first before any of the second.

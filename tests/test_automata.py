@@ -17,6 +17,7 @@ from helpers import (
 from sessauto import (
     Automaton,
     AutomatonClass,
+    InvalidAutomaton,
     NotSessionAutomaton,
     OpKind,
     RegisterOp,
@@ -27,9 +28,13 @@ from sessauto import (
     as_symbolic_nfa,
     canonicalize,
     classify,
+    equivalent,
     from_symbolic_dfa,
+    includes,
     is_data_deterministic,
+    is_empty,
     is_symbolically_deterministic,
+    is_universal_bounded,
     minimize,
     determinize,
     simulate,
@@ -369,8 +374,24 @@ def test_from_symbolic_dfa_round_trip(fig5a):
     dfa = minimize(determinize(as_symbolic_nfa(fig5a)))
     back = from_symbolic_dfa(dfa, "again", fig5a.alphabet, fig5a.registers)
     assert validate(back) == []
+    assert back.transitions == {Transition(f"__{s}", x, f"__{t}") for s, x, t in dfa.transitions}
     assert classify(back) is AutomatonClass.SESSION
     rng = Random(204)
     for _ in range(100):
         w = random_data_word(rng, max_len=6, max_value=3)
         assert simulate(back, w) == simulate(fig5a, w)
+
+
+@pytest.mark.parametrize("move, diagnostic", [("a:*2", "RegisterOutOfRange"), ("b:*1", "UnknownLabel")])
+def test_a_move_outside_the_symbolic_alphabet_is_an_invalid_automaton(move, diagnostic):
+    # k = 1 over the label a: a:*2 and b:*1 are letters no reader of the automaton can place.
+    bad = Automaton("bad", frozenset({"a"}), 1, frozenset({"p", "q"}), "p", frozenset({"q"}),
+                    frozenset({Transition("p", sw(move)[0], "q")}))
+    good = replace(bad, name="good", transitions=frozenset({Transition("p", sw("a:*1")[0], "q")}))
+    uses = [canonicalize, nf_violation_witness, is_empty, lambda x: simulate(x, dw("a:1")),
+            lambda x: includes(x, good), lambda x: includes(good, x), lambda x: equivalent(good, x),
+            lambda x: is_universal_bounded(x, 1)]
+    for use in uses:
+        with pytest.raises(InvalidAutomaton, match=diagnostic) as info:
+            use(bad)
+        assert info.value.diagnostics == validate(bad)

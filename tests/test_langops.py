@@ -12,8 +12,11 @@ from helpers import (
     dw,
     enumerate_word_classes,
     random_session_automaton,
+    fixture,
     reference_complement_bounded,
+    reference_equivalence,
     reference_equivalent,
+    reference_inclusion,
     reference_includes,
     reference_intersect,
     reference_is_empty,
@@ -30,6 +33,7 @@ from sessauto import (
     canonicalize,
     classify,
     complement_bounded,
+    concretize,
     data_equivalent,
     equivalent,
     includes,
@@ -242,6 +246,35 @@ def test_decisions_match_reference(a, b):
         assert equivalent(c, d) == reference_equivalent(c, d)
         for k in (c.registers, c.registers + 1):
             assert is_universal_bounded(c, k) == reference_is_universal_bounded(c, k)
+
+
+def concrete(witness):
+    return None if witness is None else concretize(witness)
+
+
+# Pairs over different symbolic alphabets, which the pair search widens to
+# their union: univ3 and univ4 differ in registers, fig2b (label a) and univ2
+# (labels a and b) in labels.  The references search the product of one
+# canonical DFA with the other's complement over the union of the alphabets.
+UNIV2, UNIV3, UNIV4, FIG2B = universal(2), universal(3), universal(4), fixture("fig2b")
+
+
+@pytest.mark.parametrize("a, b", [(UNIV3, UNIV4), (UNIV4, UNIV3), (FIG2B, UNIV2), (UNIV2, FIG2B)],
+                         ids=["univ3-univ4", "univ4-univ3", "fig2b-univ2", "univ2-fig2b"])
+def test_witnesses_over_different_alphabets_match_references(a, b):
+    ca, cb = canonicalize(a), canonicalize(b)
+    assert includes(a, b) == concrete(reference_inclusion(ca, cb))
+    assert equivalent(a, b) == concrete(reference_equivalence(ca, cb))
+    assert ReferenceTeacher(b).equivalence(a) == equivalent(a, b)
+    for k in range(max(1, a.registers - 1), a.registers + 2):
+        nf = nf_automaton(k, a.alphabet)
+        assert is_universal_bounded(a, k) == concrete(reference_inclusion(nf, ca))
+
+
+def test_the_least_difference_may_start_with_a_letter_one_side_lacks():
+    assert equivalent(FIG2B, UNIV2) == equivalent(UNIV2, FIG2B) == dw("b:1")
+    assert includes(UNIV4, UNIV3) == dw("a:1 a:2 a:3 a:4 a:1 a:2 a:3")
+    assert includes(FIG2B, UNIV2) is None and includes(UNIV3, UNIV4) is None
 
 
 def assert_same_as_canonicalizing(a, b):

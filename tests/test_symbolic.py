@@ -270,6 +270,12 @@ ONE = frozenset({"s0"})
 @example(dfa=NamedDfa(frozenset(AB), ONE, "s0", frozenset(), {(("s0", x)): "s0" for x in AB}))
 @example(dfa=NamedDfa(frozenset(AB), ONE, "s0", ONE, {(("s0", x)): "s0" for x in AB}))
 @example(dfa=NamedDfa(frozenset(), ONE, "s0", ONE, {}))
+# No letters over two states; one letter, where a Moore signature reads one block.
+@example(dfa=NamedDfa(frozenset(), frozenset({"s0", "s1"}), "s0", frozenset({"s1"}), {}))
+@example(dfa=NamedDfa(frozenset(AB[:1]), frozenset({"s0", "s1", "s2"}), "s0", frozenset({"s2"}),
+                      {("s0", AB[0]): "s1", ("s1", AB[0]): "s2", ("s2", AB[0]): "s2"}))
+@example(dfa=NamedDfa(frozenset(AB[:1]), frozenset({"s0", "s1", "s2"}), "s0", frozenset({"s0", "s1"}),
+                      {("s0", AB[0]): "s1", ("s1", AB[0]): "s0", ("s2", AB[0]): "s0"}))
 def test_minimize_matches_reference(dfa):
     assert as_named(minimize(as_table(dfa))) == reference_minimize(dfa)
 
