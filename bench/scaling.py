@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Scaling sweeps: the data-word layers over word length, the learner, universal automata and
-the decisions.
+"""Scaling sweeps: the data-word layers over word length, the learner, universal automata, the
+decisions and declared registers.
 
 Run from the root of a source checkout:
 
@@ -45,6 +45,17 @@ of the witnesses and output automata of every op, which two checkouts that
 decide alike share.  A point whose runs take longer than 60 s in all is
 recorded as a timeout and flagged.
 
+Declared registers.  For K = 8, 16, 24, 32 and 40 it times
+``is_universal_bounded(fig5a, K)``, what ``sessauto universal -k K`` runs,
+and the learner's full normal-form check of a first-time word that uses K
+registers: ``MembershipOracle`` called on the normal form of a:1 .. a:K
+b:K .. b:1, with a teacher that answers yes.  Each point is the median of
+3 runs from cold caches.  Neither reads more than the states its walk
+reaches: universality should stay flat in K, and the check should grow
+with its 2K letters, each at most one new row of 4K columns, not with
+2^K.  A point whose runs take longer than 60 s in all is recorded as a
+timeout and flagged, and the larger K of that series are not run.
+
 The package is imported from ``--src`` (default: ``src/`` of this checkout),
 and the generators from ``tests/`` and ``perfbench/`` beside it, so the same
 script measures another checkout.  The result is stored in the ``--out`` file under
@@ -77,6 +88,8 @@ UNIVERSAL_KS = range(1, 7)
 UNIVERSAL_RUNS = 3
 DRAWS, DRAW_SEED = 60, 24
 DECIDE_RUNS = 3
+REGISTER_KS = (8, 16, 24, 32, 40)
+REGISTER_RUNS = 3
 
 
 def fixture_word(name: str, n: int) -> tuple:
@@ -243,6 +256,42 @@ def universal_sweep(S, helpers, gen) -> dict:
     return out
 
 
+def registers_sweep(S) -> dict:
+    out = {}
+    fig5a = S.parse_automaton((ROOT / "tests" / "fixtures" / "fig5a.sra").read_text())
+
+    class Yes(S.Teacher):
+        def membership(self, word):
+            return True
+
+    def word(k):
+        return S.snf(tuple(("a", d) for d in range(1, k + 1)) + tuple(("b", d) for d in range(k, 0, -1)))
+
+    layers = {
+        "is_universal_bounded": lambda k: S.is_universal_bounded(fig5a, k),
+        "oracle_check": lambda k: S.MembershipOracle(Yes(), fig5a.alphabet)(word(k)),
+    }
+    for fn_name, fn in layers.items():
+        answers = []
+
+        def run(k, fn=fn):
+            cold(S)
+            answers.append(fn(k))
+
+        series = {}
+        for k in REGISTER_KS:
+            t = median_time(run, k, REGISTER_RUNS)
+            point = {"median_s": "timeout" if t is None else round(t, 6)}
+            if t is not None:
+                point["answer"] = repr(answers[-1])
+            series[str(k)] = point
+            print(f"# registers {fn_name} K={k}: {point}", file=sys.stderr)
+            if t is None:
+                break
+        out[fn_name] = {"points": series, "flagged": t is None}
+    return out
+
+
 def describe(S, answer) -> str:
     """A decision's answer as text: an automaton serialized, a witness formatted, or None."""
     if isinstance(answer, S.Automaton):
@@ -297,16 +346,19 @@ def main() -> int:
         "learn": learn_sweep(S, helpers),
         "universal": universal_sweep(S, helpers, gen),
         "decide": decide_sweep(S, workloads),
+        "registers": registers_sweep(S),
     }
     result["flagged"] = sorted([k for k, v in result["series"].items() if v["flagged"]]
                                + [f"learn.{k}" for k, v in result["learn"].items() if v["flagged"]]
                                + [f"universal.{k}" for k, v in result["universal"].items()
                                   if v["flagged"]]
-                               + ["decide"] * result["decide"]["flagged"])
+                               + ["decide"] * result["decide"]["flagged"]
+                               + [f"registers.{k}" for k, v in result["registers"].items()
+                                  if v["flagged"]])
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {
         "lengths": list(LENGTHS), "learn_seeds": list(LEARN_SEEDS),
-        "universal_ks": list(UNIVERSAL_KS), "runs": {}}
+        "universal_ks": list(UNIVERSAL_KS), "register_ks": list(REGISTER_KS), "runs": {}}
     doc["runs"][args.label] = result
     path.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps({"label": args.label, "flagged": result["flagged"]}))

@@ -5,7 +5,6 @@ normal forms only: the set snf(L).  The canonical automaton is the minimal
 DFA of that set.  It is computed in three steps:
 
     1. nf_automaton(k, labels): the DFA of all normal forms over k registers,
-       whose states are NfState values with arithmetic moves,
     2. tilde(A): an NFA accepting every well-formed symbolic word that shares
        its concretizations with some word A accepts (register relabeling),
     3. product of the two, determinized and minimized.
@@ -16,8 +15,13 @@ they are first read, or that DFA explored in full by ``table``: the int
 table (SymbolicDfa), canonically numbered.  A search reads only what it
 reaches.  A DFA carries no register bound: the automaton built from one,
 by ``from_symbolic_dfa``, gets it from its caller.
-``lazy_nf_automaton`` is the arithmetic move rule of step 1, which
-``nf_automaton`` explores in full.
+
+The normal-form and well-formedness DFAs read no label: label j's letters
+take the 2k columns from 2k*j on, and each DFA's one move rule reads a
+block by arithmetic (see ``_lazy``).  Each is explored over one label once
+per k, and over any labels it is that table, each row repeated once per
+label; ``lazy_nf_automaton`` reads the rule block by block, as far as a
+search goes.
 
 Step 3 never builds the product or tilde(A) itself: normal_form_table is one
 subset construction whose states pair a normal-form state with a set of
@@ -56,7 +60,6 @@ target, since every membership query walks it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .automata import Automaton, require_session
 from .symbolic import (
@@ -79,96 +82,87 @@ from .words import (
 )
 
 
-class NfState(NamedTuple):
-    """State of the normal-form DFA.
+def _nf_moves(k: int, node: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
+    """The moves of a normal-form state over one label (see ``_lazy``).
 
-    ``top`` is the greatest register initialized so far; ``promised`` are the
-    registers whose current value must be reused before the register may be
-    written again (a fresh write to r promises every register below r).
+    A state is (top, promised): the greatest register initialized so far,
+    and the mask (bit r-1 for register r) of the registers whose value must
+    be reused before the register may be written again.
+      fresh r  allowed when r <= top+1 and r is not promised; moves to
+               (max(top, r), promised + all registers below r)
+      reuse r  allowed when r <= top; moves to (top, promised - {r})
+    Accepting states are those without pending promises.
     """
+    top, promised = node
+    return ([(r - 1, (max(top, r), promised | (1 << r - 1) - 1))
+             for r in range(1, min(top + 1, k) + 1) if not promised >> r - 1 & 1]
+            + [(k + r - 1, (top, promised & ~(1 << r - 1))) for r in range(1, top + 1)])
 
-    top: int
-    promised: frozenset[int]
+
+def _wf_moves(k: int, written: int) -> list[tuple[int, int]]:
+    """The moves of a well-formedness state over one label: reuse only after a fresh write.  A
+    state is the mask of the registers written so far; every state is accepting."""
+    return ([(r - 1, written | 1 << r - 1) for r in range(1, k + 1)]
+            + [(k + r - 1, written) for r in range(1, k + 1) if written >> r - 1 & 1])
 
 
-def _register_dfa(registers: int, labels, start, moves, accepting) -> LazyDfa:
-    """The DFA whose node reads every label with each (operation, node) pair of ``moves(node)``."""
-    dfa = LazyDfa(start, lambda node: sorted((column(TransitionLabel(a, op)), target)
-                                             for op, target in moves(node) for a in labels),
-                  accepting, symbolic_alphabet(labels, registers))
-    column = dfa.column  # bound before the first node is expanded
-    return dfa
+# Each DFA's moves over one label, its start, whether a state is final, and its name.
+_NF = (_nf_moves, (0, 0), lambda node: not node[1], "normal-form")
+_WF = (_wf_moves, 0, lambda node: True, "well-formedness")
+
+
+def _lazy(dfa, registers: int, labels: frozenset[str]) -> LazyDfa:
+    """``_NF`` or ``_WF`` over ``labels``, explored on demand.  ``letter_key`` orders letters by
+    label, then fresh before reuse, then register, so label j's letters take the 2k columns
+    from 2k*j on: fresh r is column 2k*j + r-1 and reuse r column 2k*j + k + r-1.  The moves
+    are the columns of one such block, by increasing column, and every label reads them."""
+    moves, start, accepting, name = dfa
+    if registers < 1:
+        raise ValueError(f"the {name} automaton needs at least one register")
+    blocks = range(0, 2 * registers * len(labels), 2 * registers)
+
+    def successors(node):
+        out = moves(registers, node)
+        return [(j + x, target) for j in blocks for x, target in out]
+
+    return LazyDfa(start, successors, accepting, symbolic_alphabet(labels, registers))
 
 
 def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> LazyDfa:
     """DFA of all symbolic normal forms over the given registers and labels, explored on demand.
+    It has 2^k states; a search that stops early reads only the few it reaches."""
+    return _lazy(_NF, registers, labels)
 
-    From state (top, promised):
-      fresh r  allowed when r <= top+1 and r is not promised; moves to
-               (max(top, r), promised + all registers below r)
-      reuse r  allowed when r <= top; moves to (top, promised - {r})
-    Accepting states are those without pending promises.  The DFA has 2^k
-    states; a search that stops early reads only the few it reaches.
-    """
-    if registers < 1:
-        raise ValueError("the normal-form automaton needs at least one register")
 
-    def moves(s: NfState):
-        for r in range(1, registers + 1):
-            if r - 1 <= s.top and r not in s.promised:
-                yield RegisterOp(OpKind.FRESH, r), NfState(max(s.top, r),
-                                                          s.promised | frozenset(range(1, r)))
-            if r <= s.top:
-                yield RegisterOp(OpKind.REUSE, r), NfState(s.top, s.promised - {r})
+@lru_cache(maxsize=64)
+def _one_label(dfa, registers: int) -> tuple[SymbolicDfa, tuple]:
+    """``_NF`` or ``_WF`` over one label, in full, and its states' nodes: the one table per k."""
+    lazy = _lazy(dfa, registers, frozenset({""}))
+    return lazy.table(), tuple(lazy._nodes)
 
-    return _register_dfa(registers, labels, NfState(0, frozenset()), moves,
-                         lambda s: not s.promised)
+
+def _repeated(dfa, registers: int, labels: frozenset[str]) -> SymbolicDfa:
+    """``_NF`` or ``_WF`` over ``labels``, in full: the one-label table, each row repeated once per
+    label, as breadth-first numbering meets every state on label 0's letters (see ``_lazy``)."""
+    table, _ = _one_label(dfa, registers)
+    if not labels:  # only the start state is reached
+        return SymbolicDfa(frozenset(), ((),), table.finals & {0})
+    return SymbolicDfa(symbolic_alphabet(labels, registers),
+                       tuple(row * len(labels) for row in table.rows), table.finals)
 
 
 @lru_cache(maxsize=256)
 def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
-    """DFA of all symbolic normal forms over the given registers and labels: the
-    whole ``lazy_nf_automaton``."""
-    return lazy_nf_automaton(registers, labels).table()
-
-
-@lru_cache(maxsize=64)
-def nf_shape(registers: int, label_count: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """For each state of ``nf_automaton(registers, labels)``, ``labels`` any ``label_count``
-    labels, by state number: the mask of its promised registers (bit r-1 for register r),
-    and the indices of the letters it has a move on.
-
-    Neither depends on which labels they are.  The moves of a normal-form
-    state do not depend on the label, so the breadth-first numbering meets
-    every state on the letters of the first label, in one order; and letters
-    are ordered by label first, so label j's 2k letters take the indices from
-    2k*j on, in one order for every j.  Keyed by k and the number of labels,
-    it is read even where every call brings new labels.
-    """
-    dfa = lazy_nf_automaton(registers, frozenset({""}))
-    rows = dfa.table().rows
-    width = 2 * registers
-    return (tuple(sum(1 << r - 1 for r in s.promised) for s in dfa._nodes),
-            tuple(tuple(width * j + x for j in range(label_count)
-                        for x, t in enumerate(row) if t >= 0) for row in rows))
+    """DFA of all symbolic normal forms over the given registers and labels: the whole
+    ``lazy_nf_automaton``, read off the one normal-form table per k."""
+    return _repeated(_NF, registers, labels)
 
 
 @lru_cache(maxsize=256)
 def wf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
-    """DFA of all well-formed symbolic words: reuse only after a fresh write.
-
-    A node is the set of registers written so far; every node is accepting.
-    """
-    if registers < 1:
-        raise ValueError("the well-formedness automaton needs at least one register")
-
-    def moves(written: frozenset[int]):
-        for r in range(1, registers + 1):
-            yield RegisterOp(OpKind.FRESH, r), written | {r}
-            if r in written:
-                yield RegisterOp(OpKind.REUSE, r), written
-
-    return _register_dfa(registers, labels, frozenset(), moves, lambda written: True).table()
+    """DFA of all well-formed symbolic words over the given registers and labels (see
+    ``_wf_moves``), read off the one well-formedness table per k."""
+    return _repeated(_WF, registers, labels)
 
 
 _REUSE = OpKind.REUSE  # read once: an enum class lookup costs ten times a global's
@@ -244,10 +238,10 @@ def normal_form_table(a: Automaton) -> LazyDfa:
     seen, and a set of tilde states is one int, the bitset of its members'
     ids (see ``members``).  The moves of each tilde state, as a target
     bitset by letter index, are computed once, when a subset first contains
-    it; the moves of a subset OR its members' rows (``pooled_moves``) over
-    only the letters the normal-form state can read.  A subset is accepting
-    when its normal-form state is and it meets the bitset of the members
-    that hold a final state of ``a``.
+    it; the moves of a subset OR its members' rows (``pooled_moves``), and
+    a letter the normal-form state cannot read (-1 in its row) is no move.
+    A subset is accepting when its normal-form state is and it meets the
+    bitset of the members that hold a final state of ``a``.
 
     Every subset is cut down to its maximal members before it is numbered.
     Tilde states with the same state q of ``a`` are ordered by inclusion of
@@ -283,28 +277,28 @@ def normal_form_table(a: Automaton) -> LazyDfa:
     untrimmed targets, and its cache serves every normal-form state they
     lead to.  The trim reads only liveness and bits, never names, so the
     numbering stays name-independent.  The promised mask of each
-    normal-form state, and the letters it reads, come from ``nf_shape``,
-    once per k and number of labels.  A member's image, the mask of the
-    output registers its injection fills, is computed when it is interned,
-    and the members whose image holds a promised mask are kept as one
-    bitset per mask: the trim is one AND per letter.  The bitsets grow once
-    per row, by the members its expansion interned, grouped by image: grown
-    member by member, they cost one OR of a table-long int per member and
-    mask, which took 0.19 s of a 1.3 s universal(6) table, against 0.04 s.
+    normal-form state is read off the nodes of the one normal-form table
+    per k.  A member's image, the mask of the output registers its
+    injection fills, is computed when it is interned, and the members whose
+    image holds a promised mask are kept as one bitset per mask: the trim
+    is one AND per letter.  The bitsets grow once per row, by the members
+    its expansion interned, grouped by image: grown member by member, they
+    cost one OR of a table-long int per member and mask, which took 0.19 s
+    of a 1.3 s universal(6) table, against 0.04 s.
     """
     k = a.registers
     require_session(a)
     index = a.state_index
     nf = nf_automaton(k, a.alphabet)
-    promised, nf_letters = nf_shape(k, len(a.alphabet))
+    nodes = _one_label(_NF, k)[1]
     injection, ones = (1 << k * k) - 1, (1 << k) - 1
     finals = sum(1 << k * k + q for q in index.finals)
-    # Per state bit: (letter index per output register, operation, target bit),
-    # for the moves into states of a that reach a final state.
+    # Per state bit: (column of the move's operation on output register 0, see
+    # ``_lazy``, operation, target bit), for the moves into states that reach a final one.
+    block = {label: 2 * k * j for j, label in enumerate(sorted(a.alphabet))}
     outgoing = {
         1 << k * k + q: [
-            ([nf.column(TransitionLabel(x.label, RegisterOp(x.op.kind, r)))
-              for r in range(1, k + 1)], x.op, 1 << k * k + target)
+            (block[x.label] + (k if x.op.kind is _REUSE else 0) - 1, x.op, 1 << k * k + target)
             for x, target in moves if target in index.live
         ]
         for q, moves in enumerate(index.moves)
@@ -350,14 +344,15 @@ def normal_form_table(a: Automaton) -> LazyDfa:
         synced = len(images)
 
     ids = _Memo(intern)  # mask -> member id
+    every = range(len(nf.letters))
 
     def expand(i: int) -> list[int]:
         row = tilde_rows[i] = [0] * len(nf.letters)
         m = masks[i]
         inj = m & injection
-        for slots, op, target in outgoing[m ^ inj]:
+        for base, op, target in outgoing[m ^ inj]:
             for r, inj2 in _relabelings(op, inj, k):
-                row[slots[r - 1]] |= 1 << ids[target | inj2]
+                row[base + r] |= 1 << ids[target | inj2]
         return row
 
     maximal_of: dict[int, int] = {}
@@ -391,8 +386,8 @@ def normal_form_table(a: Automaton) -> LazyDfa:
         if synced < len(images):
             sync()
         to = nf.rows[n]
-        return [(x, (n2, kept)) for x, targets in pooled_moves(rows, nf_letters[n])
-                if (kept := maximal(targets) & alive[promised[n2 := to[x]]])]
+        return [(x, (n2, kept)) for x, targets in pooled_moves(rows, every)
+                if (n2 := to[x]) >= 0 and (kept := maximal(targets) & alive[nodes[n2][1]])]
 
     def accepting(state) -> bool:
         n, subset = state

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Automaton, Transition
-from .canonical import canonicalize, nf_automaton, nf_violation_witness, snf_dfa
+from .canonical import canonicalize, lazy_nf_automaton, nf_automaton, nf_violation_witness, snf_dfa
 from .errors import (
     NoBreakpoint,
     NotClosed,
@@ -34,7 +34,7 @@ from .errors import (
     UnknownLabel,
 )
 from .formats import format_data_word, format_symbolic_word
-from .symbolic import symbolic_equivalence
+from .symbolic import _Memo, symbolic_equivalence
 from .words import (
     DataWord,
     SymbolicWord,
@@ -111,6 +111,18 @@ class TraceEvent:
     columns: int
 
 
+def _walk(nf, rows, state: int | None, word: SymbolicWord) -> int | None:
+    """The state of a normal-form DFA after ``word`` from ``state``, ``rows[s]`` its rows: -1 once
+    no normal form has the prefix read, None when a letter is outside the DFA's alphabet."""
+    for letter in word:
+        x = nf.column(letter)
+        if x is None:
+            return None
+        if state is not None and state >= 0:
+            state = rows[state][x]
+    return state
+
+
 class MembershipOracle:
     """Memoized symbolic membership on top of a data-word teacher.
 
@@ -131,6 +143,8 @@ class MembershipOracle:
         self.memo: dict[SymbolicWord, bool] = {}
         self.teacher_queries = 0
         self.equivalence_queries = 0
+        # k -> the lazy normal-form DFA over k registers, and its rows as they are read.
+        self._nf = _Memo(lambda k: (nf := lazy_nf_automaton(k, labels), _Memo(nf.row)))
 
     def _charge(self) -> None:
         if self.budget is not None:
@@ -144,7 +158,9 @@ class MembershipOracle:
         for letter in word:
             if letter.label not in self.labels:
                 raise UnknownLabel(f"label {letter.label!r} is outside the learning alphabet")
-        return nf_automaton(max_register(word), self.labels).accepts(word)
+        # At most one new row of the lazy normal-form DFA per letter: the word's k may be large.
+        nf, rows = self._nf[max_register(word)]
+        return _walk(nf, rows, nf.initial, word) in nf.finals
 
     def __call__(self, word: SymbolicWord) -> bool:
         answer = self.memo.get(word)
@@ -201,23 +217,11 @@ class ObservationTable:
         """(k, upper rows, columns): the table size that trace events carry."""
         return self.registers, len(self.upper), len(self.columns)
 
-    def _walk(self, state: int | None, word: SymbolicWord) -> int | None:
-        """The normal-form state after ``word`` from ``state``: -1 once no normal form
-        has the prefix read, None when a letter is outside the normal-form alphabet."""
-        nf = self._nf
-        for letter in word:
-            x = nf.column(letter)
-            if x is None:
-                return None
-            if state is not None and state >= 0:
-                state = nf.rows[state][x]
-        return state
-
     def _nf_state(self, word: SymbolicWord) -> int | None:
         states = self._nf_states
         if word not in states:
-            states[word] = self._walk(self._nf_state(word[:-1]) if word else self._nf.initial,
-                                      word[-1:])
+            parent = self._nf_state(word[:-1]) if word else self._nf.initial
+            states[word] = _walk(self._nf, self._nf.rows, parent, word[-1:])
         return states[word]
 
     def _is_normal(self, state: int | None, column: int) -> bool | None:
@@ -226,7 +230,7 @@ class ObservationTable:
         ends = self._column_ends
         key = (state, column)
         if key not in ends:
-            end = self._walk(state, self.columns[column])
+            end = _walk(self._nf, self._nf.rows, state, self.columns[column])
             ends[key] = None if end is None else end in self._nf.finals
         return ends[key]
 

@@ -64,6 +64,7 @@ from sessauto.symbolic import (
     ALONG_X,
     LazyDfa,
     SymbolicNfa,
+    _subsets,
     complement,
     pair_table,
     product,
@@ -378,14 +379,19 @@ def reference_bound(word) -> int:
     return best
 
 
-def reference_canonicalize(a: Automaton) -> SymbolicDfa:
+def reference_canonicalize(a: Automaton, limit: int | None = None) -> SymbolicDfa | None:
     """Canonical DFA by the general construction only: nf × tilde, determinized, minimized.
 
     ``canonicalize`` skips the relabeling closure for automata that accept
     only normal forms; this is the oracle its shortcut is compared against.
+    With ``limit``, None when the determinized product has more subsets than
+    that: unpruned, it may have millions where ``normal_form_table`` has three.
     """
     nf = nf_automaton(a.registers, a.alphabet)
-    return minimize(determinize(product(as_nfa(nf), tilde(a))))
+    subsets = _subsets(product(as_nfa(nf), tilde(a)))
+    if limit is not None and not explored_within(subsets, limit):
+        return None
+    return minimize(subsets.table())
 
 
 def _frozenset_pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
@@ -463,7 +469,44 @@ def nf_promises(k: int, labels) -> list[frozenset[int]]:
     read off the nodes of the normal-form DFA explored over those very labels."""
     dfa = lazy_nf_automaton(k, frozenset(labels))
     dfa.table()
-    return [node.promised for node in dfa._nodes]
+    return [frozenset(r for r in range(1, k + 1) if promised >> r - 1 & 1) for _, promised in dfa._nodes]
+
+
+def reference_register_dfa(kind: str, k: int, labels) -> SymbolicDfa:
+    """``nf_automaton`` (kind "nf") or ``wf_automaton`` (kind "wf") as they were built before
+    one table per k served every label set: a DFA over exactly these labels, its nodes a
+    register and frozensets of registers, each move a letter looked up in the alphabet's
+    column index.  Kept as the oracle of the tables read off by block."""
+    if kind == "nf":
+        def moves(node):
+            top, promised = node
+            for r in range(1, k + 1):
+                if r - 1 <= top and r not in promised:
+                    yield RegisterOp.fresh(r), (max(top, r), promised | frozenset(range(1, r)))
+                if r <= top:
+                    yield RegisterOp.reuse(r), (top, promised - {r})
+        start, accepting = (0, frozenset()), lambda node: not node[1]
+    else:
+        def moves(written):
+            for r in range(1, k + 1):
+                yield RegisterOp.fresh(r), written | {r}
+                if r in written:
+                    yield RegisterOp.reuse(r), written
+        start, accepting = frozenset(), lambda node: True
+    dfa = LazyDfa(start, lambda node: sorted((dfa.column(TransitionLabel(a, op)), target)
+                                             for op, target in moves(node) for a in labels),
+                  accepting, symbolic_alphabet(frozenset(labels), k))
+    return dfa.table()
+
+
+def explored_within(dfa: LazyDfa, limit: int) -> bool:
+    """Whether an unread LazyDfa has at most ``limit`` states: its rows are read from 0 up, as
+    ``table`` reads them, until every state is read or more than ``limit`` are numbered."""
+    s = 0
+    while s < len(dfa._nodes) <= limit:
+        dfa.row(s)
+        s += 1
+    return len(dfa._nodes) <= limit
 
 
 def held_outputs(inj: int, k: int) -> set[int]:

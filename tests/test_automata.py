@@ -93,13 +93,14 @@ FRESH_REGISTER_OPS = (OpKind.FRESH, OpKind.LOCAL, OpKind.REUSE)
 
 
 @st.composite
-def automata(draw, kinds):
-    """Automata over {a, b} with k <= 3 and operations from ``kinds``.
+def automata(draw, kinds, registers=st.integers(1, 3), sizes=st.integers(1, 3)):
+    """Automata over {a, b} with operations from ``kinds``, k drawn from ``registers`` (k <= 3
+    by default) and the number of states from ``sizes`` (at most 3 by default).
 
     Every state has a move of every kind, so random runs seldom get stuck.
     """
-    k = draw(st.integers(1, 3))
-    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    k = draw(registers)
+    states = [f"q{i}" for i in range(draw(sizes))]
 
     def moves(sources, ops):
         letters = st.builds(TransitionLabel, st.sampled_from(LABELS),

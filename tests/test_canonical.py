@@ -29,6 +29,7 @@ from helpers import (
     reference_equivalence,
     reference_inclusion,
     reference_nf_violation_witness,
+    reference_register_dfa,
     reference_relabelings,
     reference_shortest_accepted,
     sw,
@@ -65,7 +66,7 @@ from sessauto import (
     symbolic_inclusion,
     wf_automaton,
 )
-from sessauto.canonical import _relabelings, nf_shape, normal_form_table, snf_dfa, tilde
+from sessauto.canonical import _relabelings, lazy_nf_automaton, normal_form_table, snf_dfa, tilde
 from sessauto.symbolic import LazyDfa, product, shortest_accepted
 from test_automata import SESSION_OPS, automata
 
@@ -350,6 +351,26 @@ def test_canonical_general_path_on_random_automata(a):
     assert_canonical_path(a, False)
 
 
+# k = 4: the column offsets of the normal-form table differ at every k.  Two-state
+# automata only, and a bound on the subsets the reference explores: one of 30
+# sampled draws had a canonical form of 65 921 states, which canonicalize built in
+# 5.4 s and reference_canonicalize in 169 s, and the unpruned reference ran past
+# 30 s on a draw whose snf DFA has three subsets (a sweep of such draws grew past
+# 3 GB).  At 5 000, 51 of 200 draws were left out and the slowest draw compared
+# took 0.35 s.
+AUTOMATA_K4 = automata(SESSION_OPS, registers=st.just(4), sizes=st.just(2))
+K4_SUBSETS = 5000
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=AUTOMATA_K4)
+def test_canonical_general_path_at_four_registers(a):
+    reference = reference_canonicalize(a, K4_SUBSETS)
+    assume(reference is not None)
+    assert canonicalize(a) == reference
+    assert nf_violation_witness(a) == reference_nf_violation_witness(a)
+
+
 @st.composite
 def normal_form_parts(draw):
     """The normal-form DFA over k <= 3 registers less some moves, with any states accepting.
@@ -595,16 +616,27 @@ def test_trimmed_members_accept_nothing(a):
                 assert f"p{i * len(t_states) + j}" not in live, (n, member)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_nf_shape_is_read_off_the_nf_states(k):
-    # One entry per k and number of labels serves every label set: nf_automaton
-    # numbers its states, and orders the letters of each label, alike whatever
-    # the labels.
-    for labels in (A, AB, frozenset({"z"}), frozenset({"b", "a"}), frozenset({"req", "ack", "x"})):
-        nf = nf_automaton(k, labels)
-        promised = tuple(sum(1 << r - 1 for r in p) for p in nf_promises(k, labels))
-        letters = tuple(tuple(x for x, t in enumerate(row) if t >= 0) for row in nf.rows)
-        assert nf_shape(k, len(labels)) == (promised, letters)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_one_table_per_k_serves_every_label_set(k):
+    # Label j's letters take the columns from 2k*j on, and no move depends on the
+    # label, so every label set reads the one-label table, each row repeated once
+    # per label; the lazy DFA, label j's block at offset 2k*j, explores to the same.
+    one = {build: build(k, A) for build in (nf_automaton, wf_automaton)}
+    for labels in (A, AB, frozenset({"z"}), frozenset(["y", "b", "a"]),
+                   frozenset({"req", "ack", "x", "open", "close"})):
+        for build, kind in ((nf_automaton, "nf"), (wf_automaton, "wf")):
+            dfa = build(k, labels)
+            assert dfa.rows == tuple(row * len(labels) for row in one[build].rows)
+            assert dfa.finals == one[build].finals
+            assert dfa == reference_register_dfa(kind, k, labels)
+        assert lazy_nf_automaton(k, labels).table() == nf_automaton(k, labels)
+
+
+def test_normal_form_and_well_formedness_dfas_without_labels():
+    # Only the start state is reached: no letter leaves it.
+    for build, kind in ((nf_automaton, "nf"), (wf_automaton, "wf")):
+        assert build(3, frozenset()) == reference_register_dfa(kind, 3, ()) == SymbolicDfa(
+            frozenset(), ((),), frozenset({0}))
 
 
 def assert_snf_dfa(a):

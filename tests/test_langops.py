@@ -2,7 +2,7 @@ from dataclasses import replace
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     CanonicalizingTeacher,
@@ -11,6 +11,7 @@ from helpers import (
     canonicalizing_intersect,
     dw,
     enumerate_word_classes,
+    explored_within,
     random_session_automaton,
     fixture,
     reference_complement_bounded,
@@ -46,9 +47,10 @@ from sessauto import (
     union,
     validate,
 )
+from sessauto.canonical import snf_dfa
 from sessauto.learner import ReferenceTeacher
 from test_automata import SESSION_OPS, automata
-from test_canonical import AUTOMATA_K2, EMPTY, FORK, NAMED, chain
+from test_canonical import AUTOMATA_K2, AUTOMATA_K4, EMPTY, FORK, K4_SUBSETS, NAMED, chain
 
 REPS = enumerate_word_classes(("a", "b"), 4)
 
@@ -239,6 +241,19 @@ def test_boolean_ops_match_reference(a, b):
 @example(a=universal(2), b=chain("a:*1", "b:*2", "a:^1"))
 @example(a=universal(3), b=universal(2))
 def test_decisions_match_reference(a, b):
+    assert_decisions_match_reference(a, b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=AUTOMATA_K4, b=AUTOMATA_K4)
+def test_decisions_match_reference_at_four_registers(a, b):
+    # The references canonicalize both sides, which takes seconds on some draws
+    # (see AUTOMATA_K4): only those whose snf DFAs have at most K4_SUBSETS subsets.
+    assume(all(explored_within(snf_dfa(c), K4_SUBSETS) for c in (a, b)))
+    assert_decisions_match_reference(a, b)
+
+
+def assert_decisions_match_reference(a, b):
     # Searches over lazily explored tables stop at the witness the minimal DFAs gave.
     for c, d in ((a, b), (add_dead_state(a, "trap"), add_dead_state(b, "trap"))):
         assert includes(c, d) == reference_includes(c, d)

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -155,6 +156,26 @@ def test_oracle_accepts_epsilon_as_normal_form(fig5a):
     oracle = MembershipOracle(reference_teacher(fig5a), frozenset({"a", "b"}))
     assert oracle(()) is True
     assert oracle.teacher_queries == 1
+
+
+def test_the_full_normal_form_check_reads_one_row_per_letter():
+    # 30 registers: the normal-form DFA has 2^30 states, of which the check reads at most 60.
+    class Yes(Teacher):
+        def membership(self, word):
+            return True
+
+    labels = frozenset({"a", "b"})
+    word = snf(tuple(("a", d) for d in range(1, 31)) + tuple(("b", d) for d in range(30, 0, -1)))
+    assert len(word) == 60 and max(x.op.register for x in word) == 30
+    oracle = MembershipOracle(Yes(), labels)
+    start = time.perf_counter()
+    assert oracle(word) is True
+    assert oracle(word[:-1]) is False  # register 1 is still promised
+    assert oracle(word[:29] + word[30:]) is False  # register 30 is reused before it is written
+    assert time.perf_counter() - start < 1.0
+    assert oracle.teacher_queries == 1
+    with pytest.raises(UnknownLabel):
+        oracle(word + sw("c:*1"))
 
 
 def test_query_budget(fig5a):
