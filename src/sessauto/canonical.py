@@ -23,18 +23,18 @@ per k, and over any labels it is that table, each row repeated once per
 label; ``lazy_nf_automaton`` reads the rule block by block, as far as a
 search goes.
 
-Step 3 never builds the product or tilde(A) itself: normal_form_table is one
-subset construction whose states pair a normal-form state with a set of
-tilde(A) states.  A tilde state is one int, an injection's bits and one bit
-for the id of its state in A's ``state_index``, and a set of them is one
-int bitset.  A set keeps only its maximal members, which leaves its
-language as it was, so the minimal DFA is the same from far fewer subsets
-(universal automata over k registers get exactly the 2^k of the minimal
-DFA).  A set also loses its members that accept nothing: those whose state
-of A reaches no final state, and those paired with a normal-form state that
-promises an output register no register of A holds, a promise that can
-never end (the antichain idea of De Wulf, Doyen, Henzinger & Raskin, CAV
-2006, in its simplest form).  See normal_form_table for both proofs.
+Step 3 never builds the product or tilde(A) itself: normal_form_table is
+``symbolic.SubsetDfa`` guarded by the normal-form DFA, its members tilde(A)
+states, each one int (an injection's bits and one bit for its state's id in
+A's ``state_index``).  Two named reductions, each with its proof, cut every
+target set before it is numbered.  ``_maximal`` keeps its maximal members,
+so the minimal DFA is the same from far fewer subsets (universal automata
+over k registers get exactly the 2^k of the minimal DFA).  ``_trim`` drops
+the members paired with a normal-form state that promises an output
+register no register of A holds, a promise that can never end (the
+antichain idea of De Wulf, Doyen, Henzinger & Raskin, CAV 2006, in its
+simplest form).  Members whose state of A reaches no final state are never
+reached: the moves into them are left out.
 
 When every symbolic word A accepts is already a normal form, snf(L(A)) is
 L_symb(A) itself (snf(concretize(u)) = u for a normal form u), so the
@@ -64,13 +64,15 @@ from functools import lru_cache
 from .automata import Automaton, require_session
 from .symbolic import (
     LazyDfa,
+    SubsetDfa,
     SymbolicDfa,
     SymbolicNfa,
+    _letter_order,
     _Memo,
-    determinize_ids,
+    _unguarded,
+    _unreduced,
     members,
     minimize,
-    pooled_moves,
     symbolic_inclusion,
 )
 from .words import (
@@ -223,27 +225,10 @@ def tilde(a: Automaton) -> SymbolicNfa:
     )
 
 
-def normal_form_table(a: Automaton) -> LazyDfa:
-    """A DFA of snf(L(a)): determinize(product(nf_automaton, tilde(a))), subsets pruned and trimmed.
+def _maximal(masks: list[int], targets: int) -> int:
+    """The members of ``targets`` that no other member simulates, ``masks[i]`` the mask of
+    member i (see ``normal_form_table``).
 
-    The subsets are built as they are first read (see ``LazyDfa``): in full
-    by ``table()``, as far as it goes by a search.
-
-    A subset is (normal-form state, set of tilde states): the normal-form DFA
-    is deterministic, so every reachable subset of the product pairs all its
-    members with one normal-form state.  A tilde state (q, inj) is one int,
-    its mask: the injection's int (see ``_relabelings``), which takes the
-    bits below k*k, with bit k*k + q set for q its state's id in
-    ``a.state_index``.  Each mask is interned to an id the first time it is
-    seen, and a set of tilde states is one int, the bitset of its members'
-    ids (see ``members``).  The moves of each tilde state, as a target
-    bitset by letter index, are computed once, when a subset first contains
-    it; the moves of a subset OR its members' rows (``pooled_moves``), and
-    a letter the normal-form state cannot read (-1 in its row) is no move.
-    A subset is accepting when its normal-form state is and it meets the
-    bitset of the members that hold a final state of ``a``.
-
-    Every subset is cut down to its maximal members before it is numbered.
     Tilde states with the same state q of ``a`` are ordered by inclusion of
     their injections' bits, and when inj is a proper part of inj',
     (q, inj') simulates (q, inj), so L(q, inj) is part of L(q, inj'):
@@ -252,46 +237,77 @@ def normal_form_table(a: Automaton) -> LazyDfa:
       - finality depends on q alone.
     Dropping (q, inj) therefore keeps the subset's language, and with it the
     language of every state of the table, so ``minimize`` returns the same
-    canonical DFA as the unpruned construction.  Tilde states that never
-    survive pruning are never expanded.
+    canonical DFA as the unreduced construction.  Tilde states that never
+    survive are never expanded.
 
-    Every target subset is also trimmed: a member that a letter pairs with
-    the normal-form state n = (top, promised) is dropped when it accepts
-    nothing from there, which is so when
-      - its state q of ``a`` reaches no final state (not in ``index.live``:
-        the moves into such states are left out, so no target holds one),
-        or
-      - some promised output register o is in no row of inj: no register
-        of ``a`` holds o's value.
-    The second holds because only a reuse of o ends the promise, and the
-    normal-form DFA forbids a fresh write to o while o is promised.  tilde(a)
-    reuses o only through a register r of ``a`` with inj(r) = o, and no move
-    but a fresh write of o puts o back into inj's image.  So o stays
-    promised, and no final state of the normal-form DFA follows.
+    m2 simulates m when m & m2 == m: the same state of ``a``, and every bit
+    of m's injection is in m2's.  Such an m2 is a larger mask, so taken by
+    mask, largest first, every member meets those that simulate it before
+    itself.  Ids do not follow masks: a member may be interned after one
+    that simulates it.
+    """
+    above: list[int] = []
+    kept = targets
+    for i in sorted(members(targets), key=masks.__getitem__, reverse=True):
+        m = masks[i]
+        for m2 in above:
+            if m & m2 == m:
+                kept ^= 1 << i
+                break
+        else:
+            above.append(m)
+    return kept
+
+
+def _trim(masks: list[int], kept: int, promised: int, k: int) -> int:
+    """The members of ``kept`` that may accept from a normal-form state whose promised mask is
+    ``promised``: those whose injection fills every promised output register.
+
+    A member (q, inj) paired with the normal-form state n = (top, promised)
+    accepts nothing when some promised output register o is in no row of
+    inj: no register of ``a`` holds o's value.  Only a reuse of o ends the
+    promise, and the normal-form DFA forbids a fresh write to o while o is
+    promised.  tilde(a) reuses o only through a register r of ``a`` with
+    inj(r) = o, and no move but a fresh write of o puts o back into inj's
+    image.  So o stays promised, and no final state of the normal-form DFA
+    follows.
 
     The trim keeps every subset's language, so the canonical DFA and every
-    shortlex-least witness stay the same; a target that trims to nothing is
-    no move.  It commutes with ``maximal``: when inj is part of inj', the
-    image of inj is part of that of inj', so whenever a member is dropped,
-    so is every member it simulates.  ``maximal`` therefore runs on the
-    untrimmed targets, and its cache serves every normal-form state they
-    lead to.  The trim reads only liveness and bits, never names, so the
-    numbering stays name-independent.  The promised mask of each
-    normal-form state is read off the nodes of the one normal-form table
-    per k.  A member's image, the mask of the output registers its
-    injection fills, is computed when it is interned, and the members whose
-    image holds a promised mask are kept as one bitset per mask: the trim
-    is one AND per letter.  The bitsets grow once per row, by the members
-    its expansion interned, grouped by image: grown member by member, they
-    cost one OR of a table-long int per member and mask, which took 0.19 s
-    of a 1.3 s universal(6) table, against 0.04 s.
+    shortlex-least witness stay the same.  It commutes with ``_maximal``:
+    when inj is part of inj', the image of inj is part of that of inj', so
+    whenever a member is dropped, so is every member it simulates.  It reads
+    only bits, never names, so the numbering stays name-independent.
+    """
+    injection, ones = (1 << k * k) - 1, (1 << k) - 1
+    for i in members(kept):
+        inj = masks[i] & injection
+        # The rows of an injection are disjoint k-bit masks, so their sum is
+        # their union, which the sum mod 2^k - 1 is unless it is all ones.
+        if promised & ~((inj % ones or ones) if inj else 0):
+            kept ^= 1 << i
+    return kept
+
+
+def normal_form_table(a: Automaton) -> LazyDfa:
+    """A DFA of snf(L(a)): determinize(product(nf_automaton, tilde(a))), its subsets reduced.
+
+    A ``SubsetDfa`` guarded by the normal-form DFA, which is deterministic,
+    so a subset of the product pairs all its members with one normal-form
+    state.  A member, a tilde state (q, inj), is one int, its mask: the
+    injection's int (see ``_relabelings``) in the bits below k*k, and the bit
+    k*k + q for q's id in ``a.state_index``.  It is final when q is.  The
+    moves into states that reach no final state are left out.  Each target
+    subset is cut to its ``_maximal`` members, then by ``_trim``.  The first
+    is cached per target, so it serves every normal-form state the target
+    leads to; the second per kept subset and promised mask, read off the
+    nodes of the one normal-form table per k.
     """
     k = a.registers
     require_session(a)
     index = a.state_index
     nf = nf_automaton(k, a.alphabet)
-    nodes = _one_label(_NF, k)[1]
-    injection, ones = (1 << k * k) - 1, (1 << k) - 1
+    promised = [p for _, p in _one_label(_NF, k)[1]]
+    injection = (1 << k * k) - 1
     finals = sum(1 << k * k + q for q in index.finals)
     # Per state bit: (column of the move's operation on output register 0, see
     # ``_lazy``, operation, target bit), for the moves into states that reach a final one.
@@ -303,115 +319,43 @@ def normal_form_table(a: Automaton) -> LazyDfa:
         ]
         for q, moves in enumerate(index.moves)
     }
-    masks: list[int] = []  # member id -> mask
-    tilde_rows: list[list[int] | None] = []  # member id -> target bitset by letter index
-    final_ids = 0  # the bitset of the members that hold a final state of a
-    images: list[int] = []  # member id -> the output registers its injection fills, a mask
-    # holding: image -> the bitset of the members with that image; alive:
-    # promised mask -> the bitset of the members whose image holds it, a sum
-    # of disjoint bitsets.  Both cover the members below ``synced``.
-    holding: dict[int, int] = {}
-    alive = _Memo(lambda p: sum(bits for image, bits in holding.items() if p & image == p))
-    synced = 0
 
-    def intern(m: int) -> int:
-        # The id of a mask read for the first time, the next one.
-        nonlocal final_ids
-        i = len(masks)
-        masks.append(m)
-        tilde_rows.append(None)
-        if m & finals:
-            final_ids |= 1 << i
-        # The rows of an injection are disjoint k-bit masks, so their sum is
-        # their union, which the sum mod 2^k - 1 is unless it is all ones.
+    def expand(m: int) -> list[tuple[int, int]]:
         inj = m & injection
-        images.append((inj % ones or ones) if inj else 0)
-        return i
+        return [(base + r, target | inj2)
+                for base, op, target in outgoing[m ^ inj] for r, inj2 in _relabelings(op, inj, k)]
 
-    def sync() -> None:
-        # Adds the members interned since the last call to holding and alive:
-        # one OR of a long bitset per image and promised mask, not per member.
-        nonlocal synced
-        fresh: dict[int, int] = {}
-        for j, image in enumerate(images[synced:]):
-            fresh[image] = fresh.get(image, 0) | 1 << j
-        for image, bits in fresh.items():
-            bits <<= synced
-            holding[image] = holding.get(image, 0) | bits
-            for p in alive:
-                if p & image == p:
-                    alive[p] |= bits
-        synced = len(images)
+    # Both caches read the members' masks, ``keys`` below: not the table, which holds reduce.
+    maximal = _Memo(lambda targets: _maximal(keys, targets))
+    trimmed = _Memo(lambda key: _trim(keys, *key, k))
 
-    ids = _Memo(intern)  # mask -> member id
-    every = range(len(nf.letters))
+    def reduce(n: int, targets: int) -> int:
+        kept = targets if targets & targets - 1 == 0 else maximal[targets]
+        p = promised[n]
+        return trimmed[kept, p] if p else kept
 
-    def expand(i: int) -> list[int]:
-        row = tilde_rows[i] = [0] * len(nf.letters)
-        m = masks[i]
-        inj = m & injection
-        for base, op, target in outgoing[m ^ inj]:
-            for r, inj2 in _relabelings(op, inj, k):
-                row[base + r] |= 1 << ids[target | inj2]
-        return row
-
-    maximal_of: dict[int, int] = {}
-
-    def maximal(targets: int) -> int:
-        # The members no other member simulates.  m2 simulates m when
-        # m & m2 == m: the same state of a, and every bit of m's injection
-        # is in m2's.  Such an m2 is a larger mask, so taken by mask, largest
-        # first, every member meets those that simulate it before itself.
-        # Ids do not follow masks: a member may be interned after one that
-        # simulates it.
-        if targets & (targets - 1) == 0:
-            return targets
-        kept = maximal_of.get(targets)
-        if kept is None:
-            above: list[int] = []
-            kept = targets
-            for m in sorted(map(masks.__getitem__, members(targets)), reverse=True):
-                for m2 in above:
-                    if m & m2 == m:
-                        kept ^= 1 << ids[m]
-                        break
-                else:
-                    above.append(m)
-            maximal_of[targets] = kept
-        return kept
-
-    def successors(state):
-        n, subset = state
-        rows = [tilde_rows[i] or expand(i) for i in members(subset)]
-        if synced < len(images):
-            sync()
-        to = nf.rows[n]
-        return [(x, (n2, kept)) for x, targets in pooled_moves(rows, every)
-                if (n2 := to[x]) >= 0 and (kept := maximal(targets) & alive[nodes[n2][1]])]
-
-    def accepting(state) -> bool:
-        n, subset = state
-        return n in nf.finals and subset & final_ids != 0
-
-    start = 1 << ids[1 << k * k + index.initial]
-    return LazyDfa((0, start), successors, accepting, nf.alphabet)
+    table = SubsetDfa(nf, (1 << k * k + index.initial,), expand, finals.__and__, reduce)
+    keys = table.keys
+    return table
 
 
-def symbolic_dfa(a: Automaton, trim: bool) -> LazyDfa:
-    """L_symb(a) determinized from ``a.state_index`` (``determinize_ids``), unexplored.  With
-    ``trim``, moves into states that reach no final state are left out: the language stays,
-    and a search meets no subset that accepts nothing."""
+def symbolic_dfa(a: Automaton) -> LazyDfa:
+    """L_symb(a) determinized from ``a.state_index``, unexplored: a ``SubsetDfa`` over its state
+    ids.  Moves into states that reach no final state are left out: the language stays, and a
+    search meets no subset that accepts nothing."""
     index = a.state_index
-    moves = [[m for m in out if m[1] in index.live] for out in index.moves] if trim else index.moves
-    return determinize_ids(moves, 1 << index.initial, sum(1 << q for q in index.finals),
-                           symbolic_alphabet(a.alphabet, a.registers))
+    alphabet = symbolic_alphabet(a.alphabet, a.registers)
+    column, live = _letter_order(alphabet)[1], index.live
+    moves = [[(column[x], t) for x, t in out if t in live] for out in index.moves]
+    return SubsetDfa(_unguarded(alphabet), (index.initial,), moves.__getitem__,
+                     index.finals.__contains__, _unreduced)
 
 
 def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     """Shortlex-least symbolic word the automaton accepts that is not a normal form, or None.
 
     The inclusion of L_symb(a) in the normal forms: ``symbolic_inclusion``
-    of its trimmed ``symbolic_dfa`` in the normal-form DFA, which goes to -1
+    of its ``symbolic_dfa`` in the normal-form DFA, which goes to -1
     on a prefix that is no normal form any more.  Register automata raise
     NotSessionAutomaton.  The search runs once per automaton: its result, a
     tuple or None, is kept on the frozen instance as ``state_index`` is, so
@@ -422,7 +366,7 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     cached = vars(a)
     if "nf_violation_witness" not in cached:
         cached["nf_violation_witness"] = symbolic_inclusion(
-            symbolic_dfa(a, True), nf_automaton(a.registers, a.alphabet))
+            symbolic_dfa(a), nf_automaton(a.registers, a.alphabet))
     return cached["nf_violation_witness"]
 
 
@@ -435,7 +379,7 @@ def snf_dfa(a: Automaton) -> LazyDfa:
     DFA and tilde(a).  ``table()`` explores either in full.  Register
     automata raise NotSessionAutomaton.
     """
-    return normal_form_table(a) if nf_violation_witness(a) is not None else symbolic_dfa(a, False)
+    return normal_form_table(a) if nf_violation_witness(a) is not None else symbolic_dfa(a)
 
 
 @lru_cache(maxsize=256)

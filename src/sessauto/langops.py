@@ -112,7 +112,7 @@ def is_empty(a: Automaton) -> DataWord | None:
     both make, finds the least.  Every state of wf is final.
     """
     require_session(a)
-    x = symbolic_dfa(a, True)
+    x = symbolic_dfa(a)
     witness = pair_search(x, wf_automaton(a.registers, a.alphabet), ALONG_BOTH,
                           lambda pair: pair[0] in x.finals)
     return None if witness is None else concretize(witness)

@@ -11,7 +11,10 @@ DFA is its alphabet, its rows and its finals (the register bound belongs
 to the automaton read back from it): an int table on states 0..n-1,
 initial state 0, letters indexed in ``letter_key`` order, or a
 ``LazyDfa``, given by its move function, whose states are numbered and
-expanded when they are first read.  Every operation that synthesizes a
+expanded when they are first read.  Every determinization is one
+``SubsetDfa``: a lazy subset construction over interned members, guarded by
+a DFA read alongside and with a reduction applied to each target subset;
+plain determinization has neither.  Every operation that synthesizes a
 DFA numbers it canonically (breadth-first from the initial state, letters
 in order), which makes minimal automata comparable by plain equality.
 Every decision runs one search, ``pair_search``: breadth-first over the
@@ -187,11 +190,16 @@ class LazyDfa(_Lettered):
     initial = 0  # the start node's number
 
     def __init__(self, start, successors, accepting, alphabet):
-        self.alphabet = alphabet
         self._successors, self._accepting = successors, accepting
+        self._begin(start, alphabet)
+
+    def _begin(self, start, alphabet) -> None:
+        # A subclass that defines _successors and _accepting as methods calls this in place of
+        # __init__: a bound method stored on the instance would make it cyclic garbage.
+        self.alphabet = alphabet
         self._ids = {start: 0}
         self._nodes = [start]
-        self.finals = {0} if accepting(start) else set()
+        self.finals = {0} if self._accepting(start) else set()
 
     def row(self, s: int) -> tuple[int, ...]:
         ids, nodes = self._ids, self._nodes
@@ -310,19 +318,77 @@ def members(subset: int) -> list[int]:
     return out
 
 
-def pooled_moves(rows, letters) -> list[tuple[int, int]]:
-    """Targets a subset reaches by each letter index in ``letters``, where it reaches any.
+def _unreduced(n: int, targets: int) -> int:
+    """The reduction that keeps every member."""
+    return targets
 
-    ``rows`` holds one row per member of the subset: ``row[x]`` is the int
-    bitset of that member's target ids by letter index x, and the targets of
-    the subset are their OR.
+
+class SubsetDfa(LazyDfa):
+    """The subset construction, guarded and reduced: the one determinization of the library.
+
+    A member is an int key, interned to the next id when first met (member
+    i's key is ``keys[i]``); a subset is the int bitset of its members' ids
+    (see ``members``).  ``expand(key)`` lists a member's moves as (column of
+    ``guard``, target key) pairs, and ``final(key)`` tells whether it
+    accepts.  A member's row, its target bitset by column, is computed when a
+    subset first holds it; a subset's moves OR its members' rows.
+
+    A node is (state of ``guard``, subset), from (0, the subset of
+    ``start``'s keys), and is final when its guard state is and it holds a
+    final member.  A column the guard's row reads -1 on is no move, and each
+    target subset is cut to ``reduce(n, targets)``, n the guard's next
+    state, before it is numbered: a cut to nothing is no move.  Plain
+    determinization takes ``_unguarded`` and ``_unreduced``.
     """
-    if not rows:
-        return []
-    pooled = rows[0]
-    for row in rows[1:]:
-        pooled = list(map(or_, pooled, row))
-    return [(x, targets) for x in letters if (targets := pooled[x])]
+
+    def __init__(self, guard: SymbolicDfa, start, expand, final, reduce):
+        self.keys: list[int] = []
+        self._rows: list[list[int] | None] = []  # member id -> its row, once a subset holds it
+        self._finals = 0  # the bitset of the final members
+        self._member: dict[int, int] = {}  # key -> member id
+        self._expand, self._final, self._reduce, self._guard = expand, final, reduce, guard
+        self._columns = range(len(guard.alphabet))
+        self._begin((0, sum(1 << self._id(key) for key in start)), guard.alphabet)
+
+    def _id(self, key: int) -> int:
+        # The key's member id, the next one when the key is met for the first time.
+        i = self._member.get(key)
+        if i is None:
+            i = self._member[key] = len(self.keys)
+            self.keys.append(key)
+            self._rows.append(None)
+            if self._final(key):
+                self._finals |= 1 << i
+        return i
+
+    def _row(self, i: int) -> list[int]:
+        row = self._rows[i] = [0] * len(self._columns)
+        ids = self._member
+        for x, key in self._expand(self.keys[i]):
+            row[x] |= 1 << (ids[key] if key in ids else self._id(key))
+        return row
+
+    def _successors(self, node) -> list[tuple[int, tuple[int, int]]]:
+        n, subset = node
+        rows, pooled = self._rows, None
+        for i in members(subset):
+            row = rows[i] or self._row(i)
+            pooled = row if pooled is None else list(map(or_, pooled, row))
+        if pooled is None:
+            return []
+        reduce, to = self._reduce, self._guard.rows[n]
+        return [(x, (n2, kept)) for x in self._columns
+                if (targets := pooled[x]) and (n2 := to[x]) >= 0 and (kept := reduce(n2, targets))]
+
+    def _accepting(self, node) -> bool:
+        n, subset = node
+        return n in self._guard.finals and subset & self._finals != 0
+
+
+@lru_cache(maxsize=256)
+def _unguarded(alphabet) -> SymbolicDfa:
+    """Plain determinization's guard, one per alphabet: one final state reading every letter."""
+    return SymbolicDfa(alphabet, ((0,) * len(alphabet),), frozenset({0}))
 
 
 def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
@@ -331,30 +397,17 @@ def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
 
 
 def _subsets(nfa: SymbolicNfa) -> LazyDfa:
-    """The subset construction of an NFA, unexplored: ``determinize_ids`` on its states numbered."""
+    """The subset construction of an NFA, unexplored: a ``SubsetDfa`` over its states numbered,
+    a letter outside its alphabet skipped."""
     ids = {s: i for i, s in enumerate(nfa.states)}
-    moves: list[list[tuple[TransitionLabel, int]]] = [[] for _ in ids]
+    column = _letter_order(nfa.alphabet)[1]
+    moves: list[list[tuple[int, int]]] = [[] for _ in ids]
     for s, x, t in nfa.transitions:
-        moves[ids[s]].append((x, ids[t]))
-    return determinize_ids(moves, sum(1 << ids[s] for s in nfa.initials),
-                           sum(1 << ids[s] for s in nfa.finals), nfa.alphabet)
-
-
-def determinize_ids(moves, start: int, finals: int, alphabet) -> LazyDfa:
-    """The subset construction of an NFA on ids 0..n-1 as an unexplored ``LazyDfa``:
-    ``moves[s]`` lists the (letter, target id) pairs leaving s, a letter outside ``alphabet``
-    skipped, and ``start``, ``finals`` and the subsets are bitsets of ids.  ``table()``
-    numbers its reachable part canonically; a search reads only the rows it reaches."""
-    dfa = LazyDfa(start, lambda subset: pooled_moves([rows[s] for s in members(subset)], every),
-                  lambda subset: subset & finals != 0, alphabet)
-    column = dfa._index  # the rows below are built before the first move is read
-    rows = [[0] * len(column) for _ in moves]
-    for row, out in zip(rows, moves):
-        for x, t in out:
-            if x in column:
-                row[column[x]] |= 1 << t
-    every = range(len(column))
-    return dfa
+        if x in column:
+            moves[ids[s]].append((column[x], ids[t]))
+    finals = {ids[s] for s in nfa.finals}
+    return SubsetDfa(_unguarded(nfa.alphabet), [ids[s] for s in nfa.initials],
+                     moves.__getitem__, finals.__contains__, _unreduced)
 
 
 def complement(dfa: SymbolicDfa, alphabet=None) -> SymbolicDfa:

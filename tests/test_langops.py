@@ -50,7 +50,7 @@ from sessauto import (
 from sessauto.canonical import snf_dfa
 from sessauto.learner import ReferenceTeacher
 from test_automata import SESSION_OPS, automata
-from test_canonical import AUTOMATA_K2, AUTOMATA_K4, EMPTY, FORK, K4_SUBSETS, NAMED, chain
+from test_canonical import AUTOMATA_K4, EMPTY, FORK, K4_SUBSETS, NAMED, chain
 
 REPS = enumerate_word_classes(("a", "b"), 4)
 
@@ -224,7 +224,7 @@ def test_is_empty_matches_reference(a):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=AUTOMATA_K2, b=AUTOMATA_K2)
+@given(a=automata(SESSION_OPS), b=automata(SESSION_OPS))
 @example(a=EMPTY, b=EMPTY)
 @example(a=universal(2), b=chain("a:*1", "b:*2", "a:^1"))
 def test_boolean_ops_match_reference(a, b):
@@ -302,7 +302,7 @@ def assert_same_as_canonicalizing(a, b):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=AUTOMATA_K2, b=AUTOMATA_K2)
+@given(a=automata(SESSION_OPS), b=automata(SESSION_OPS))
 @example(a=EMPTY, b=EMPTY)
 @example(a=universal(2), b=chain("a:*1", "b:*2", "a:^1"))
 def test_snf_table_operations_match_canonicalizing_ones(a, b):

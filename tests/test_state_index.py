@@ -31,7 +31,8 @@ from sessauto import (
 )
 from sessauto import automata as automata_module
 from sessauto.canonical import normal_form_table, snf_dfa, tilde
-from test_canonical import AUTOMATA_K2, NAMED
+from test_automata import SESSION_OPS, automata
+from test_canonical import NAMED
 
 SMALL_NAMED = [a for a in NAMED if a.name != "univ5"]
 
@@ -78,7 +79,7 @@ def test_state_names_do_not_matter_on_named_automata(a):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=AUTOMATA_K2)
+@given(a=automata(SESSION_OPS))
 def test_state_names_do_not_matter(a):
     assert_names_do_not_matter(a, 23)
 
