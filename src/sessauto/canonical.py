@@ -68,7 +68,6 @@ from .symbolic import (
     SymbolicDfa,
     SymbolicNfa,
     _letter_order,
-    _Memo,
     _unguarded,
     _unreduced,
     members,
@@ -297,10 +296,11 @@ def normal_form_table(a: Automaton) -> LazyDfa:
     injection's int (see ``_relabelings``) in the bits below k*k, and the bit
     k*k + q for q's id in ``a.state_index``.  It is final when q is.  The
     moves into states that reach no final state are left out.  Each target
-    subset is cut to its ``_maximal`` members, then by ``_trim``.  The first
-    is cached per target, so it serves every normal-form state the target
-    leads to; the second per kept subset and promised mask, read off the
-    nodes of the one normal-form table per k.
+    subset is cut to its ``_maximal`` members, then by ``_trim`` for the
+    promised mask read off the nodes of the one normal-form table per k.
+    The table reduces each (normal-form state, targets) once; the first cut
+    is also cached per target, so it serves every normal-form state the
+    target leads to.
     """
     k = a.registers
     require_session(a)
@@ -325,14 +325,17 @@ def normal_form_table(a: Automaton) -> LazyDfa:
         return [(base + r, target | inj2)
                 for base, op, target in outgoing[m ^ inj] for r, inj2 in _relabelings(op, inj, k)]
 
-    # Both caches read the members' masks, ``keys`` below: not the table, which holds reduce.
-    maximal = _Memo(lambda targets: _maximal(keys, targets))
-    trimmed = _Memo(lambda key: _trim(keys, *key, k))
+    # The reductions read the members' masks, ``keys`` below: not the table, which holds reduce.
+    maximal: dict[int, int] = {}
 
     def reduce(n: int, targets: int) -> int:
-        kept = targets if targets & targets - 1 == 0 else maximal[targets]
+        kept = targets
+        if targets & targets - 1:
+            kept = maximal.get(targets)
+            if kept is None:
+                kept = maximal[targets] = _maximal(keys, targets)
         p = promised[n]
-        return trimmed[kept, p] if p else kept
+        return _trim(keys, kept, p, k) if p else kept
 
     table = SubsetDfa(nf, (1 << k * k + index.initial,), expand, finals.__and__, reduce)
     keys = table.keys

@@ -13,8 +13,9 @@ initial state 0, letters indexed in ``letter_key`` order, or a
 ``LazyDfa``, given by its move function, whose states are numbered and
 expanded when they are first read.  Every determinization is one
 ``SubsetDfa``: a lazy subset construction over interned members, guarded by
-a DFA read alongside and with a reduction applied to each target subset;
-plain determinization has neither.  Every operation that synthesizes a
+a DFA read alongside and with a reduction applied to each target subset,
+once per (guard state, target subset) that its rows meet, whose state it
+keeps; plain determinization has neither.  Every operation that synthesizes a
 DFA numbers it canonically (breadth-first from the initial state, letters
 in order), which makes minimal automata comparable by plain equality.
 Every decision runs one search, ``pair_search``: breadth-first over the
@@ -190,16 +191,10 @@ class LazyDfa(_Lettered):
     initial = 0  # the start node's number
 
     def __init__(self, start, successors, accepting, alphabet):
-        self._successors, self._accepting = successors, accepting
-        self._begin(start, alphabet)
-
-    def _begin(self, start, alphabet) -> None:
-        # A subclass that defines _successors and _accepting as methods calls this in place of
-        # __init__: a bound method stored on the instance would make it cyclic garbage.
-        self.alphabet = alphabet
+        self._successors, self._accepting, self.alphabet = successors, accepting, alphabet
         self._ids = {start: 0}
         self._nodes = [start]
-        self.finals = {0} if self._accepting(start) else set()
+        self.finals = {0} if accepting(start) else set()
 
     def row(self, s: int) -> tuple[int, ...]:
         ids, nodes = self._ids, self._nodes
@@ -339,6 +334,13 @@ class SubsetDfa(LazyDfa):
     target subset is cut to ``reduce(n, targets)``, n the guard's next
     state, before it is numbered: a cut to nothing is no move.  Plain
     determinization takes ``_unguarded`` and ``_unreduced``.
+
+    ``row`` looks each cell (n, targets) up in the table's dict for n: the
+    state its cut was numbered, or -1.  So ``reduce`` runs once per distinct
+    cell however many rows pool it; it must depend on nothing else, and keep
+    whole what it keeps and the start subset, as both reductions and the
+    identity do, so that a node's own cell holds its state.  A miss numbers
+    its node as the row meets it, columns in order.
     """
 
     def __init__(self, guard: SymbolicDfa, start, expand, final, reduce):
@@ -346,9 +348,11 @@ class SubsetDfa(LazyDfa):
         self._rows: list[list[int] | None] = []  # member id -> its row, once a subset holds it
         self._finals = 0  # the bitset of the final members
         self._member: dict[int, int] = {}  # key -> member id
+        self._cells = [{} for _ in guard.rows]  # guard state -> targets -> state, or -1
         self._expand, self._final, self._reduce, self._guard = expand, final, reduce, guard
-        self._columns = range(len(guard.alphabet))
-        self._begin((0, sum(1 << self._id(key) for key in start)), guard.alphabet)
+        # LazyDfa's fields without its move functions: ``row`` below is this class's own.
+        self.alphabet, self._nodes, self.finals = guard.alphabet, [], set()
+        self._number(0, sum(1 << self._id(key) for key in start))
 
     def _id(self, key: int) -> int:
         # The key's member id, the next one when the key is met for the first time.
@@ -362,27 +366,44 @@ class SubsetDfa(LazyDfa):
         return i
 
     def _row(self, i: int) -> list[int]:
-        row = self._rows[i] = [0] * len(self._columns)
+        row = self._rows[i] = [0] * len(self.alphabet)
         ids = self._member
         for x, key in self._expand(self.keys[i]):
             row[x] |= 1 << (ids[key] if key in ids else self._id(key))
         return row
 
-    def _successors(self, node) -> list[tuple[int, tuple[int, int]]]:
-        n, subset = node
+    def _number(self, n: int, subset: int) -> int:
+        # The node's state, the next one when it is first met: its own cell, as it is its own cut.
+        cell = self._cells[n]
+        t = cell.get(subset)
+        if t is None:
+            t = cell[subset] = len(self._nodes)
+            self._nodes.append((n, subset))
+            if n in self._guard.finals and subset & self._finals:
+                self.finals.add(t)
+        return t
+
+    def row(self, s: int) -> tuple[int, ...]:
+        n, subset = self._nodes[s]
         rows, pooled = self._rows, None
-        for i in members(subset):
+        while subset:  # the members, lowest id first
+            low = subset & -subset
+            subset ^= low
+            i = low.bit_length() - 1
             row = rows[i] or self._row(i)
             pooled = row if pooled is None else list(map(or_, pooled, row))
         if pooled is None:
-            return []
-        reduce, to = self._reduce, self._guard.rows[n]
-        return [(x, (n2, kept)) for x in self._columns
-                if (targets := pooled[x]) and (n2 := to[x]) >= 0 and (kept := reduce(n2, targets))]
-
-    def _accepting(self, node) -> bool:
-        n, subset = node
-        return n in self._guard.finals and subset & self._finals != 0
+            return (-1,) * len(self.alphabet)
+        cells, out = self._cells, []
+        for targets, n2 in zip(pooled, self._guard.rows[n]):
+            t = -1
+            if targets and n2 >= 0:
+                t = cells[n2].get(targets)
+                if t is None:
+                    kept = self._reduce(n2, targets)
+                    t = cells[n2][targets] = self._number(n2, kept) if kept else -1
+            out.append(t)
+        return tuple(out)
 
 
 @lru_cache(maxsize=256)
