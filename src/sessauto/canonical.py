@@ -10,18 +10,19 @@ DFA of that set.  It is computed in three steps:
     3. product of the two, determinized and minimized.
 
 Every DFA here, the normal-form and well-formedness DFAs too, is a
-``LazyDfa`` of ``symbolic``, a move function whose states are numbered as
-they are first read, or that DFA explored in full by ``table``: the int
-table (SymbolicDfa), canonically numbered.  A search reads only what it
-reaches.  A DFA carries no register bound: the automaton built from one,
-by ``from_symbolic_dfa``, gets it from its caller.
+``SubsetDfa`` of ``symbolic``, whose states are numbered as they are first
+read, or that DFA explored in full by ``table``: the int table
+(SymbolicDfa), canonically numbered.  A search reads only what it reaches.
+A DFA carries no register bound: the automaton built from one, by
+``from_symbolic_dfa``, gets it from its caller.
 
 The normal-form and well-formedness DFAs read no label: label j's letters
 take the 2k columns from 2k*j on, and each DFA's one move rule reads a
-block by arithmetic (see ``_lazy``).  Each is explored over one label once
-per k, and over any labels it is that table, each row repeated once per
-label; ``lazy_nf_automaton`` reads the rule block by block, as far as a
-search goes.
+block by arithmetic (see ``_lazy``).  Such a rule is a deterministic move
+function, so either DFA is a ``SubsetDfa`` whose subsets are singletons.
+Each is explored over one label once per k, and over any labels it is
+that table, each row repeated once per label; ``lazy_nf_automaton`` reads
+the rule block by block, as far as a search goes.
 
 Step 3 never builds the product or tilde(A) itself: normal_form_table is
 ``symbolic.SubsetDfa`` guarded by the normal-form DFA, its members tilde(A)
@@ -46,7 +47,7 @@ far as the search goes, against the normal-form DFA finds the least word A
 accepts that is not a normal form.  A accepts only normal forms when there
 is none; the learner returns the witness as a counterexample.
 
-``snf_dfa`` is the DFA of snf(L(A)) before minimizing, a LazyDfa either
+``snf_dfa`` is the DFA of snf(L(A)) before minimizing, a SubsetDfa either
 way: ``symbolic_dfa`` on that fast path, normal_form_table otherwise.  Two
 session automata accept the same data words exactly when their sets of
 normal forms coincide, so every decision and boolean operation of
@@ -63,7 +64,6 @@ from functools import lru_cache
 
 from .automata import Automaton, require_session
 from .symbolic import (
-    LazyDfa,
     SubsetDfa,
     SymbolicDfa,
     SymbolicNfa,
@@ -112,11 +112,12 @@ _NF = (_nf_moves, (0, 0), lambda node: not node[1], "normal-form")
 _WF = (_wf_moves, 0, lambda node: True, "well-formedness")
 
 
-def _lazy(dfa, registers: int, labels: frozenset[str]) -> LazyDfa:
-    """``_NF`` or ``_WF`` over ``labels``, explored on demand.  ``letter_key`` orders letters by
-    label, then fresh before reuse, then register, so label j's letters take the 2k columns
-    from 2k*j on: fresh r is column 2k*j + r-1 and reuse r column 2k*j + k + r-1.  The moves
-    are the columns of one such block, by increasing column, and every label reads them."""
+def _lazy(dfa, registers: int, labels: frozenset[str]) -> SubsetDfa:
+    """``_NF`` or ``_WF`` over ``labels``, explored on demand: a ``SubsetDfa`` of singletons.
+    ``letter_key`` orders letters by label, then fresh before reuse, then register, so label j's
+    letters take the 2k columns from 2k*j on: fresh r is column 2k*j + r-1 and reuse r column
+    2k*j + k + r-1.  The moves are the columns of one such block, by increasing column, and
+    every label reads them."""
     moves, start, accepting, name = dfa
     if registers < 1:
         raise ValueError(f"the {name} automaton needs at least one register")
@@ -126,10 +127,11 @@ def _lazy(dfa, registers: int, labels: frozenset[str]) -> LazyDfa:
         out = moves(registers, node)
         return [(j + x, target) for j in blocks for x, target in out]
 
-    return LazyDfa(start, successors, accepting, symbolic_alphabet(labels, registers))
+    alphabet = symbolic_alphabet(labels, registers)
+    return SubsetDfa(_unguarded(alphabet), (start,), successors, accepting, _unreduced)
 
 
-def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> LazyDfa:
+def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> SubsetDfa:
     """DFA of all symbolic normal forms over the given registers and labels, explored on demand.
     It has 2^k states; a search that stops early reads only the few it reaches."""
     return _lazy(_NF, registers, labels)
@@ -137,9 +139,9 @@ def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> LazyDfa:
 
 @lru_cache(maxsize=64)
 def _one_label(dfa, registers: int) -> tuple[SymbolicDfa, tuple]:
-    """``_NF`` or ``_WF`` over one label, in full, and its states' nodes: the one table per k."""
+    """``_NF`` or ``_WF`` over one label, in full, and each state's one member: one table per k."""
     lazy = _lazy(dfa, registers, frozenset({""}))
-    return lazy.table(), tuple(lazy._nodes)
+    return lazy.table(), tuple(lazy.keys[subset.bit_length() - 1] for _, subset in lazy._nodes)
 
 
 def _repeated(dfa, registers: int, labels: frozenset[str]) -> SymbolicDfa:
@@ -287,7 +289,7 @@ def _trim(masks: list[int], kept: int, promised: int, k: int) -> int:
     return kept
 
 
-def normal_form_table(a: Automaton) -> LazyDfa:
+def normal_form_table(a: Automaton) -> SubsetDfa:
     """A DFA of snf(L(a)): determinize(product(nf_automaton, tilde(a))), its subsets reduced.
 
     A ``SubsetDfa`` guarded by the normal-form DFA, which is deterministic,
@@ -342,7 +344,7 @@ def normal_form_table(a: Automaton) -> LazyDfa:
     return table
 
 
-def symbolic_dfa(a: Automaton) -> LazyDfa:
+def symbolic_dfa(a: Automaton) -> SubsetDfa:
     """L_symb(a) determinized from ``a.state_index``, unexplored: a ``SubsetDfa`` over its state
     ids.  Moves into states that reach no final state are left out: the language stays, and a
     search meets no subset that accepts nothing."""
@@ -373,13 +375,13 @@ def nf_violation_witness(a: Automaton) -> SymbolicWord | None:
     return cached["nf_violation_witness"]
 
 
-def snf_dfa(a: Automaton) -> LazyDfa:
+def snf_dfa(a: Automaton) -> SubsetDfa:
     """A DFA of snf(L(a)), not minimized and unexplored, for a search to read as far as it goes.
 
-    Automata that accept only normal forms give their ``symbolic_dfa``:
-    their symbolic language already is snf(L(a)).  Others get the
-    ``normal_form_table``, one lazy subset construction over the normal-form
-    DFA and tilde(a).  ``table()`` explores either in full.  Register
+    A ``SubsetDfa`` either way.  Automata that accept only normal forms give
+    their ``symbolic_dfa``: their symbolic language already is snf(L(a)).
+    Others get the ``normal_form_table``, guarded by the normal-form DFA and
+    reduced, over tilde(a).  ``table()`` explores either in full.  Register
     automata raise NotSessionAutomaton.
     """
     return normal_form_table(a) if nf_violation_witness(a) is not None else symbolic_dfa(a)

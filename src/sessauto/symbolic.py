@@ -10,22 +10,23 @@ benchmark's checks build them as references: ``product``,
 DFA is its alphabet, its rows and its finals (the register bound belongs
 to the automaton read back from it): an int table on states 0..n-1,
 initial state 0, letters indexed in ``letter_key`` order, or a
-``LazyDfa``, given by its move function, whose states are numbered and
-expanded when they are first read.  Every determinization is one
-``SubsetDfa``: a lazy subset construction over interned members, guarded by
-a DFA read alongside and with a reduction applied to each target subset,
-once per (guard state, target subset) that its rows meet, whose state it
-keeps; plain determinization has neither.  Every operation that synthesizes a
+``SubsetDfa``, whose states are numbered and expanded when they are first
+read.  ``SubsetDfa`` is the one lazy DFA of the library: a lazy subset
+construction over interned members, guarded by a DFA read alongside and
+with a reduction applied to each target subset, once per (guard state,
+target subset) that its rows meet, whose state it keeps; plain
+determinization has neither, and a deterministic move function is the case
+whose subsets are singletons.  Every operation that synthesizes a
 DFA numbers it canonically (breadth-first from the initial state, letters
 in order), which makes minimal automata comparable by plain equality.
 Every decision runs one search, ``pair_search``: breadth-first over the
 pairs of states of two DFAs on the union of their letters, whose rows it
-zips by column, -1 standing for no state.  It reads a LazyDfa only as far
-as the witness; ``pair_table`` is the same walk in full.
+zips by column, -1 standing for no state.  It reads a SubsetDfa only as
+far as the witness; ``pair_table`` is the same walk in full.
 The index, the NFA and the int table are frozen and hand out only
 immutable values (the index's moves by label and the NFA's ``delta`` are
-read-only), so a cached result cannot be changed by its callers.  A
-LazyDfa grows as it is read, and nothing caches one.
+read-only), so a cached result cannot be changed by its callers; no cache
+hands out a SubsetDfa, which grows as it is read.
 """
 
 from __future__ import annotations
@@ -174,59 +175,6 @@ class SymbolicDfa(_Lettered):
         return state in self.finals
 
 
-class LazyDfa(_Lettered):
-    """A DFA whose states are numbered and expanded when they are first read.
-
-    ``successors(node)`` lists the (letter index, next node) pairs that leave
-    a node, by increasing letter index, and ``accepting(node)`` tells whether
-    it is final.  A node may be any hashable value: a subset of states, held
-    as an int bitset over their ids (see ``members``), or a pair holding one.
-    The start node is state 0; every other node is numbered when a row
-    first reaches it, and is final when it is in ``finals``.  ``row(s)``
-    computes the moves of state s; a walk reads only the rows it reaches,
-    and keeps those it reads again (see ``pair_search``).  ``table`` reads
-    every row.
-    """
-
-    initial = 0  # the start node's number
-
-    def __init__(self, start, successors, accepting, alphabet):
-        self._successors, self._accepting, self.alphabet = successors, accepting, alphabet
-        self._ids = {start: 0}
-        self._nodes = [start]
-        self.finals = {0} if accepting(start) else set()
-
-    def row(self, s: int) -> tuple[int, ...]:
-        ids, nodes = self._ids, self._nodes
-        row = [-1] * len(self.alphabet)
-        for x, target in self._successors(nodes[s]):
-            t = ids.get(target)
-            if t is None:
-                t = ids[target] = len(nodes)
-                nodes.append(target)
-                if self._accepting(target):
-                    self.finals.add(t)
-            row[x] = t
-        return tuple(row)
-
-    def table(self) -> SymbolicDfa:
-        """Every state reachable from 0, expanded, as one int table, canonically numbered.
-
-        On a LazyDfa nothing has read before, the rows are read from 0 up,
-        which numbers the states breadth-first with letters in order: nodes,
-        int bitsets over their members' ids wherever members are pooled, are
-        numbered in the order they are found, so the numbering does not
-        depend on how their members are named or which ids they get.  This is
-        the one canonical numbering, which ``pair_table`` gives too: every
-        DFA explored in full has it, ``determinize``, the normal-form and
-        well-formedness DFAs and ``canonicalize`` among them.
-        """
-        # The loop also reaches the states that the rows it reads append.
-        row = self.row
-        rows = tuple([row(s) for s, _ in enumerate(self._nodes)])
-        return SymbolicDfa(self.alphabet, rows, frozenset(self.finals))
-
-
 def renumber(dfa: SymbolicDfa) -> SymbolicDfa:
     """Canonical state numbering: BFS from the initial state, letters in order.
 
@@ -270,10 +218,10 @@ def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
     Moore partition refinement on the table completed by a sink state,
     appended last so that a missing move (-1) indexes it: blocks split by
     (block, blocks of the successors) until their number stops growing.
-    The quotient keeps the blocks reachable from the initial block through
-    blocks that can reach a final one, numbered breadth-first with letters in
-    order.  The initial state survives even when the language is empty,
-    because a DFA needs one.
+    The quotient, its moves into blocks that reach no final one set to -1,
+    is ``renumber``ed: block 0 is the initial block, as state 0's signature
+    is the first numbered.  The initial state survives even when the
+    language is empty, because a DFA needs one.
     """
     rows = dfa.rows + ((-1,) * len(dfa.alphabet),)
     block = [int(s in dfa.finals) for s in range(len(rows))]
@@ -289,18 +237,18 @@ def minimize(dfa: SymbolicDfa) -> SymbolicDfa:
             break
         count = len(signatures)
 
-    q_rows: list[list[int] | None] = [None] * count
+    q_rows: list[tuple[int, ...] | None] = [None] * count
     for s, row in enumerate(rows):
         if q_rows[block[s]] is None:
-            q_rows[block[s]] = [block[t] for t in row]
+            q_rows[block[s]] = tuple(map(block.__getitem__, row))
     q_finals = {block[s] for s in dfa.finals}
     sources: list[list[int]] = [[] for _ in range(count)]
     for b, row in enumerate(q_rows):
         for t in row:
             sources[t].append(b)
     alive = _coreachable(sources, q_finals)
-    return LazyDfa(block[0], lambda b: [(x, t) for x, t in enumerate(q_rows[b]) if t in alive],
-                   q_finals.__contains__, dfa.alphabet).table()
+    quotient = tuple(tuple(t if t in alive else -1 for t in row) for row in q_rows)
+    return renumber(SymbolicDfa(dfa.alphabet, quotient, frozenset(q_finals)))
 
 
 def members(subset: int) -> list[int]:
@@ -318,15 +266,17 @@ def _unreduced(n: int, targets: int) -> int:
     return targets
 
 
-class SubsetDfa(LazyDfa):
-    """The subset construction, guarded and reduced: the one determinization of the library.
+class SubsetDfa(_Lettered):
+    """The subset construction, guarded and reduced: the one lazy DFA of the library.
 
-    A member is an int key, interned to the next id when first met (member
-    i's key is ``keys[i]``); a subset is the int bitset of its members' ids
-    (see ``members``).  ``expand(key)`` lists a member's moves as (column of
-    ``guard``, target key) pairs, and ``final(key)`` tells whether it
-    accepts.  A member's row, its target bitset by column, is computed when a
-    subset first holds it; a subset's moves OR its members' rows.
+    A member is a hashable key, interned to the next id when first met
+    (member i's key is ``keys[i]``); a subset is the int bitset of its
+    members' ids (see ``members``).  ``expand(key)`` lists a member's moves
+    as (column of ``guard``, target key) pairs, and ``final(key)`` tells
+    whether it accepts.  A member's row, its target bitset by column, is
+    computed when a subset first holds it; a subset's moves OR its members'
+    rows.  A deterministic move function is the case whose subsets are
+    singletons: one start key, and at most one target key a column.
 
     A node is (state of ``guard``, subset), from (0, the subset of
     ``start``'s keys), and is final when its guard state is and it holds a
@@ -340,21 +290,23 @@ class SubsetDfa(LazyDfa):
     cell however many rows pool it; it must depend on nothing else, and keep
     whole what it keeps and the start subset, as both reductions and the
     identity do, so that a node's own cell holds its state.  A miss numbers
-    its node as the row meets it, columns in order.
+    its node as the row meets it, columns in order: a walk reads only the
+    rows it reaches, and keeps those it reads again (see ``pair_search``).
     """
 
+    initial = 0  # the start node's number
+
     def __init__(self, guard: SymbolicDfa, start, expand, final, reduce):
-        self.keys: list[int] = []
+        self.keys: list = []
         self._rows: list[list[int] | None] = []  # member id -> its row, once a subset holds it
         self._finals = 0  # the bitset of the final members
-        self._member: dict[int, int] = {}  # key -> member id
+        self._member: dict = {}  # key -> member id
         self._cells = [{} for _ in guard.rows]  # guard state -> targets -> state, or -1
         self._expand, self._final, self._reduce, self._guard = expand, final, reduce, guard
-        # LazyDfa's fields without its move functions: ``row`` below is this class's own.
-        self.alphabet, self._nodes, self.finals = guard.alphabet, [], set()
+        self.alphabet, self._nodes, self.finals = guard.alphabet, [], set()  # node by state
         self._number(0, sum(1 << self._id(key) for key in start))
 
-    def _id(self, key: int) -> int:
+    def _id(self, key) -> int:
         # The key's member id, the next one when the key is met for the first time.
         i = self._member.get(key)
         if i is None:
@@ -405,6 +357,19 @@ class SubsetDfa(LazyDfa):
             out.append(t)
         return tuple(out)
 
+    def table(self) -> SymbolicDfa:
+        """Every state reachable from 0, expanded, as one int table, canonically numbered.
+
+        On a SubsetDfa nothing has read before, the rows are read from 0 up,
+        which numbers the nodes breadth-first with letters in order, as they
+        are found, whatever their members' names or ids: the one canonical
+        numbering, which ``pair_table`` gives too.
+        """
+        # The loop also reaches the states that the rows it reads append.
+        row = self.row
+        rows = tuple([row(s) for s, _ in enumerate(self._nodes)])
+        return SymbolicDfa(self.alphabet, rows, frozenset(self.finals))
+
 
 @lru_cache(maxsize=256)
 def _unguarded(alphabet) -> SymbolicDfa:
@@ -417,7 +382,7 @@ def determinize(nfa: SymbolicNfa) -> SymbolicDfa:
     return _subsets(nfa).table()
 
 
-def _subsets(nfa: SymbolicNfa) -> LazyDfa:
+def _subsets(nfa: SymbolicNfa) -> SubsetDfa:
     """The subset construction of an NFA, unexplored: a ``SubsetDfa`` over its states numbered,
     a letter outside its alphabet skipped."""
     ids = {s: i for i, s in enumerate(nfa.states)}
@@ -491,8 +456,6 @@ class _Memo(dict):
         return value
 
 
-
-
 # The follow rules of the pair walk: it goes on with a pair (s, t) of next
 # states, -1 standing for no state, when follow((s, t)) >= 0.
 ALONG_X = itemgetter(0)  # wherever x moves; y follows it, or goes to -1
@@ -502,11 +465,11 @@ ALONG_EITHER = max  # where either moves
 
 def _rows(dfa, letters):
     """A DFA's rows by state, on the columns of ``letters``, which hold its own, and the row of
-    -1, all -1.  A LazyDfa's rows, and widened ones, are computed when first read, and kept."""
+    -1, all -1.  A SubsetDfa's rows, and widened ones, are computed when first read, and kept."""
     if len(dfa.letters) < len(letters):  # a letter the DFA lacks reads the -1 appended
         columns = [-1 if (c := dfa.column(a)) is None else c for a in letters]
         rows = _Memo(lambda s: tuple(map((dfa.row(s) + (-1,)).__getitem__, columns)))
-    elif isinstance(dfa, LazyDfa):
+    elif isinstance(dfa, SubsetDfa):
         rows = _Memo(dfa.row)
     else:
         return [*dfa.rows, (-1,) * len(letters)]

@@ -57,12 +57,12 @@ from sessauto import (
     word_key,
 )
 from sessauto.automata import require_session
-from sessauto.canonical import _relabelings, lazy_nf_automaton, tilde
+from sessauto.canonical import _relabelings, tilde
 from sessauto.learner import ReferenceTeacher
 from sessauto.symbolic import (
     ALONG_BOTH,
     ALONG_X,
-    LazyDfa,
+    SubsetDfa,
     SymbolicNfa,
     _subsets,
     complement,
@@ -408,6 +408,24 @@ def _frozenset_pooled_moves(rows, letters) -> list[tuple[int, frozenset[int]]]:
     return out
 
 
+def breadth_first(start, successors, accepting, alphabet) -> tuple[SymbolicDfa, list]:
+    """A move function explored in full, and its nodes by state: ``successors(node)`` lists the
+    (letter index, next node) pairs that leave a node, and the nodes are numbered in the order
+    they are first met, breadth-first from ``start``, letters in order.  The references below
+    number their states with this, not with the library's ``SubsetDfa`` they check."""
+    ids, nodes, rows = {start: 0}, [start], []
+    for node in nodes:  # which also reaches the nodes appended below
+        row = [-1] * len(alphabet)
+        for x, target in successors(node):
+            if target not in ids:
+                ids[target] = len(nodes)
+                nodes.append(target)
+            row[x] = ids[target]
+        rows.append(tuple(row))
+    finals = frozenset(s for s, node in enumerate(nodes) if accepting(node))
+    return SymbolicDfa(alphabet, tuple(rows), finals), nodes
+
+
 def frozenset_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
     """``determinize`` with every subset a frozenset of state ids.
 
@@ -431,12 +449,12 @@ def frozenset_determinize(nfa: SymbolicNfa) -> SymbolicDfa:
             table[state_id(src)][index[x]].append(state_id(dst))
     start = frozenset(state_id(s) for s in nfa.initials)
     finals = {ids[s] for s in nfa.finals if s in ids}
-    return LazyDfa(
+    return breadth_first(
         start,
         lambda subset: _frozenset_pooled_moves([table[s] for s in subset], every),
         lambda subset: not finals.isdisjoint(subset),
         nfa.alphabet,
-    ).table()
+    )[0]
 
 
 def _moves_by_source(transitions) -> dict[str, list[tuple[TransitionLabel, str]]]:
@@ -466,17 +484,15 @@ def coreachable_states(a: Automaton) -> frozenset[str]:
 
 def nf_promises(k: int, labels) -> list[frozenset[int]]:
     """The promised registers of each state of ``nf_automaton(k, labels)``, by state number,
-    read off the nodes of the normal-form DFA explored over those very labels."""
-    dfa = lazy_nf_automaton(k, frozenset(labels))
-    dfa.table()
-    return [frozenset(r for r in range(1, k + 1) if promised >> r - 1 & 1) for _, promised in dfa._nodes]
+    read off the nodes of its reference explored over those very labels."""
+    return [promised for _, promised in reference_register_dfa("nf", k, labels)[1]]
 
 
-def reference_register_dfa(kind: str, k: int, labels) -> SymbolicDfa:
+def reference_register_dfa(kind: str, k: int, labels) -> tuple[SymbolicDfa, list]:
     """``nf_automaton`` (kind "nf") or ``wf_automaton`` (kind "wf") as they were built before
-    one table per k served every label set: a DFA over exactly these labels, its nodes a
-    register and frozensets of registers, each move a letter looked up in the alphabet's
-    column index.  Kept as the oracle of the tables read off by block."""
+    one table per k served every label set, and its nodes by state: a DFA over exactly these
+    labels, its nodes a register and frozensets of registers, each move a letter looked up in
+    the alphabet's column index.  Kept as the oracle of the tables read off by block."""
     if kind == "nf":
         def moves(node):
             top, promised = node
@@ -493,14 +509,15 @@ def reference_register_dfa(kind: str, k: int, labels) -> SymbolicDfa:
                 if r in written:
                     yield RegisterOp.reuse(r), written
         start, accepting = frozenset(), lambda node: True
-    dfa = LazyDfa(start, lambda node: sorted((dfa.column(TransitionLabel(a, op)), target)
-                                             for op, target in moves(node) for a in labels),
-                  accepting, symbolic_alphabet(frozenset(labels), k))
-    return dfa.table()
+    alphabet = symbolic_alphabet(frozenset(labels), k)
+    column = dict(zip(_sorted_letters(alphabet), range(len(alphabet))))
+    return breadth_first(start, lambda node: sorted((column[TransitionLabel(a, op)], target)
+                                                    for op, target in moves(node) for a in labels),
+                         accepting, alphabet)
 
 
-def explored_within(dfa: LazyDfa, limit: int) -> bool:
-    """Whether an unread LazyDfa has at most ``limit`` states: its rows are read from 0 up, as
+def explored_within(dfa: SubsetDfa, limit: int) -> bool:
+    """Whether an unread SubsetDfa has at most ``limit`` states: its rows are read from 0 up, as
     ``table`` reads them, until every state is read or more than ``limit`` are numbered."""
     s = 0
     while s < len(dfa._nodes) <= limit:
@@ -521,7 +538,7 @@ def dead_member(promised: frozenset[int], state: str, inj: int, k: int, live) ->
     return state not in live or not promised <= held_outputs(inj, k)
 
 
-def frozenset_normal_form_table(a: Automaton, trim: bool = True) -> LazyDfa:
+def frozenset_normal_form_table(a: Automaton, trim: bool = True) -> SymbolicDfa:
     """``normal_form_table`` with every subset a frozenset of tilde masks.
 
     The construction as it stood before subsets became int bitsets over
@@ -603,7 +620,7 @@ def frozenset_normal_form_table(a: Automaton, trim: bool = True) -> LazyDfa:
         return n in nf.finals and any(m & finals for m in subset)
 
     start = frozenset({state_bit[a.initial]})
-    return LazyDfa((0, start), successors, accepting, nf.alphabet)
+    return breadth_first((0, start), successors, accepting, nf.alphabet)[0]
 
 
 class PartialInjection(NamedTuple):

@@ -26,7 +26,15 @@ from sessauto import (
     symbolic_inclusion,
     word_key,
 )
-from sessauto.symbolic import SymbolicNfa, complement, product, shortest_accepted
+from sessauto.symbolic import (
+    SubsetDfa,
+    SymbolicNfa,
+    _unguarded,
+    _unreduced,
+    complement,
+    product,
+    shortest_accepted,
+)
 
 AB = (letter("a", "fresh", 1), letter("b", "reuse", 1))
 
@@ -290,6 +298,20 @@ def test_determinize_matches_reference(nfa):
 @given(dfa=partial_dfas())
 def test_renumber_matches_reference(dfa):
     assert as_named(renumber(as_table(dfa))) == reference_renumber(dfa)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfa=partial_dfas())
+@example(dfa=NamedDfa(frozenset(), frozenset({"s0", "s1"}), "s0", frozenset({"s1"}), {}))
+def test_subset_dfa_of_a_move_function_explores_to_renumber(dfa):
+    # A deterministic move function is the subset construction whose subsets are
+    # singletons, unguarded and unreduced: the normal-form and well-formedness DFAs
+    # are built so.  Explored, its states are numbered as renumber numbers them.
+    table = as_table(dfa)
+    moves = [[(x, t) for x, t in enumerate(row) if t >= 0] for row in table.rows]
+    lazy = SubsetDfa(_unguarded(table.alphabet), (0,), moves.__getitem__,
+                     table.finals.__contains__, _unreduced)
+    assert lazy.table() == renumber(table)
 
 
 # q0 reads a:*1 into both q1 and q2; q1 then reads b:^1 and q2 a:*1 into f.
