@@ -19,10 +19,10 @@ A DFA carries no register bound: the automaton built from one, by
 The normal-form and well-formedness DFAs read no label: label j's letters
 take the 2k columns from 2k*j on, and each DFA's one move rule reads a
 block by arithmetic (see ``_lazy``).  Such a rule is a deterministic move
-function, so either DFA is a ``SubsetDfa`` whose subsets are singletons.
-Each is explored over one label once per k, and over any labels it is
-that table, each row repeated once per label; ``lazy_nf_automaton`` reads
-the rule block by block, as far as a search goes.
+function, so either DFA is a ``SubsetDfa`` whose subsets are singletons,
+each node holding its one key.  Each is explored over one label once per
+k, and over any labels it is that table, each row repeated once per label;
+``lazy_nf_automaton`` reads the rule block by block, as far as a search goes.
 
 Step 3 never builds the product or tilde(A) itself: normal_form_table is
 ``symbolic.SubsetDfa`` guarded by the normal-form DFA, its members tilde(A)
@@ -128,7 +128,7 @@ def _lazy(dfa, registers: int, labels: frozenset[str]) -> SubsetDfa:
         return [(j + x, target) for j in blocks for x, target in out]
 
     alphabet = symbolic_alphabet(labels, registers)
-    return SubsetDfa(_unguarded(alphabet), (start,), successors, accepting, _unreduced)
+    return SubsetDfa(_unguarded(alphabet), (start,), successors, accepting, None)
 
 
 def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> SubsetDfa:
@@ -139,9 +139,9 @@ def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> SubsetDfa:
 
 @lru_cache(maxsize=64)
 def _one_label(dfa, registers: int) -> tuple[SymbolicDfa, tuple]:
-    """``_NF`` or ``_WF`` over one label, in full, and each state's one member: one table per k."""
+    """``_NF`` or ``_WF`` over one label, in full, and each state's key: one table per k."""
     lazy = _lazy(dfa, registers, frozenset({""}))
-    return lazy.table(), tuple(lazy.keys[subset.bit_length() - 1] for _, subset in lazy._nodes)
+    return lazy.table(), tuple(lazy._subsets)
 
 
 def _repeated(dfa, registers: int, labels: frozenset[str]) -> SymbolicDfa:

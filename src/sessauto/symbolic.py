@@ -276,7 +276,10 @@ class SubsetDfa(_Lettered):
     whether it accepts.  A member's row, its target bitset by column, is
     computed when a subset first holds it; a subset's moves OR its members'
     rows.  A deterministic move function is the case whose subsets are
-    singletons: one start key, and at most one target key a column.
+    singletons, given by ``reduce`` None: one start key, at most one target
+    key a column, listed by increasing column, and a node holds its one key
+    itself, as a bitset of one member is as wide as the members met, which
+    would make a full exploration quadratic in memory.
 
     A node is (state of ``guard``, subset), from (0, the subset of
     ``start``'s keys), and is final when its guard state is and it holds a
@@ -303,8 +306,9 @@ class SubsetDfa(_Lettered):
         self._member: dict = {}  # key -> member id
         self._cells = [{} for _ in guard.rows]  # guard state -> targets -> state, or -1
         self._expand, self._final, self._reduce, self._guard = expand, final, reduce, guard
-        self.alphabet, self._nodes, self.finals = guard.alphabet, [], set()  # node by state
-        self._number(0, sum(1 << self._id(key) for key in start))
+        self.alphabet, self.finals = guard.alphabet, set()
+        self._guards, self._subsets = [], []  # each state's node: its guard state and subset
+        self._number(0, start[0] if reduce is None else sum(1 << self._id(key) for key in start))
 
     def _id(self, key) -> int:
         # The key's member id, the next one when the key is met for the first time.
@@ -329,14 +333,22 @@ class SubsetDfa(_Lettered):
         cell = self._cells[n]
         t = cell.get(subset)
         if t is None:
-            t = cell[subset] = len(self._nodes)
-            self._nodes.append((n, subset))
-            if n in self._guard.finals and subset & self._finals:
+            t = cell[subset] = len(self._subsets)
+            self._guards.append(n)
+            self._subsets.append(subset)
+            if n in self._guard.finals and (self._final(subset) if self._reduce is None
+                                            else subset & self._finals):
                 self.finals.add(t)
         return t
 
     def row(self, s: int) -> tuple[int, ...]:
-        n, subset = self._nodes[s]
+        subset = self._subsets[s]
+        if self._reduce is None:  # a singleton: its key's moves, numbered in order
+            out, cell = [-1] * len(self.alphabet), self._cells[0]
+            for x, key in self._expand(subset):
+                t = cell.get(key)
+                out[x] = self._number(0, key) if t is None else t
+            return tuple(out)
         rows, pooled = self._rows, None
         while subset:  # the members, lowest id first
             low = subset & -subset
@@ -347,7 +359,7 @@ class SubsetDfa(_Lettered):
         if pooled is None:
             return (-1,) * len(self.alphabet)
         cells, out = self._cells, []
-        for targets, n2 in zip(pooled, self._guard.rows[n]):
+        for targets, n2 in zip(pooled, self._guard.rows[self._guards[s]]):
             t = -1
             if targets and n2 >= 0:
                 t = cells[n2].get(targets)
@@ -367,7 +379,7 @@ class SubsetDfa(_Lettered):
         """
         # The loop also reaches the states that the rows it reads append.
         row = self.row
-        rows = tuple([row(s) for s, _ in enumerate(self._nodes)])
+        rows = tuple([row(s) for s, _ in enumerate(self._subsets)])
         return SymbolicDfa(self.alphabet, rows, frozenset(self.finals))
 
 

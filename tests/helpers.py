@@ -520,10 +520,10 @@ def explored_within(dfa: SubsetDfa, limit: int) -> bool:
     """Whether an unread SubsetDfa has at most ``limit`` states: its rows are read from 0 up, as
     ``table`` reads them, until every state is read or more than ``limit`` are numbered."""
     s = 0
-    while s < len(dfa._nodes) <= limit:
+    while s < len(dfa._subsets) <= limit:
         dfa.row(s)
         s += 1
-    return len(dfa._nodes) <= limit
+    return len(dfa._subsets) <= limit
 
 
 def held_outputs(inj: int, k: int) -> set[int]:

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 from random import Random
@@ -780,6 +781,21 @@ def test_normal_form_and_well_formedness_dfas_without_labels():
     for build, kind in ((nf_automaton, "nf"), (wf_automaton, "wf")):
         assert build(3, frozenset()) == reference_register_dfa(kind, 3, ())[0] == SymbolicDfa(
             frozenset(), ((),), frozenset({0}))
+
+
+@pytest.mark.parametrize("dfa", [canonical._NF, canonical._WF], ids=["nf", "wf"])
+def test_normal_form_and_well_formedness_dfas_explore_in_linear_memory(dfa):
+    # A node of either DFA holds its one key: a bitset of one member would be as
+    # wide as the states met, and exploring in full quadratic in memory, about
+    # 5 KB a state at k = 12 against well under 1 KB.
+    tracemalloc.start()
+    try:
+        table = canonical._lazy(dfa, 12, A).table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 4096
+    assert peak < 1500 * len(table.rows)
 
 
 def assert_snf_dfa(a):

@@ -305,13 +305,15 @@ def test_renumber_matches_reference(dfa):
 @example(dfa=NamedDfa(frozenset(), frozenset({"s0", "s1"}), "s0", frozenset({"s1"}), {}))
 def test_subset_dfa_of_a_move_function_explores_to_renumber(dfa):
     # A deterministic move function is the subset construction whose subsets are
-    # singletons, unguarded and unreduced: the normal-form and well-formedness DFAs
-    # are built so.  Explored, its states are numbered as renumber numbers them.
+    # singletons, unguarded: the normal-form and well-formedness DFAs are built so,
+    # their nodes holding their keys (reduce None).  Explored, either way, its states
+    # are numbered as renumber numbers them.
     table = as_table(dfa)
     moves = [[(x, t) for x, t in enumerate(row) if t >= 0] for row in table.rows]
-    lazy = SubsetDfa(_unguarded(table.alphabet), (0,), moves.__getitem__,
-                     table.finals.__contains__, _unreduced)
-    assert lazy.table() == renumber(table)
+    for reduce in (_unreduced, None):
+        lazy = SubsetDfa(_unguarded(table.alphabet), (0,), moves.__getitem__,
+                         table.finals.__contains__, reduce)
+        assert lazy.table() == renumber(table)
 
 
 # q0 reads a:*1 into both q1 and q2; q1 then reads b:^1 and q2 a:*1 into f.
