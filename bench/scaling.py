@@ -50,11 +50,13 @@ Declared registers.  For K = 8, 16, 24, 32 and 40 it times
 and the learner's full normal-form check of a first-time word that uses K
 registers: ``MembershipOracle`` called on the normal form of a:1 .. a:K
 b:K .. b:1, with a teacher that answers yes.  Each point is the median of
-3 runs from cold caches.  Neither reads more than the states its walk
-reaches: universality should stay flat in K, and the check should grow
-with its 2K letters, each at most one new row of 4K columns, not with
-2^K.  A point whose runs take longer than 60 s in all is recorded as a
-timeout and flagged, and the larger K of that series are not run.
+3 runs from cold caches, and records the answer: fig5a's witness b:1 and
+True at every K.  Neither builds anything over K registers: universality
+reads the normal-form table over fig5a's 2 registers + 1 whatever K, and
+the check computes the normal form of the word's concretization, linear
+in its 2K letters, so both should stay flat against 2^K.  A point whose
+runs take longer than 60 s in all is recorded as a timeout and flagged,
+and the larger K of that series are not run.
 
 The package is imported from ``--src`` (default: ``src/`` of this checkout),
 and the generators from ``tests/`` and ``perfbench/`` beside it, so the same

@@ -9,20 +9,20 @@ DFA of that set.  It is computed in three steps:
        its concretizations with some word A accepts (register relabeling),
     3. product of the two, determinized and minimized.
 
-Every DFA here, the normal-form and well-formedness DFAs too, is a
-``SubsetDfa`` of ``symbolic``, whose states are numbered as they are first
-read, or that DFA explored in full by ``table``: the int table
-(SymbolicDfa), canonically numbered.  A search reads only what it reaches.
-A DFA carries no register bound: the automaton built from one, by
-``from_symbolic_dfa``, gets it from its caller.
+Every DFA here is an int table (SymbolicDfa), canonically numbered, or a
+``SubsetDfa`` of ``symbolic``, a subset construction whose states are
+numbered as they are first read and which ``table`` explores in full into
+such a table.  A search reads only what it reaches.  A DFA carries no
+register bound: the automaton built from one, by ``from_symbolic_dfa``,
+gets it from its caller.
 
-The normal-form and well-formedness DFAs read no label: label j's letters
-take the 2k columns from 2k*j on, and each DFA's one move rule reads a
-block by arithmetic (see ``_lazy``).  Such a rule is a deterministic move
-function, so either DFA is a ``SubsetDfa`` whose subsets are singletons,
-each node holding its one key.  Each is explored over one label once per
-k, and over any labels it is that table, each row repeated once per label;
-``lazy_nf_automaton`` reads the rule block by block, as far as a search goes.
+The normal-form and well-formedness DFAs are int tables that read no
+label: label j's letters take the 2k columns from 2k*j on, and each DFA's
+one move rule reads a block by arithmetic.  Each is explored over one label
+once per k (``_one_label``), and over any labels it is that table, each row
+repeated once per label.  A question is asked over the registers it needs:
+universality over k registers reads the table over min(k, k_A + 1), which
+has the same least witness (see ``langops.is_universal_bounded``).
 
 Step 3 never builds the product or tilde(A) itself: normal_form_table is
 ``symbolic.SubsetDfa`` guarded by the normal-form DFA, its members tilde(A)
@@ -84,7 +84,7 @@ from .words import (
 
 
 def _nf_moves(k: int, node: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
-    """The moves of a normal-form state over one label (see ``_lazy``).
+    """The moves of a normal-form state over one label (see ``_one_label``).
 
     A state is (top, promised): the greatest register initialized so far,
     and the mask (bit r-1 for register r) of the registers whose value must
@@ -112,41 +112,34 @@ _NF = (_nf_moves, (0, 0), lambda node: not node[1], "normal-form")
 _WF = (_wf_moves, 0, lambda node: True, "well-formedness")
 
 
-def _lazy(dfa, registers: int, labels: frozenset[str]) -> SubsetDfa:
-    """``_NF`` or ``_WF`` over ``labels``, explored on demand: a ``SubsetDfa`` of singletons.
-    ``letter_key`` orders letters by label, then fresh before reuse, then register, so label j's
-    letters take the 2k columns from 2k*j on: fresh r is column 2k*j + r-1 and reuse r column
-    2k*j + k + r-1.  The moves are the columns of one such block, by increasing column, and
-    every label reads them."""
+@lru_cache(maxsize=64)
+def _one_label(dfa, registers: int) -> tuple[SymbolicDfa, tuple]:
+    """``_NF`` or ``_WF`` over one label, in full, and each state's key: one table per k,
+    numbered breadth-first from the start, moves in column order.  ``letter_key`` orders letters
+    by label, then fresh before reuse, then register, so fresh r is column r-1 and reuse r
+    column k + r-1."""
     moves, start, accepting, name = dfa
     if registers < 1:
         raise ValueError(f"the {name} automaton needs at least one register")
-    blocks = range(0, 2 * registers * len(labels), 2 * registers)
-
-    def successors(node):
-        out = moves(registers, node)
-        return [(j + x, target) for j in blocks for x, target in out]
-
-    alphabet = symbolic_alphabet(labels, registers)
-    return SubsetDfa(_unguarded(alphabet), (start,), successors, accepting, None)
-
-
-def lazy_nf_automaton(registers: int, labels: frozenset[str]) -> SubsetDfa:
-    """DFA of all symbolic normal forms over the given registers and labels, explored on demand.
-    It has 2^k states; a search that stops early reads only the few it reaches."""
-    return _lazy(_NF, registers, labels)
-
-
-@lru_cache(maxsize=64)
-def _one_label(dfa, registers: int) -> tuple[SymbolicDfa, tuple]:
-    """``_NF`` or ``_WF`` over one label, in full, and each state's key: one table per k."""
-    lazy = _lazy(dfa, registers, frozenset({""}))
-    return lazy.table(), tuple(lazy._subsets)
+    keys, ids, rows = [start], {start: 0}, []
+    for key in keys:  # which also reaches the keys appended below
+        row = [-1] * (2 * registers)
+        for x, target in moves(registers, key):
+            t = ids.get(target)
+            if t is None:
+                t = ids[target] = len(keys)
+                keys.append(target)
+            row[x] = t
+        rows.append(tuple(row))
+    finals = frozenset(s for s, key in enumerate(keys) if accepting(key))
+    alphabet = symbolic_alphabet(frozenset({""}), registers)
+    return SymbolicDfa(alphabet, tuple(rows), finals), tuple(keys)
 
 
 def _repeated(dfa, registers: int, labels: frozenset[str]) -> SymbolicDfa:
     """``_NF`` or ``_WF`` over ``labels``, in full: the one-label table, each row repeated once per
-    label, as breadth-first numbering meets every state on label 0's letters (see ``_lazy``)."""
+    label, as breadth-first numbering meets every state on label 0's letters: label j's block
+    takes the 2k columns from 2k*j on, and no move depends on the label."""
     table, _ = _one_label(dfa, registers)
     if not labels:  # only the start state is reached
         return SymbolicDfa(frozenset(), ((),), table.finals & {0})
@@ -156,8 +149,8 @@ def _repeated(dfa, registers: int, labels: frozenset[str]) -> SymbolicDfa:
 
 @lru_cache(maxsize=256)
 def nf_automaton(registers: int, labels: frozenset[str]) -> SymbolicDfa:
-    """DFA of all symbolic normal forms over the given registers and labels: the whole
-    ``lazy_nf_automaton``, read off the one normal-form table per k."""
+    """DFA of all symbolic normal forms over the given registers and labels (see ``_nf_moves``),
+    its 2^k states read off the one normal-form table per k."""
     return _repeated(_NF, registers, labels)
 
 
@@ -312,7 +305,7 @@ def normal_form_table(a: Automaton) -> SubsetDfa:
     injection = (1 << k * k) - 1
     finals = sum(1 << k * k + q for q in index.finals)
     # Per state bit: (column of the move's operation on output register 0, see
-    # ``_lazy``, operation, target bit), for the moves into states that reach a final one.
+    # ``_one_label``, operation, target bit), for the moves into states that reach a final one.
     block = {label: 2 * k * j for j, label in enumerate(sorted(a.alphabet))}
     outgoing = {
         1 << k * k + q: [

@@ -4,10 +4,11 @@ Two languages compare exactly like their sets of normal forms, snf(L).  So
 inclusion, equivalence and universality over k-bounded words are
 ``symbolic.pair_search``es over two DFAs of such sets, explored only as far
 as the shortlex-least symbolic witness and never minimized: ``snf_dfa`` of
-an automaton, and for universality the normal-form DFA, whose 2^k states
-are computed as they are reached.  The walk is deterministic, so its least
-accepting pair carries the least word of the difference whichever DFAs of
-the two languages are paired.  That witness is a normal form, returned
+an automaton, and for universality the normal-form DFA over no more
+registers than the automaton's plus one, which has the same least witness
+as the one over k.  The walk is deterministic, so its least accepting pair
+carries the least word of the difference whichever DFAs of the two
+languages are paired.  That witness is a normal form, returned
 concretized: a genuine separating data word.  Emptiness searches an
 automaton's own ``symbolic_dfa`` with the well-formedness DFA.  intersect
 and complement_bounded explore the same walk in full (``pair_table``) and
@@ -18,7 +19,7 @@ A DFA has no register bound; each operation gives its automaton its own.
 from __future__ import annotations
 
 from .automata import Automaton, Transition, from_symbolic_dfa, require_session
-from .canonical import lazy_nf_automaton, nf_automaton, snf_dfa, symbolic_dfa, wf_automaton
+from .canonical import nf_automaton, snf_dfa, symbolic_dfa, wf_automaton
 from .symbolic import (
     ALONG_BOTH,
     ALONG_X,
@@ -119,14 +120,25 @@ def is_empty(a: Automaton) -> DataWord | None:
 
 
 def is_universal_bounded(a: Automaton, k: int) -> DataWord | None:
-    """None when L(a) contains every k-bounded data word; otherwise a missing one.
+    """None when L(a) contains every k-bounded data word; otherwise a missing one: the least
+    normal form over k registers outside snf(L(a)), found over min(k, m + 1), m = a.registers.
 
-    The normal-form DFA over k registers, which has 2^k states, is walked
-    lazily: the search computes only the states it reaches before the
-    witness, never the whole DFA.
+    Suppose the least word w of NF_k \\ snf(L(a)) wrote a register above
+    m + 1.  A normal form writes register r + 1 only after r, so w writes
+    m + 1 first; let u be the prefix of w that ends at that write, and v be
+    u followed by one reuse of each register u still promises.  v is a
+    normal form over m + 1 registers, and shorter than w: after u, w must
+    still make those reuses, as only a reuse ends a promise, and the later
+    write of a register above m + 1.  ``snf_dfa(a)`` has letters only up to
+    register m, so it rejects v, which is then a shorter witness than the
+    least one.  So the least witness, and whether there is one, is the same
+    over NF_{min(k, m + 1)}, the normal forms of NF_k over those registers.
+    At k = m this is the table ``nf_violation_witness`` reads for
+    ``snf_dfa(a)``.
     """
     require_session(a)
     if k < 1:
         raise ValueError("universality needs a bound k >= 1")
-    witness = symbolic_inclusion(lazy_nf_automaton(k, a.alphabet), snf_dfa(a))
+    nf = nf_automaton(min(k, a.registers + 1), a.alphabet)
+    witness = symbolic_inclusion(nf, snf_dfa(a))
     return None if witness is None else concretize(witness)

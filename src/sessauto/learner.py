@@ -16,8 +16,10 @@ the DFA over m does, and every table word stays within the table's k, since
 the alphabet grows before a column that needs more registers is added.  So
 the table keeps the state of ``nf_automaton(k, labels)`` after each row word,
 one letter on from its parent's, and whether each column read from each
-state ends in a final state.  ``close`` reads the rows once and, after each
-promotion, only the rows of the promoted word's extensions.
+state ends in a final state.  Any other word, such as one of the break-point
+search, is checked by the definition: snf(concretize(u)) = u.  ``close``
+reads the rows once and, after each promotion, only the rows of the
+promoted word's extensions.
 """
 
 from __future__ import annotations
@@ -25,16 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Automaton, Transition
-from .canonical import canonicalize, lazy_nf_automaton, nf_automaton, nf_violation_witness, snf_dfa
+from .canonical import canonicalize, nf_automaton, nf_violation_witness, snf_dfa
 from .errors import (
     NoBreakpoint,
     NotClosed,
+    NotWellFormed,
     QueryBudgetExceeded,
     TeacherInconsistent,
     UnknownLabel,
+    UnsupportedOp,
 )
 from .formats import format_data_word, format_symbolic_word
-from .symbolic import _Memo, symbolic_equivalence
+from .symbolic import symbolic_equivalence
 from .words import (
     DataWord,
     SymbolicWord,
@@ -111,15 +115,15 @@ class TraceEvent:
     columns: int
 
 
-def _walk(nf, rows, state: int | None, word: SymbolicWord) -> int | None:
-    """The state of a normal-form DFA after ``word`` from ``state``, ``rows[s]`` its rows: -1 once
-    no normal form has the prefix read, None when a letter is outside the DFA's alphabet."""
+def _walk(nf, state: int | None, word: SymbolicWord) -> int | None:
+    """The state of a normal-form DFA after ``word`` from ``state``: -1 once no normal form has
+    the prefix read, None when a letter is outside the DFA's alphabet."""
     for letter in word:
         x = nf.column(letter)
         if x is None:
             return None
         if state is not None and state >= 0:
-            state = rows[state][x]
+            state = nf.rows[state][x]
     return state
 
 
@@ -130,8 +134,10 @@ class MembershipOracle:
     non-member of any canonical symbolic language.  ``memo`` gains one entry
     per answered first-time query, in the order they were answered, so it
     doubles as the query log.  Calling the oracle looks a word up in the memo
-    and checks a first-time word for normal form in full; ``answer`` takes a
-    first-time word whose check the caller has made (the table's cells do).
+    and checks a first-time word for normal form in full, by the definition:
+    it is one when it is the normal form of its own concretization, which
+    needs no DFA over the word's registers.  ``answer`` takes a first-time
+    word whose check the caller has made (the table's cells do).
     """
 
     def __init__(self, teacher: Teacher, labels: frozenset[str], budget: int | None = None):
@@ -143,8 +149,6 @@ class MembershipOracle:
         self.memo: dict[SymbolicWord, bool] = {}
         self.teacher_queries = 0
         self.equivalence_queries = 0
-        # k -> the lazy normal-form DFA over k registers, and its rows as they are read.
-        self._nf = _Memo(lambda k: (nf := lazy_nf_automaton(k, labels), _Memo(nf.row)))
 
     def _charge(self) -> None:
         if self.budget is not None:
@@ -153,14 +157,15 @@ class MembershipOracle:
                 raise QueryBudgetExceeded(f"query budget of {self.budget} exhausted")
 
     def _is_normal_form(self, word: SymbolicWord) -> bool:
-        if not word:
-            return True
         for letter in word:
             if letter.label not in self.labels:
                 raise UnknownLabel(f"label {letter.label!r} is outside the learning alphabet")
-        # At most one new row of the lazy normal-form DFA per letter: the word's k may be large.
-        nf, rows = self._nf[max_register(word)]
-        return _walk(nf, rows, nf.initial, word) in nf.finals
+        # snf(concretize(u)) = u exactly when u is a normal form, whatever its k; an ill-formed
+        # word and one with a local letter have no concretization.
+        try:
+            return snf(concretize(word)) == word
+        except (NotWellFormed, UnsupportedOp):
+            return False
 
     def __call__(self, word: SymbolicWord) -> bool:
         answer = self.memo.get(word)
@@ -221,7 +226,7 @@ class ObservationTable:
         states = self._nf_states
         if word not in states:
             parent = self._nf_state(word[:-1]) if word else self._nf.initial
-            states[word] = _walk(self._nf, self._nf.rows, parent, word[-1:])
+            states[word] = _walk(self._nf, parent, word[-1:])
         return states[word]
 
     def _is_normal(self, state: int | None, column: int) -> bool | None:
@@ -230,7 +235,7 @@ class ObservationTable:
         ends = self._column_ends
         key = (state, column)
         if key not in ends:
-            end = _walk(self._nf, self._nf.rows, state, self.columns[column])
+            end = _walk(self._nf, state, self.columns[column])
             ends[key] = None if end is None else end in self._nf.finals
         return ends[key]
 

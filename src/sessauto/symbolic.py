@@ -15,8 +15,7 @@ read.  ``SubsetDfa`` is the one lazy DFA of the library: a lazy subset
 construction over interned members, guarded by a DFA read alongside and
 with a reduction applied to each target subset, once per (guard state,
 target subset) that its rows meet, whose state it keeps; plain
-determinization has neither, and a deterministic move function is the case
-whose subsets are singletons.  Every operation that synthesizes a
+determinization has neither.  Every operation that synthesizes a
 DFA numbers it canonically (breadth-first from the initial state, letters
 in order), which makes minimal automata comparable by plain equality.
 Every decision runs one search, ``pair_search``: breadth-first over the
@@ -275,11 +274,7 @@ class SubsetDfa(_Lettered):
     as (column of ``guard``, target key) pairs, and ``final(key)`` tells
     whether it accepts.  A member's row, its target bitset by column, is
     computed when a subset first holds it; a subset's moves OR its members'
-    rows.  A deterministic move function is the case whose subsets are
-    singletons, given by ``reduce`` None: one start key, at most one target
-    key a column, listed by increasing column, and a node holds its one key
-    itself, as a bitset of one member is as wide as the members met, which
-    would make a full exploration quadratic in memory.
+    rows.
 
     A node is (state of ``guard``, subset), from (0, the subset of
     ``start``'s keys), and is final when its guard state is and it holds a
@@ -308,7 +303,7 @@ class SubsetDfa(_Lettered):
         self._expand, self._final, self._reduce, self._guard = expand, final, reduce, guard
         self.alphabet, self.finals = guard.alphabet, set()
         self._guards, self._subsets = [], []  # each state's node: its guard state and subset
-        self._number(0, start[0] if reduce is None else sum(1 << self._id(key) for key in start))
+        self._number(0, sum(1 << self._id(key) for key in start))
 
     def _id(self, key) -> int:
         # The key's member id, the next one when the key is met for the first time.
@@ -336,20 +331,12 @@ class SubsetDfa(_Lettered):
             t = cell[subset] = len(self._subsets)
             self._guards.append(n)
             self._subsets.append(subset)
-            if n in self._guard.finals and (self._final(subset) if self._reduce is None
-                                            else subset & self._finals):
+            if n in self._guard.finals and subset & self._finals:
                 self.finals.add(t)
         return t
 
     def row(self, s: int) -> tuple[int, ...]:
-        subset = self._subsets[s]
-        if self._reduce is None:  # a singleton: its key's moves, numbered in order
-            out, cell = [-1] * len(self.alphabet), self._cells[0]
-            for x, key in self._expand(subset):
-                t = cell.get(key)
-                out[x] = self._number(0, key) if t is None else t
-            return tuple(out)
-        rows, pooled = self._rows, None
+        subset, rows, pooled = self._subsets[s], self._rows, None
         while subset:  # the members, lowest id first
             low = subset & -subset
             subset ^= low

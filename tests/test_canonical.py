@@ -74,7 +74,6 @@ from sessauto.canonical import (
     _maximal,
     _relabelings,
     _trim,
-    lazy_nf_automaton,
     normal_form_table,
     snf_dfa,
     symbolic_dfa,
@@ -764,7 +763,7 @@ def test_each_reduction_keeps_languages(reduction, a):
 def test_one_table_per_k_serves_every_label_set(k):
     # Label j's letters take the columns from 2k*j on, and no move depends on the
     # label, so every label set reads the one-label table, each row repeated once
-    # per label; the lazy DFA, label j's block at offset 2k*j, explores to the same.
+    # per label.
     one = {build: build(k, A) for build in (nf_automaton, wf_automaton)}
     for labels in (A, AB, frozenset({"z"}), frozenset(["y", "b", "a"]),
                    frozenset({"req", "ack", "x", "open", "close"})):
@@ -773,7 +772,6 @@ def test_one_table_per_k_serves_every_label_set(k):
             assert dfa.rows == tuple(row * len(labels) for row in one[build].rows)
             assert dfa.finals == one[build].finals
             assert dfa == reference_register_dfa(kind, k, labels)[0]
-        assert lazy_nf_automaton(k, labels).table() == nf_automaton(k, labels)
 
 
 def test_normal_form_and_well_formedness_dfas_without_labels():
@@ -785,12 +783,12 @@ def test_normal_form_and_well_formedness_dfas_without_labels():
 
 @pytest.mark.parametrize("dfa", [canonical._NF, canonical._WF], ids=["nf", "wf"])
 def test_normal_form_and_well_formedness_dfas_explore_in_linear_memory(dfa):
-    # A node of either DFA holds its one key: a bitset of one member would be as
-    # wide as the states met, and exploring in full quadratic in memory, about
-    # 5 KB a state at k = 12 against well under 1 KB.
+    # Either table in full keeps one small key a state: well under 1 KB a state at
+    # k = 12, where a bitset a state, as wide as the states met, would take about
+    # 5 KB and make the exploration quadratic in memory.
     tracemalloc.start()
     try:
-        table = canonical._lazy(dfa, 12, A).table()
+        table, _ = canonical._one_label.__wrapped__(dfa, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

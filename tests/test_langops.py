@@ -48,7 +48,7 @@ from sessauto import (
     validate,
 )
 from sessauto.canonical import snf_dfa
-from sessauto.learner import ReferenceTeacher
+from sessauto.learner import MembershipOracle, ReferenceTeacher
 from test_automata import SESSION_OPS, automata
 from test_canonical import AUTOMATA_K4, EMPTY, FORK, K4_SUBSETS, NAMED, chain
 
@@ -259,7 +259,9 @@ def assert_decisions_match_reference(a, b):
         assert includes(c, d) == reference_includes(c, d)
         assert includes(d, c) == reference_includes(d, c)
         assert equivalent(c, d) == reference_equivalent(c, d)
-        for k in (c.registers, c.registers + 1):
+        # The search reads the table over min(k, registers + 1), which differs from k's first at
+        # k = registers + 2; the reference walks the whole normal-form DFA over k.
+        for k in range(1, c.registers + 3):
             assert is_universal_bounded(c, k) == reference_is_universal_bounded(c, k)
 
 
@@ -281,7 +283,7 @@ def test_witnesses_over_different_alphabets_match_references(a, b):
     assert includes(a, b) == concrete(reference_inclusion(ca, cb))
     assert equivalent(a, b) == concrete(reference_equivalence(ca, cb))
     assert ReferenceTeacher(b).equivalence(a) == equivalent(a, b)
-    for k in range(max(1, a.registers - 1), a.registers + 2):
+    for k in range(max(1, a.registers - 1), a.registers + 3):
         nf = nf_automaton(k, a.alphabet)
         assert is_universal_bounded(a, k) == concrete(reference_inclusion(nf, ca))
 
@@ -341,12 +343,17 @@ def test_decisions_and_boolean_operations_canonicalize_nothing(fig5a, fig2b):
 
 
 def test_universality_at_large_k_builds_no_normal_form_dfa(fig5a):
-    # nf_automaton(40, ...) would have 2^40 states; the search reads the few it reaches.
-    nf_automaton(fig5a.registers, fig5a.alphabet)
+    # nf_automaton(40, ...) would have 2^40 states; the search reads the table over
+    # registers + 1 = 3, which has the same least witness.  Neither universality nor
+    # the oracle's full check builds anything over 10^9 or 10^6 registers.
+    nf_automaton(fig5a.registers + 1, fig5a.alphabet)
     before = nf_automaton.cache_info()
     assert is_universal_bounded(fig5a, 40) == dw("b:1")
+    assert is_universal_bounded(fig5a, 10**9) == dw("b:1")
     after = nf_automaton.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    oracle = MembershipOracle(ReferenceTeacher(fig5a), fig5a.alphabet)
+    assert oracle((TransitionLabel("a", RegisterOp.fresh(10**6)),)) is False
 
 
 def test_is_empty_counts_only_data_acceptance(fig5a):

@@ -1,4 +1,5 @@
 import time
+from itertools import product
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     random_session_automaton,
     reference_canonicalize,
     reference_nf_violation_witness,
+    reference_register_dfa,
     sw,
 )
 from sessauto import (
@@ -159,7 +161,7 @@ def test_oracle_accepts_epsilon_as_normal_form(fig5a):
 
 
 def test_the_full_normal_form_check_reads_one_row_per_letter():
-    # 30 registers: the normal-form DFA has 2^30 states, of which the check reads at most 60.
+    # 30 registers: the normal-form DFA has 2^30 states, and the check reads none of them.
     class Yes(Teacher):
         def membership(self, word):
             return True
@@ -176,6 +178,24 @@ def test_the_full_normal_form_check_reads_one_row_per_letter():
     assert oracle.teacher_queries == 1
     with pytest.raises(UnknownLabel):
         oracle(word + sw("c:*1"))
+
+
+def test_the_full_normal_form_check_matches_the_normal_form_dfa(fig5a):
+    # Every word of at most 3 letters over {a, b} x {fresh, reuse, local} x
+    # registers 1..4, ill-formed ones and those with a local letter too, against
+    # the tests' own normal-form DFA over 4 registers.
+    labels = frozenset({"a", "b"})
+    nf, _ = reference_register_dfa("nf", 4, labels)
+    letters = [TransitionLabel(label, op(r)) for label in sorted(labels)
+               for op in (RegisterOp.fresh, RegisterOp.reuse, RegisterOp.local)
+               for r in range(1, 5)]
+    words = [w for n in range(4) for w in product(letters, repeat=n)]
+    assert len(words) == 14425
+    oracle = MembershipOracle(reference_teacher(fig5a), labels)
+    for word in words:
+        assert oracle._is_normal_form(word) == nf.accepts(word), format_symbolic_word(word)
+    with pytest.raises(UnknownLabel):
+        oracle._is_normal_form(sw("a:*1 c:^1"))
 
 
 def test_query_budget(fig5a):
@@ -412,14 +432,17 @@ def test_nf_violation_witness_matches_reference_on_hypotheses(target):
     target=st.sampled_from(["fig5a", "fig1b", "fig2b"]).map(fixture) | targets(),
     rng=st.randoms(use_true_random=True),
     length=st.integers(100, 1000),
+    pool=st.integers(1, 8),
 )
-def test_learned_simulated_and_canonical_membership_agree_on_long_words(target, rng, length):
+def test_learned_simulated_and_canonical_membership_agree_on_long_words(target, rng, length, pool):
+    # Without a pool every session ends once no register holds its value; with
+    # one, values die at staggered points, so sessions overlap up to k.
     learned = Learner(reference_teacher(target), target.alphabet, max_queries=None).run()
     canonical = canonicalize(target)
     for a in (target, learned):
-        w = random_run_word(rng, a, length)
-        for x in (w, perturb(rng, w)):
-            assert simulate(learned, x) == simulate(target, x) == canonical.accepts(snf(x))
+        for w in (random_run_word(rng, a, length), random_run_word(rng, a, length, pool=pool)):
+            for x in (w, perturb(rng, w)):
+                assert simulate(learned, x) == simulate(target, x) == canonical.accepts(snf(x))
 
 
 def test_three_register_memberships_agree_on_a_long_overlapping_word():
