@@ -8,8 +8,12 @@ an automaton, and for universality the normal-form DFA over no more
 registers than the automaton's plus one, which has the same least witness
 as the one over k.  The walk is deterministic, so its least accepting pair
 carries the least word of the difference whichever DFAs of the two
-languages are paired.  That witness is a normal form, returned
-concretized: a genuine separating data word.  Emptiness searches an
+languages are paired.  Inclusion and equivalence prune it up to congruence
+(Bonchi & Pous, POPL 2013, see ``symbolic.symbolic_inclusion``): a pair of
+subsets that the pairs expanded before it already relate is a leaf, so two
+DFAs of one language are no longer explored in full, and the witness stays
+the same.  That witness is a normal form, returned concretized: a genuine
+separating data word.  Emptiness searches an
 automaton's own ``symbolic_dfa`` with the well-formedness DFA.  intersect
 and complement_bounded explore the same walk in full (``pair_table``) and
 minimize it once: the minimal DFA is the same whichever DFAs are paired.

@@ -136,8 +136,10 @@ class MembershipOracle:
     doubles as the query log.  Calling the oracle looks a word up in the memo
     and checks a first-time word for normal form in full, by the definition:
     it is one when it is the normal form of its own concretization, which
-    needs no DFA over the word's registers.  ``answer`` takes a first-time
-    word whose check the caller has made (the table's cells do).
+    needs no DFA over the word's registers.  That concretization is the data
+    word the teacher is asked, so a word is concretized once.  ``answer``
+    takes a first-time word whose check the caller has made (the table's
+    cells do).
     """
 
     def __init__(self, teacher: Teacher, labels: frozenset[str], budget: int | None = None):
@@ -156,32 +158,35 @@ class MembershipOracle:
             if spent >= self.budget:
                 raise QueryBudgetExceeded(f"query budget of {self.budget} exhausted")
 
-    def _is_normal_form(self, word: SymbolicWord) -> bool:
+    def _normal_form_data(self, word: SymbolicWord) -> DataWord | None:
+        """The word's concretization when the word is a normal form, None when it is not."""
         for letter in word:
             if letter.label not in self.labels:
                 raise UnknownLabel(f"label {letter.label!r} is outside the learning alphabet")
         # snf(concretize(u)) = u exactly when u is a normal form, whatever its k; an ill-formed
         # word and one with a local letter have no concretization.
         try:
-            return snf(concretize(word)) == word
+            data = concretize(word)
         except (NotWellFormed, UnsupportedOp):
-            return False
+            return None
+        return data if snf(data) == word else None
 
     def __call__(self, word: SymbolicWord) -> bool:
         answer = self.memo.get(word)
         if answer is None:
             self._charge()  # an exhausted budget is reported before an unknown label
-            answer = self._ask(word, self._is_normal_form(word))
+            answer = self._ask(word, self._normal_form_data(word))
         return answer
 
     def answer(self, word: SymbolicWord, normal: bool) -> bool:
         """Answer a word not in the memo yet, ``normal`` telling whether it is a normal form."""
         self._charge()
-        return self._ask(word, normal)
+        return self._ask(word, concretize(word) if normal else None)
 
-    def _ask(self, word: SymbolicWord, normal: bool) -> bool:
-        if normal:
-            answer = self.teacher.membership(concretize(word))
+    def _ask(self, word: SymbolicWord, data: DataWord | None) -> bool:
+        # ``data`` is the word's concretization, None when the word is no normal form.
+        if data is not None:
+            answer = self.teacher.membership(data)
             self.teacher_queries += 1
         else:
             answer = False

@@ -21,7 +21,11 @@ in order), which makes minimal automata comparable by plain equality.
 Every decision runs one search, ``pair_search``: breadth-first over the
 pairs of states of two DFAs on the union of their letters, whose rows it
 zips by column, -1 standing for no state.  It reads a SubsetDfa only as
-far as the witness; ``pair_table`` is the same walk in full.
+far as the witness; ``pair_table`` is the same walk in full.  Inclusion and
+equivalence prune it up to congruence (``congruence``, after Bonchi & Pous,
+POPL 2013): a pair that the pairs expanded before it already relate, their
+sets of members closed under union, is not expanded, and the witness stays
+the least.
 The index, the NFA and the int table are frozen and hand out only
 immutable values (the index's moves by label and the NFA's ``delta`` are
 read-only), so a cached result cannot be changed by its callers; no cache
@@ -38,6 +42,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter, or_
 from types import MappingProxyType
 
+from .congruence import up_to_congruence
 from .words import SymbolicWord, TransitionLabel, letter_key, symbolic_alphabet
 
 
@@ -302,6 +307,7 @@ class SubsetDfa(_Lettered):
         self._cells = [{} for _ in guard.rows]  # guard state -> targets -> state, or -1
         self._expand, self._final, self._reduce, self._guard = expand, final, reduce, guard
         self.alphabet, self.finals = guard.alphabet, set()
+        self.letters, self._index = _letter_order(self.alphabet)  # set, not computed when read
         self._guards, self._subsets = [], []  # each state's node: its guard state and subset
         self._number(0, sum(1 << self._id(key) for key in start))
 
@@ -465,7 +471,7 @@ ALONG_EITHER = max  # where either moves
 def _rows(dfa, letters):
     """A DFA's rows by state, on the columns of ``letters``, which hold its own, and the row of
     -1, all -1.  A SubsetDfa's rows, and widened ones, are computed when first read, and kept."""
-    if len(dfa.letters) < len(letters):  # a letter the DFA lacks reads the -1 appended
+    if len(dfa.alphabet) < len(letters):  # a letter the DFA lacks reads the -1 appended
         columns = [-1 if (c := dfa.column(a)) is None else c for a in letters]
         rows = _Memo(lambda s: tuple(map((dfa.row(s) + (-1,)).__getitem__, columns)))
     elif isinstance(dfa, SubsetDfa):
@@ -476,12 +482,14 @@ def _rows(dfa, letters):
     return rows
 
 
-def _pair_walk(x, y, follow, accepting, stop: bool):
+def _pair_walk(x, y, follow, accepting, stop: bool, prune=None):
     """The pair walk of two DFAs on the union of their letters: a pair (s, t) moves to
     ``zip(row s of x, row t of y)``, rows read as the walk reaches them.  The pairs ``follow``
-    goes on with are numbered breadth-first from (0, 0), letters in order, and their rows
-    computed, as far as the first pair ``accepting`` holds when ``stop``.  Returns the letters,
-    the rows, the pairs numbered after each row, and the accepting pairs' numbers."""
+    goes on with are numbered breadth-first from (0, 0), letters in order, and expanded, as far
+    as the first pair ``accepting`` holds when ``stop``.  A pair ``prune`` holds, asked just
+    before it would be expanded, keeps its number and accepting check but gets the row of -1:
+    a leaf.  Returns the union alphabet, its letters, the rows, the pairs numbered after each
+    row, and the accepting pairs' numbers."""
     alphabet = x.alphabet | y.alphabet
     letters = (x.letters if len(x.alphabet) == len(alphabet) else
                y.letters if len(y.alphabet) == len(alphabet) else _letter_order(alphabet)[0])
@@ -497,31 +505,42 @@ def _pair_walk(x, y, follow, accepting, stop: bool):
             finals.append(len(pairs) - 1)
         return len(pairs) - 1
 
-    number = _Memo(number).__getitem__
+    memo = _Memo(number)
+    memo[-1, -1] = -1  # no follow rule goes on with no state on either side
+    number = memo.__getitem__
     number((0, 0))
-    rows, ends = [], []
-    for s, t in pairs:  # which also reaches the pairs numbered below
+    rows, ends, leaf = [], [], (-1,) * len(letters)
+    for pair in pairs:  # which also reaches the pairs numbered below
         if stop and finals:
             break
-        rows.append(tuple(map(number, zip(xs[s], ys[t]))))
+        if prune is not None and prune(pair):
+            rows.append(leaf)
+        else:
+            s, t = pair
+            rows.append(tuple(map(number, zip(xs[s], ys[t]))))
         ends.append(len(pairs))
-    return letters, rows, ends, finals
+    return alphabet, letters, rows, ends, finals
 
 
 def pair_table(x, y, follow, accepting) -> SymbolicDfa:
     """The DFA of the pairs of states of x and y that ``follow`` goes on with, with finals
     ``accepting``, over the union of their letters: the pair walk in full, numbered canonically."""
-    _, rows, _, finals = _pair_walk(x, y, follow, accepting, False)
-    return SymbolicDfa(x.alphabet | y.alphabet, tuple(rows), frozenset(finals))
+    alphabet, _, rows, _, finals = _pair_walk(x, y, follow, accepting, False)
+    return SymbolicDfa(alphabet, tuple(rows), frozenset(finals))
 
 
-def pair_search(x, y, follow, accepting) -> SymbolicWord | None:
+def pair_search(x, y, follow, accepting, prune=None) -> SymbolicWord | None:
     """Shortlex-least word leading the pair (0, 0) of two DFAs to a pair ``accepting`` holds, or
     None: the one search of the library, the pair walk as far as the first such pair.  The walk
     is deterministic, so breadth-first order with letters in order is shortlex order of the
     pairs' least access words.  The witness is spelled from the rows: a pair's number was given
-    by the first row holding it, at the first column that does."""
-    letters, rows, ends, finals = _pair_walk(x, y, follow, accepting, True)
+    by the first row holding it, at the first column that does.
+
+    ``prune``, when given, is asked about each pair before it is expanded, and makes leaves of
+    those it holds (see ``_pair_walk``).  Inclusion and equivalence pass
+    ``congruence.up_to_congruence``, which prunes only pairs that some pair expanded before them
+    has a shorter witness for, so the witness stays the same."""
+    _, letters, rows, ends, finals = _pair_walk(x, y, follow, accepting, True, prune)
     if not finals:
         return None
     word, n = [], finals[0]
@@ -532,6 +551,12 @@ def pair_search(x, y, follow, accepting) -> SymbolicWord | None:
     return tuple(reversed(word))
 
 
+def _nodes(dfa) -> tuple[list[int], list[int]] | None:
+    """A DFA's states as sets of members, for ``up_to_congruence``: a SubsetDfa's guard state
+    and member bitset by state, None for a table, whose state s is the singleton 1 << s."""
+    return (dfa._guards, dfa._subsets) if isinstance(dfa, SubsetDfa) else None
+
+
 def shortest_accepted(nfa: SymbolicNfa) -> SymbolicWord | None:
     """Shortest accepted word; ties broken by the letter order, None if empty: a ``pair_search``
     of the subset construction, read as far as the search goes, paired with itself."""
@@ -540,12 +565,34 @@ def shortest_accepted(nfa: SymbolicNfa) -> SymbolicWord | None:
 
 
 def symbolic_inclusion(x, y) -> SymbolicWord | None:
-    """Shortlex-least witness of L(x) \\ L(y), or None when L(x) is included in L(y)."""
+    """Shortlex-least witness of L(x) \\ L(y), or None when L(x) is included in L(y).
+
+    The pair search prunes up to congruence (``congruence.up_to_congruence``),
+    and the witness stays the least.  A pair P of sets "agrees on" a word v
+    when v is in both of its languages or in neither, which for inclusion's
+    (X ∪ Y, Y) means v is not in L(X) \\ L(Y).  Under fixed guard states a
+    language is a union homomorphism of the set, so agreeing on v is a
+    congruence for union: a pair in the congruence closure of pairs that
+    all agree on v agrees on v too.  Let w* = u·v be the least word of the
+    difference, and suppose u is the first prefix of w* whose pair P the
+    walk pruned.  The walk reaches P by u, as it expanded every pair of a
+    shorter prefix, so P's access word is u or before it.  P disagrees on
+    v, so some pair P' expanded before P disagrees on v too; its access
+    word u' comes before P's in shortlex order, as the walk expands pairs
+    in that order.  Then u'·v, which leads x and y to the states of P' and
+    on along v, is in the difference and shortlex-before u·v = w*: no
+    prefix of w* is pruned.  Every accepting pair the walk reaches is reached by a
+    word of the difference, and w*'s pair by w* itself, so the first one it
+    numbers is reached by w*.  The same holds for equivalence.
+    """
     in_x, in_y = x.finals, y.finals
-    return pair_search(x, y, ALONG_X, lambda pair: pair[0] in in_x and pair[1] not in in_y)
+    return pair_search(x, y, ALONG_X, lambda pair: pair[0] in in_x and pair[1] not in in_y,
+                       up_to_congruence(_nodes(x), _nodes(y), True))
 
 
 def symbolic_equivalence(x, y) -> SymbolicWord | None:
-    """Shortlex-least witness in the symmetric difference, or None when equivalent."""
+    """Shortlex-least witness in the symmetric difference, or None when equivalent: a pair
+    search pruned up to congruence, whose witness stays the least (see ``symbolic_inclusion``)."""
     in_x, in_y = x.finals, y.finals
-    return pair_search(x, y, ALONG_EITHER, lambda pair: (pair[0] in in_x) != (pair[1] in in_y))
+    return pair_search(x, y, ALONG_EITHER, lambda pair: (pair[0] in in_x) != (pair[1] in in_y),
+                       up_to_congruence(_nodes(x), _nodes(y), False))

@@ -127,7 +127,7 @@ def automata(draw, kinds, registers=st.integers(1, 3), sizes=st.integers(1, 3)):
 def test_simulate_matches_unpruned_reference(kinds, data):
     # At most 8 distinct values, so the reference's configuration sets stay small.
     a = data.draw(automata(kinds))
-    rng = data.draw(st.randoms(use_true_random=True))
+    rng = data.draw(st.randoms())
     w = random_run_word(rng, a, data.draw(st.integers(100, 1000)), pool=data.draw(st.integers(1, 8)))
     for x in (w, perturb(rng, w)):
         assert_matches_reference_per_end_state(a, x)
@@ -188,7 +188,7 @@ def test_simulate_matches_unpruned_reference_k4(kinds):
 
 
 @settings(max_examples=10, deadline=None)
-@given(a=automata(SESSION_OPS), rng=st.randoms(use_true_random=True), length=st.integers(1000, 3000))
+@given(a=automata(SESSION_OPS), rng=st.randoms(), length=st.integers(1000, 3000))
 def test_simulate_matches_canonical_path_on_long_words(a, rng, length):
     # Every fresh move takes a new value: many short sessions, too many values for the reference.
     w = random_run_word(rng, a, length)

@@ -18,6 +18,7 @@ from helpers import (
     dead_member,
     dw,
     enumerate_symbolic_words,
+    explored_within,
     fig5c_dfa,
     fixture,
     frozenset_determinize,
@@ -529,11 +530,11 @@ def test_normal_form_table_of_universal_is_minimal(k):
 @example(a=universal(3))
 @example(a=EMPTY)
 def test_pruned_table_matches_reference(a):
-    table = normal_form_table(a).table()
     # The unpruned reference took up to 0.5 s per draw below 5 000 pruned subsets
     # and 6 s at 23 376; at least 15 of 600 draws were larger than that.
-    assume(len(table.rows) <= 5000)
-    assert minimize(table) == reference_canonicalize(a)
+    dfa = normal_form_table(a)
+    assume(explored_within(dfa, 5000))
+    assert minimize(dfa.table()) == reference_canonicalize(a)
 
 
 def assert_same_tables(a):
@@ -549,7 +550,7 @@ def assert_same_tables(a):
 @given(a=automata(SESSION_OPS))
 @example(a=EMPTY)
 def test_bitset_tables_match_frozenset_reference(a):
-    assume(len(normal_form_table(a).table().rows) <= 5000)
+    assume(explored_within(normal_form_table(a), 5000))
     assert_same_tables(a)
 
 
@@ -608,7 +609,7 @@ def test_subset_dfa_reduces_each_cell_once_on_named_automata(a):
 @given(a=automata(SESSION_OPS))
 @example(a=EMPTY)
 def test_subset_dfa_reduces_each_cell_once(a):
-    assume(len(normal_form_table(a).table().rows) <= 5000)
+    assume(explored_within(normal_form_table(a), 5000))
     assert_one_reduction_per_cell(a)
 
 

@@ -9,6 +9,7 @@ from helpers import (
     add_dead_state,
     canonicalizing_complement_bounded,
     canonicalizing_intersect,
+    duplicate_state,
     dw,
     enumerate_word_classes,
     explored_within,
@@ -26,6 +27,7 @@ from helpers import (
 )
 from sessauto import (
     Automaton,
+    Learner,
     NotSessionAutomaton,
     RegisterOp,
     Transition,
@@ -42,12 +44,19 @@ from sessauto import (
     is_empty,
     is_universal_bounded,
     nf_automaton,
+    parse_automaton,
+    reference_teacher,
     serialize_automaton,
     simulate,
+    symbolic_equivalence,
+    symbolic_inclusion,
     union,
     validate,
 )
-from sessauto.canonical import snf_dfa
+from sessauto import congruence
+from sessauto.canonical import snf_dfa, symbolic_dfa
+from sessauto.congruence import up_to_congruence
+from sessauto.symbolic import ALONG_EITHER, ALONG_X, _nodes, pair_search
 from sessauto.learner import MembershipOracle, ReferenceTeacher
 from test_automata import SESSION_OPS, automata
 from test_canonical import AUTOMATA_K4, EMPTY, FORK, K4_SUBSETS, NAMED, chain
@@ -292,6 +301,150 @@ def test_the_least_difference_may_start_with_a_letter_one_side_lacks():
     assert equivalent(FIG2B, UNIV2) == equivalent(UNIV2, FIG2B) == dw("b:1")
     assert includes(UNIV4, UNIV3) == dw("a:1 a:2 a:3 a:4 a:1 a:2 a:3")
     assert includes(FIG2B, UNIV2) is None and includes(UNIV3, UNIV4) is None
+
+
+def search(x, y, inclusion: bool, prune=None):
+    """The witness of inclusion or equivalence by ``pair_search``, with the node filter given."""
+    if inclusion:
+        return pair_search(x, y, ALONG_X, lambda pair: pair[0] in x.finals and pair[1] not in y.finals,
+                           prune)
+    return pair_search(x, y, ALONG_EITHER, lambda pair: (pair[0] in x.finals) != (pair[1] in y.finals),
+                       prune)
+
+
+def assert_pruned_searches_match_unpruned(build_x, build_y):
+    # Both inclusions and equivalence, both orders, each search on DFAs of its own.
+    for pruned, inclusion in ((symbolic_inclusion, True), (symbolic_equivalence, False)):
+        for bx, by in ((build_x, build_y), (build_y, build_x)):
+            assert pruned(bx(), by()) == search(bx(), by(), inclusion)
+
+
+def relabeled(a: Automaton, label: str, name: str) -> Automaton:
+    """a with the label ``label`` renamed ``name``."""
+    rename = {label: name}
+    return replace(a, name=a.name + "_relabeled",
+                   alphabet=frozenset(rename.get(x, x) for x in a.alphabet),
+                   transitions=frozenset(
+                       Transition(t.source, TransitionLabel(rename.get(t.label.label, t.label.label),
+                                                            t.label.op), t.target)
+                       for t in a.transitions))
+
+
+@st.composite
+def related_pairs(draw):
+    """An automaton with k <= 3 and two to four states, and another: drawn on its own, or a copy
+    of the first with a state split into twins, a dead state, one more declared register or a
+    label renamed.  The copies are where the filter prunes: in about a quarter of the twin, dead
+    and register draws, against one in fifty of the drawn ones."""
+    a = draw(automata(SESSION_OPS, sizes=st.integers(2, 4)))
+    kind = draw(st.sampled_from(("drawn", "twin", "dead", "register", "label")))
+    if kind == "drawn":
+        b = draw(automata(SESSION_OPS))
+    elif kind == "twin":
+        b = duplicate_state(a, draw(st.sampled_from(sorted(a.states))), "twin")
+    elif kind == "dead":
+        b = add_dead_state(a, "trap")
+    elif kind == "register":
+        b = replace(a, registers=a.registers + 1)
+    else:
+        b = relabeled(a, draw(st.sampled_from(sorted(a.alphabet))), "c")
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+# The unpruned walk of two DFAs of one language reads every reachable pair, up to the
+# product of their sizes: only draws whose snf DFAs have at most this many subsets.
+PRUNED_SUBSETS = 300
+
+
+def moves(name: str, registers: int, finals: str, *lines: str) -> Automaton:
+    """An automaton over {a, b} from its moves, "source label kind register target", q0 initial."""
+    text = [f"automaton {name}", "labels a b", f"registers {registers}"]
+    states = sorted({"q0"} | {w for line in lines for w in line.split()[::4]})
+    text += [f"states {' '.join(states)}", "initial q0", f"final {finals}"]
+    return parse_automaton("\n".join(text + [f"trans {line}" for line in lines]) + "\n")
+
+
+# Pairs that filters pruning too much get wrong, drawn and then shrunk against broken copies
+# of the filter: one that tests X ⊆ Y↓ alone in equivalence, one whose rules fire when their
+# need meets the set, and one that prunes every pair whose members some rule gives.
+TOO_EAGER = [
+    (moves("twins", 2, "q0", "q0 a fresh 2 q0", "q0 a fresh 2 q1", "q0 a fresh 2 twin",
+           "q0 b fresh 2 q0", "q0 b fresh 2 twin", "q1 a reuse 2 q0", "q1 b reuse 2 q0",
+           "twin a fresh 2 q1"), EMPTY),
+    (moves("meet", 3, "q2", "q0 a fresh 3 q1", "q0 a fresh 3 q2", "q0 a reuse 3 q1",
+           "q1 a fresh 2 q1", "q1 a reuse 3 q0", "q2 a fresh 2 q0", "q2 b reuse 2 q0"),
+     moves("meet2", 3, "q1", "q0 a fresh 3 q1", "q0 a fresh 3 q2", "q0 a reuse 3 q1",
+           "q1 a fresh 1 q1", "q1 a reuse 3 q0", "q2 a fresh 2 q0", "q2 b reuse 1 q1",
+           "q2 b reuse 2 q0")),
+    (EMPTY, moves("given", 2, "q0 q1", "q0 a fresh 1 q0", "q0 a reuse 1 q1", "q0 b fresh 2 q0",
+                  "q0 b fresh 2 q1", "q0 b reuse 1 q0")),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=related_pairs())
+@example(pair=(fixture("fig1b"), duplicate_state(fixture("fig1b"), "s1", "twin")))
+@example(pair=(universal(2), universal(3)))
+@example(pair=TOO_EAGER[0])
+@example(pair=TOO_EAGER[1])
+@example(pair=TOO_EAGER[2])
+def test_pruned_searches_match_unpruned_ones(pair):
+    a, b = pair
+    assume(all(explored_within(snf_dfa(c), PRUNED_SUBSETS) for c in pair))
+    assert_pruned_searches_match_unpruned(lambda: snf_dfa(a), lambda: snf_dfa(b))
+    for c in pair:
+        # The normal-form check's pair, and universality's over one register more.
+        nf = nf_automaton(c.registers, c.alphabet)
+        assert_pruned_searches_match_unpruned(lambda: symbolic_dfa(c), lambda: nf)
+        wider = nf_automaton(c.registers + 1, c.alphabet)
+        assert_pruned_searches_match_unpruned(lambda: wider, lambda: snf_dfa(c))
+
+
+def expanded_pairs(x, y, inclusion: bool, pruned: bool) -> tuple[int, object]:
+    """The pairs the search of inclusion or equivalence expands, with the filter or without,
+    and its witness."""
+    prune = up_to_congruence(_nodes(x), _nodes(y), inclusion) if pruned else lambda pair: False
+    expanded = []
+
+    def counted(pair):
+        leaf = prune(pair)
+        if not leaf:
+            expanded.append(pair)
+        return leaf
+
+    witness = search(x, y, inclusion, counted)
+    return len(expanded), witness
+
+
+FIG1B = fixture("fig1b")
+RANDOM25 = random_session_automaton(Random(25), max_states=5, name="r25")
+
+
+# fig1b's snf DFA has 12 subsets, and each pair of the walk holds a member that no pair
+# before it holds, so none is pruned.  The seed-25 automaton against its twin copy walks
+# 38 pairs, of which the filter expands 27.
+@pytest.mark.parametrize("a, b, unpruned, pruned", [
+    (FIG1B, duplicate_state(FIG1B, "s1", "twin"), 12, 12),
+    (RANDOM25, duplicate_state(RANDOM25, "q0", "twin"), 38, 27),
+], ids=["fig1b-twin", "random25-twin"])
+def test_pruning_expands_the_pinned_number_of_pairs(a, b, unpruned, pruned):
+    for inclusion in (True, False):
+        for c, d in ((a, b), (b, a)):
+            assert expanded_pairs(snf_dfa(c), snf_dfa(d), inclusion, False) == (unpruned, None)
+            assert expanded_pairs(snf_dfa(c), snf_dfa(d), inclusion, True) == (pruned, None)
+
+
+def test_pairs_of_single_members_are_expanded_untested(fig5a, monkeypatch):
+    # Two deterministic sides pair single members only: no pair is ever tested.
+    def untested(*args):
+        raise AssertionError("a pair was tested")
+
+    monkeypatch.setattr(congruence, "_Rules", untested)
+    learned = Learner(reference_teacher(fig5a), fig5a.alphabet).run()
+    canonical = canonicalize(fig5a)
+    assert symbolic_equivalence(symbolic_dfa(learned), canonical) is None
+    assert symbolic_inclusion(canonical, symbolic_dfa(learned)) is None
+    assert symbolic_inclusion(symbolic_dfa(learned), nf_automaton(2, fig5a.alphabet)) is None
 
 
 def assert_same_as_canonicalizing(a, b):

@@ -46,6 +46,7 @@ from sessauto import (
     validate,
 )
 from sessauto import canonical as canonical_module
+from sessauto import learner as learner_module
 from sessauto.learner import find_breakpoint
 
 SCRIPT = [dw("a:3 b:3"), dw("a:7 a:4 b:7"), dw("a:9 a:3 b:9 b:3")]
@@ -193,9 +194,10 @@ def test_the_full_normal_form_check_matches_the_normal_form_dfa(fig5a):
     assert len(words) == 14425
     oracle = MembershipOracle(reference_teacher(fig5a), labels)
     for word in words:
-        assert oracle._is_normal_form(word) == nf.accepts(word), format_symbolic_word(word)
+        assert (oracle._normal_form_data(word) is not None) == nf.accepts(word), \
+            format_symbolic_word(word)
     with pytest.raises(UnknownLabel):
-        oracle._is_normal_form(sw("a:*1 c:^1"))
+        oracle._normal_form_data(sw("a:*1 c:^1"))
 
 
 def test_query_budget(fig5a):
@@ -219,6 +221,31 @@ def test_a_first_time_query_checks_the_budget_once(fig5a):
     oracle.answer(sw("a:*1"), True)
     oracle(sw("a:*1 b:^1"))  # a memo hit is not charged
     assert len(charges) == 2
+
+
+def test_a_first_time_query_concretizes_its_word_once(fig5a, monkeypatch):
+    # The full normal-form check concretizes the word, and the teacher is asked that data word.
+    calls, asked = [], []
+    real_concretize = learner_module.concretize
+    monkeypatch.setattr(learner_module, "concretize", lambda w: calls.append(w) or real_concretize(w))
+    teacher = reference_teacher(fig5a)
+    membership = teacher.membership
+    teacher.membership = lambda w: asked.append(w) or membership(w)
+    oracle = MembershipOracle(teacher, frozenset({"a", "b"}))
+    # A member, a normal form fig5a rejects, the empty word and an ill-formed word.
+    for word, member in [(sw("a:*1 b:^1"), True), (sw("b:*1"), False), ((), True),
+                         (sw("a:^1"), False)]:
+        calls.clear()
+        assert oracle(word) is member
+        assert calls == [word]
+        oracle(word)  # a memo hit concretizes nothing
+        assert calls == [word]
+    calls.clear()
+    oracle.answer(sw("a:*1 b:^1 a:*1 b:^1"), True)
+    oracle.answer(sw("a:*1 a:*2"), False)  # no normal form: nothing to ask
+    assert calls == [sw("a:*1 b:^1 a:*1 b:^1")]
+    assert asked == [dw("a:1 b:1"), dw("b:1"), (), dw("a:1 b:1 a:2 b:2")]
+    assert oracle.teacher_queries == 4
 
 
 def test_negative_budget_is_refused(fig5a):
@@ -344,7 +371,7 @@ def test_fig5a_trace_is_pinned(fig5a):
 @st.composite
 def targets(draw):
     """Small random session automata over {a, b} with k <= 3 registers."""
-    rng = draw(st.randoms(use_true_random=True))
+    rng = draw(st.randoms())
     return random_session_automaton(rng, registers=draw(st.integers(1, 3)), name="target")
 
 
@@ -364,7 +391,7 @@ class RecordingTeacher(Teacher):
 
 
 @settings(max_examples=15, deadline=None)
-@given(rng=st.randoms(use_true_random=True), registers=st.integers(1, 2))
+@given(rng=st.randoms(), registers=st.integers(1, 2))
 def test_table_cell_verdicts_match_the_full_normal_form_check(rng, registers):
     # Every first-time cell reaches the oracle through answer(), with the verdict
     # the table read off its cached normal-form states.
@@ -381,7 +408,7 @@ def test_table_cell_verdicts_match_the_full_normal_form_check(rng, registers):
     learner.run()
     assert verdicts
     for word, normal in verdicts:
-        assert normal == oracle._is_normal_form(word)
+        assert normal == (oracle._normal_form_data(word) is not None)
 
 
 def test_one_normal_form_walk_per_round(fig5a, monkeypatch):
@@ -430,7 +457,7 @@ def test_nf_violation_witness_matches_reference_on_hypotheses(target):
 @settings(max_examples=25, deadline=None)
 @given(
     target=st.sampled_from(["fig5a", "fig1b", "fig2b"]).map(fixture) | targets(),
-    rng=st.randoms(use_true_random=True),
+    rng=st.randoms(),
     length=st.integers(100, 1000),
     pool=st.integers(1, 8),
 )
