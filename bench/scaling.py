@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Scaling sweeps: the data-word layers over word length, the learner, universal automata, the
-decisions and declared registers.
+"""Scaling sweeps: the data-word layers over word length, the learner, the teacher's membership
+queries, universal automata, the decisions and declared registers.
 
 Run from the root of a source checkout:
 
@@ -24,6 +24,14 @@ and equivalence queries, the table's columns and the median time of 3 runs.
 Each run starts with the package's caches cleared, so it pays what a new
 process pays, the target's canonical form included.  A point whose runs
 take longer than 60 s in all is recorded as a timeout and flagged.
+
+Teacher.  Over the data words the seed-16 learner asks the teacher, in
+the order it asks them, it times ``ReferenceTeacher.membership`` alone:
+the target's canonical form is built before the clock starts.  It records
+the median of 5 passes over the words in microseconds per query, and the
+number of words, letters and accepted words, which two checkouts that
+answer alike share.  A point whose passes take longer than 60 s in all is
+recorded as a timeout and flagged.
 
 Universal automata.  For k = 1..6 it times ``canonicalize(universal(k))``
 and ``is_universal_bounded(universal(k), k)``, each the median of 3 runs
@@ -86,6 +94,7 @@ TIMEOUT_S = 60.0
 LIMIT = 1.2
 LEARN_SEEDS = (16, 1226, 112)
 LEARN_RUNS = 3
+TEACHER_SEED = 16
 UNIVERSAL_KS = range(1, 7)
 UNIVERSAL_RUNS = 3
 DRAWS, DRAW_SEED = 60, 24
@@ -208,6 +217,31 @@ def learn_sweep(S, helpers) -> dict:
         out[f"seed{seed}"] = point
         print(f"# learn seed {seed}: {point}", file=sys.stderr)
     return out
+
+
+def teacher_sweep(S, helpers) -> dict:
+    target = helpers.random_session_automaton(Random(TEACHER_SEED), registers=3)
+    asked = []
+
+    class Recording(S.learner.ReferenceTeacher):
+        def membership(self, word):
+            asked.append(word)
+            return super().membership(word)
+
+    S.Learner(Recording(target), target.alphabet, max_queries=None).run()
+    membership = S.reference_teacher(target).membership
+
+    def ask(words):
+        for w in words:
+            membership(w)
+
+    t = median_time(ask, asked)
+    point = {"seed": TEACHER_SEED, "queries": len(asked), "letters": sum(map(len, asked)),
+             "accepted": sum(map(membership, asked)),
+             "us_per_query": "timeout" if t is None else round(t / len(asked) * 1e6, 3),
+             "flagged": t is None}
+    print(f"# teacher seed {TEACHER_SEED}: {point}", file=sys.stderr)
+    return point
 
 
 def universal_sweep(S, helpers, gen) -> dict:
@@ -346,12 +380,14 @@ def main() -> int:
         "timeout_s": TIMEOUT_S,
         "series": word_sweep(S),
         "learn": learn_sweep(S, helpers),
+        "teacher": teacher_sweep(S, helpers),
         "universal": universal_sweep(S, helpers, gen),
         "decide": decide_sweep(S, workloads),
         "registers": registers_sweep(S),
     }
     result["flagged"] = sorted([k for k, v in result["series"].items() if v["flagged"]]
                                + [f"learn.{k}" for k, v in result["learn"].items() if v["flagged"]]
+                               + ["teacher"] * result["teacher"]["flagged"]
                                + [f"universal.{k}" for k, v in result["universal"].items()
                                   if v["flagged"]]
                                + ["decide"] * result["decide"]["flagged"]

@@ -79,6 +79,7 @@ from .words import (
     RegisterOp,
     SymbolicWord,
     TransitionLabel,
+    label_blocks,
     symbolic_alphabet,
 )
 
@@ -306,7 +307,7 @@ def normal_form_table(a: Automaton) -> SubsetDfa:
     finals = sum(1 << k * k + q for q in index.finals)
     # Per state bit: (column of the move's operation on output register 0, see
     # ``_one_label``, operation, target bit), for the moves into states that reach a final one.
-    block = {label: 2 * k * j for j, label in enumerate(sorted(a.alphabet))}
+    block = label_blocks(a.alphabet, k)
     outgoing = {
         1 << k * k + q: [
             (block[x.label] + (k if x.op.kind is _REUSE else 0) - 1, x.op, 1 << k * k + target)

@@ -8,7 +8,10 @@ form), everything else is concretized and sent on.  Counterexamples are data
 words; their normal forms are folded into the table through a binary search
 for a break-point, which adds one distinguishing column per counterexample.
 A counterexample may also reveal that more registers are needed, in which
-case the symbolic alphabet grows instead.
+case the symbolic alphabet grows instead.  The reference teacher answers a
+data word in one pass over it: it walks its target's canonical DFA along
+the word's register assignment, ``snf_registers``, the core that ``snf``
+builds its letters from, and never builds the normal form.
 
 A cell costs one dictionary lookup for its normal-form check.  The normal-form
 DFA over k registers accepts a word over registers up to m <= k exactly when
@@ -43,8 +46,10 @@ from .words import (
     DataWord,
     SymbolicWord,
     concretize,
+    label_blocks,
     max_register,
     snf,
+    snf_registers,
     word_key,
 )
 
@@ -61,13 +66,36 @@ class Teacher:
 
 
 class ReferenceTeacher(Teacher):
-    """Perfect teacher backed by a known target automaton."""
+    """Perfect teacher backed by a known target automaton.
+
+    A membership query walks the target's canonical DFA along the word's
+    register assignment, ``snf_registers``, without building its normal
+    form: label a's fresh write of register r is column ``blocks[a] + r-1``
+    and its reuse column ``blocks[a] + k + r-1`` (``label_blocks``, which
+    ``normal_form_table`` reads too).  A label outside the target's
+    alphabet, a register above its k or a missing move rejects the word:
+    exactly the words whose normal form the DFA does not accept.
+    """
 
     def __init__(self, target: Automaton):
-        self._canonical = canonicalize(target)  # every membership query walks it
+        self._canonical = canonicalize(target)
+        self._registers = target.registers
+        self._blocks = label_blocks(target.alphabet, target.registers)
 
     def membership(self, word: DataWord) -> bool:
-        return self._canonical.accepts(snf(word))
+        codes = snf_registers(word)
+        k = self._registers
+        if max(codes, default=0) > k:  # the word's session bound
+            return False
+        blocks, rows, state = self._blocks, self._canonical.rows, 0
+        for (a, _), c in zip(word, codes):
+            base = blocks.get(a)
+            if base is None:
+                return False
+            state = rows[state][base + c - 1 if c > 0 else base + k - c - 1]
+            if state < 0:
+                return False
+        return state in self._canonical.finals
 
     def equivalence(self, hypothesis: Automaton) -> DataWord | None:
         witness = symbolic_equivalence(snf_dfa(hypothesis), self._canonical)
@@ -308,22 +336,22 @@ class ObservationTable:
         states = self.states(oracle)
         if len(states) != len(self.upper):
             raise TeacherInconsistent("upper rows are not pairwise distinct")
-        transitions = set()
-        for i, u in enumerate(self.upper):
+        names, new, transitions = [f"__u{i}" for i in range(len(self.upper))], tuple.__new__, []
+        for name, u in zip(names, self.upper):
             for x in self.letters:
                 target = states.get(self.row(u + (x,), oracle))
                 if target is None:
                     raise NotClosed(
                         f"row of {format_symbolic_word(u + (x,))} matches no upper row"
                     )
-                transitions.add(Transition(f"__u{i}", x, f"__u{target}"))
+                transitions.append(new(Transition, (name, x, names[target])))
         return Automaton(
             name="hypothesis",
             alphabet=frozenset(self.labels),
             registers=self.registers,
-            states=frozenset(f"__u{i}" for i in range(len(self.upper))),
-            initial="__u0",
-            finals=frozenset(f"__u{i}" for i, u in enumerate(self.upper) if oracle(u)),
+            states=frozenset(names),
+            initial=names[0],
+            finals=frozenset(name for name, u in zip(names, self.upper) if oracle(u)),
             transitions=frozenset(transitions),
         )
 
@@ -415,7 +443,9 @@ class Learner:
         self._start = self.table.size()
         self._events = []  # (memo entries answered before it, event, detail, table size after it)
 
-    def _log(self, event: str, detail: str) -> None:
+    def _log(self, event: str, detail) -> None:
+        """Record an event.  Its detail is the text the trace shows, but a ``TableClosed`` event's
+        is the table's (upper words, columns), which ``trace`` formats when read."""
         self._events.append((len(self.oracle.memo), event, detail, self.table.size()))
 
     @property
@@ -434,6 +464,9 @@ class Learner:
                 trace.append(TraceEvent("MembershipQuery", query, *size))
             if event:
                 name, detail, size = event
+                if name == "TableClosed":
+                    upper, columns = (", ".join(map(format_symbolic_word, words)) for words in detail)
+                    detail = f"upper=[{upper}] columns=[{columns}]"
                 trace.append(TraceEvent(name, detail, *size))
             done = answered
         return trace
@@ -442,9 +475,7 @@ class Learner:
         table, oracle = self.table, self.oracle
         while True:
             table.close(oracle)
-            upper = ", ".join(format_symbolic_word(u) for u in table.upper)
-            columns = ", ".join(format_symbolic_word(v) for v in table.columns)
-            self._log("TableClosed", f"upper=[{upper}] columns=[{columns}]")
+            self._log("TableClosed", (tuple(table.upper), tuple(table.columns)))
             hypothesis = table.build_hypothesis(oracle)
             oracle.equivalence_queries += 1
             z = nf_violation_witness(hypothesis)

@@ -13,10 +13,16 @@ value domain.  ``snf`` maps every data word to the unique symbolic normal
 form of its equivalence class, reusing the smallest register whose value is
 dead; ``concretize`` goes back, picking the smallest unused values.
 
+The register assignment of the normal form is its own function,
+``snf_registers``: one int per letter, +r for a fresh write of register r
+and -r for a reuse.  ``snf`` turns the codes into letters, and the reference
+teacher walks its canonical DFA along them without building any letter.
+
 Letters (TransitionLabel) and register operations (RegisterOp) are named
 tuples and OpKind hashes by identity, so words hash and compare in C; a
 letter equals the plain tuple (label, op).  ``snf`` builds its letters with
-``tuple.__new__``, so a letter costs it no Python-level constructor call.
+``tuple.__new__``, once per label and session bound, so a letter costs it no
+Python-level constructor call.
 """
 
 from __future__ import annotations
@@ -112,6 +118,13 @@ def symbolic_alphabet(labels: frozenset[str], max_register: int) -> frozenset[Tr
     )
 
 
+def label_blocks(labels: frozenset[str], max_register: int) -> dict[str, int]:
+    """Each label's first column in a DFA over ``symbolic_alphabet(labels, max_register)``,
+    whose columns follow ``letter_key``: with k = max_register, the j-th label in sorted order
+    takes the 2k columns from 2k*j on, fresh r at 2k*j + r-1 and reuse r at 2k*j + k + r-1."""
+    return {label: 2 * max_register * j for j, label in enumerate(sorted(labels))}
+
+
 def occurrence_bounds(word: DataWord, value: int) -> tuple[int, int]:
     """1-based positions of the first and last occurrence of a value."""
     try:
@@ -176,46 +189,89 @@ def max_register(word: SymbolicWord) -> int:
     return max((x.op.register for x in word), default=0)
 
 
-def snf(word: DataWord) -> SymbolicWord:
-    """Symbolic normal form of a data word.
+def snf_registers(word: DataWord) -> list[int]:
+    """The register assignment of ``snf``, one code per letter: +r for a fresh write of
+    register r, -r for a reuse of it.  ``snf`` builds its letters from these codes, and the
+    reference teacher walks its canonical DFA along them without building a letter.
 
     A first occurrence takes a fresh write to the smallest free register; a
     later occurrence reuses the register assigned at the first occurrence.  A
     register becomes free again at the last occurrence of its value, so the
-    number of registers used equals the session bound of the word.
-
-    Each letter costs a few dict and list operations.  The registers of live
-    values and the freed ones (a heap) are always 1..m, so with none freed
-    the next register is one past the live values.  A register's fresh and
-    reuse ops are built once per call, and each letter by ``tuple.__new__``,
-    which skips the constructors' checks: every register here is >= 1.
+    largest code is the session bound of the word.  Each letter costs a few
+    dict and list operations.  The registers of live values and the freed
+    ones (a heap) are always 1..m, so with none freed the next register is
+    one past the live values.
     """
     last = {d: i for i, (_, d) in enumerate(word)}
-    new = tuple.__new__
-    fresh, reuse = [None], [None]  # the two ops on register r are fresh[r] and reuse[r]
     freed: list[int] = []
     held: dict[int, int] = {}  # live value -> its register
     out = []
-    for i, (a, d) in enumerate(word):
+    for i, (_, d) in enumerate(word):
         if d in held:
             r = held[d]
             if last[d] == i:
                 del held[d]
                 heappush(freed, r)
-            out.append(new(TransitionLabel, (a, reuse[r])))
-            continue
-        if freed:
-            r = freed[0]
-            if last[d] != i:
-                held[d] = heappop(freed)
+            out.append(-r)
+        elif freed:
+            if last[d] == i:
+                out.append(freed[0])
+            else:
+                r = held[d] = heappop(freed)
+                out.append(r)
         else:
             r = len(held) + 1
-            if r == len(fresh):
-                fresh.append(new(RegisterOp, (OpKind.FRESH, r)))
-                reuse.append(new(RegisterOp, (OpKind.REUSE, r)))
             if last[d] != i:
                 held[d] = r
-        out.append(new(TransitionLabel, (a, fresh[r])))
+            out.append(r)
+    return out
+
+
+_SHARED = 8  # the largest session bound whose letters ``_letters`` keeps
+
+
+@lru_cache(maxsize=64)
+def _letters(label: str, registers: int) -> tuple:
+    """The label's letters over registers 1..``registers``, indexed by ``snf_registers`` code:
+    fresh r at r, reuse r at -r, shared by every ``snf`` of a word with that label and bound."""
+    new = tuple.__new__  # skips the constructors' checks: every register here is >= 1
+    ops = ([new(RegisterOp, (OpKind.FRESH, r)) for r in range(1, registers + 1)]
+           + [new(RegisterOp, (OpKind.REUSE, r)) for r in range(registers, 0, -1)])
+    return (None, *(new(TransitionLabel, (label, op)) for op in ops))
+
+
+class _Letters(dict):
+    """One label's letters by ``snf_registers`` code, each built when a word first reads it."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        super().__init__()
+        self.label = label
+
+    def __missing__(self, code: int) -> TransitionLabel:
+        op = tuple.__new__(RegisterOp, (OpKind.FRESH if code > 0 else OpKind.REUSE, abs(code)))
+        letter = self[code] = tuple.__new__(TransitionLabel, (self.label, op))
+        return letter
+
+
+def snf(word: DataWord) -> SymbolicWord:
+    """Symbolic normal form of a data word: each letter's register operation is its code
+    in ``snf_registers``, +r a fresh write of register r and -r a reuse of it.
+
+    A letter costs one dict lookup and one index into its label's letters,
+    read once per label of the word.  Up to a session bound m of ``_SHARED``
+    they are the 2m+1 letters of ``_letters``, built once and shared; above
+    it, where 2m+1 letters per label could outnumber the word's, a
+    ``_Letters`` builds each one the word reads.
+    """
+    codes = snf_registers(word)
+    m, rows, out = max(codes, default=0), {}, []
+    for (a, _), c in zip(word, codes):
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = _letters(a, m) if m <= _SHARED else _Letters(a)
+        out.append(row[c])
     return tuple(out)
 
 

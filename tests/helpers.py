@@ -950,9 +950,7 @@ class ReferenceTableLearner(Learner):
         table, oracle = self.table, self.oracle
         while True:
             table.close(oracle)
-            upper = ", ".join(format_symbolic_word(u) for u in table.upper)
-            columns = ", ".join(format_symbolic_word(v) for v in table.columns)
-            self._log("TableClosed", f"upper=[{upper}] columns=[{columns}]")
+            self._log("TableClosed", (tuple(table.upper), tuple(table.columns)))
             hypothesis = table.build_hypothesis(oracle)
             oracle.equivalence_queries += 1
             z = nf_violation_witness(hypothesis)

@@ -1,5 +1,6 @@
 import time
 from itertools import product
+from operator import itemgetter
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     dw,
     fixture,
     perturb,
+    random_data_word,
     random_run_word,
     random_session_automaton,
     reference_canonicalize,
@@ -34,6 +36,7 @@ from sessauto import (
     Transition,
     TransitionLabel,
     UnknownLabel,
+    bound,
     canonicalize,
     equivalent,
     format_symbolic_word,
@@ -47,7 +50,7 @@ from sessauto import (
 )
 from sessauto import canonical as canonical_module
 from sessauto import learner as learner_module
-from sessauto.learner import find_breakpoint
+from sessauto.learner import ReferenceTeacher, ScriptedTeacher, find_breakpoint
 
 SCRIPT = [dw("a:3 b:3"), dw("a:7 a:4 b:7"), dw("a:9 a:3 b:9 b:3")]
 
@@ -470,6 +473,46 @@ def test_learned_simulated_and_canonical_membership_agree_on_long_words(target, 
         for w in (random_run_word(rng, a, length), random_run_word(rng, a, length, pool=pool)):
             for x in (w, perturb(rng, w)):
                 assert simulate(learned, x) == simulate(target, x) == canonical.accepts(snf(x))
+
+
+EMPTY_LABELS = Automaton("none", frozenset(), 1, frozenset({"q0"}), "q0", frozenset({"q0"}), frozenset())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    target=(st.sampled_from(["fig5a", "fig1b", "fig2b", "tickets3"]).map(fixture)
+            | st.just(EMPTY_LABELS) | targets()),
+    rng=st.randoms(),
+    length=st.integers(100, 1000),
+    pool=st.integers(1, 8),
+)
+def test_teacher_membership_agrees_with_the_normal_form_and_simulate(target, rng, length, pool):
+    # The teacher walks the canonical DFA along snf_registers' codes; a scripted
+    # teacher inherits the walk.  Words: the empty one, random short ones whose
+    # bound may exceed k, one with k + 1 overlapping sessions, run words whose
+    # sessions overlap, and each of them with a label outside the alphabet.
+    k, labels = target.registers, sorted(target.alphabet) or ["a"]
+    over = tuple((labels[0], v) for v in range(1, k + 2))
+    words = [(), over + over[::-1]]
+    words += [random_data_word(rng, labels, max_len=10, max_value=k + 2) for _ in range(20)]
+    if target.alphabet:
+        w = random_run_word(rng, target, length, pool=pool)
+        words += [w, perturb(rng, w)]
+    assert bound(words[1]) == k + 1
+    canonical = canonicalize(target)
+    teachers = [ReferenceTeacher(target), ScriptedTeacher(target, [])]
+    for w in words:
+        verdict = canonical.accepts(snf(w))
+        assert [t.membership(w) for t in teachers] == [verdict, verdict]
+        if set(map(itemgetter(0), w)) <= target.alphabet:
+            assert simulate(target, w) == verdict
+        else:
+            with pytest.raises(UnknownLabel):
+                simulate(target, w)
+        i = rng.randint(0, len(w))
+        outside = w[:i] + (("zz", rng.randint(1, k + 2)),) + w[i:]
+        assert [t.membership(outside) for t in teachers] == [False, False]
+        assert not canonical.accepts(snf(outside))
 
 
 def test_three_register_memberships_agree_on_a_long_overlapping_word():

@@ -44,6 +44,7 @@ from sessauto import (
     snf,
     symbolic_alphabet,
 )
+from sessauto.words import snf_registers
 
 
 def test_snf_golden():
@@ -86,6 +87,11 @@ def test_snf_takes_the_smallest_freed_register():
     assert format_symbolic_word(snf(w)) == "a:*1 a:*2 a:*3 a:^2 a:^1 a:*1 a:^1 a:^3"
 
 
+# 200 sessions nested in one another, each under its own label: a bound far above the ones
+# whose letters snf keeps shared, and as many labels as sessions.
+NESTED = tuple((f"x{i}", i) for i in range(1, 201)) + tuple((f"x{i}", i) for i in range(200, 0, -1))
+
+
 @st.composite
 def long_data_words(draw):
     """Words of 0-300 letters; a small value pool makes many sessions overlap,
@@ -100,10 +106,33 @@ def long_data_words(draw):
 @example(dw("a:5"))
 @example(dw("a:1 a:2 a:1 a:3 a:4 a:4 a:2"))  # 3 occurs once while register 1 waits
 @example(dw("a:1 a:2 a:3 a:2 a:1 a:4 a:4 a:3"))  # registers 2 and 1 wait
+@example(NESTED)
 def test_snf_and_sessions_match_reference(word):
     assert snf(word) == reference_snf(word)
     # item order too: sessions lists values by first occurrence
     assert list(sessions(word).items()) == list(reference_sessions(word).items())
+
+
+def test_snf_registers_codes():
+    # +r a fresh write of register r, -r a reuse: registers 2 and 1 are freed, 3 holds on
+    assert snf_registers(dw("a:1 a:2 a:3 a:2 a:1 a:4 a:4 a:3")) == [1, 2, 3, -2, -1, 1, -1, -3]
+    assert snf_registers(()) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_data_words())
+@example(())
+@example(dw("a:5"))
+@example(dw("a:1 a:2 a:1 a:3 a:4 a:4 a:2"))  # 3 occurs once while register 1 waits
+@example(dw("a:1 a:2 a:3 a:2 a:1 a:4 a:4 a:3"))  # registers 2 and 1 wait
+@example(NESTED)
+def test_snf_registers_rebuild_the_reference_normal_form(word):
+    codes = snf_registers(word)
+    rebuilt = tuple(TransitionLabel(a, RegisterOp(OpKind.FRESH if c > 0 else OpKind.REUSE, abs(c)))
+                    for (a, _), c in zip(word, codes))
+    assert len(codes) == len(word)
+    assert rebuilt == reference_snf(word)
+    assert max(codes, default=0) == reference_bound(word)
 
 
 @settings(max_examples=40, deadline=None)
@@ -111,6 +140,7 @@ def test_snf_and_sessions_match_reference(word):
 @example(())
 @example(dw("a:5"))
 @example(dw("a:1 a:2 a:1 a:3 a:4 a:4 a:2"))  # 3 occurs once while register 1 waits
+@example(NESTED)
 def test_snf_letters_are_letters(word):
     # A plain tuple equals a letter, so only the types show how letters were built.
     u = snf(word)
