@@ -79,7 +79,7 @@ from .words import (
     RegisterOp,
     SymbolicWord,
     TransitionLabel,
-    label_blocks,
+    label_columns,
     symbolic_alphabet,
 )
 
@@ -305,12 +305,13 @@ def normal_form_table(a: Automaton) -> SubsetDfa:
     promised = [p for _, p in _one_label(_NF, k)[1]]
     injection = (1 << k * k) - 1
     finals = sum(1 << k * k + q for q in index.finals)
-    # Per state bit: (column of the move's operation on output register 0, see
-    # ``_one_label``, operation, target bit), for the moves into states that reach a final one.
-    block = label_blocks(a.alphabet, k)
+    # Per state bit: (column of the move's operation on output register 0, one before its
+    # column on register 1, see ``_one_label``, operation, target bit), for the moves into
+    # states that reach a final one.
+    columns = label_columns(a.alphabet, k)
     outgoing = {
         1 << k * k + q: [
-            (block[x.label] + (k if x.op.kind is _REUSE else 0) - 1, x.op, 1 << k * k + target)
+            (columns[x.label][-1 if x.op.kind is _REUSE else 1] - 1, x.op, 1 << k * k + target)
             for x, target in moves if target in index.live
         ]
         for q, moves in enumerate(index.moves)

@@ -46,7 +46,7 @@ from .words import (
     DataWord,
     SymbolicWord,
     concretize,
-    label_blocks,
+    label_columns,
     max_register,
     snf,
     snf_registers,
@@ -70,29 +70,27 @@ class ReferenceTeacher(Teacher):
 
     A membership query walks the target's canonical DFA along the word's
     register assignment, ``snf_registers``, without building its normal
-    form: label a's fresh write of register r is column ``blocks[a] + r-1``
-    and its reuse column ``blocks[a] + k + r-1`` (``label_blocks``, which
-    ``normal_form_table`` reads too).  A label outside the target's
-    alphabet, a register above its k or a missing move rejects the word:
-    exactly the words whose normal form the DFA does not accept.
+    form: each code is read as a column through ``label_columns``.  A label
+    outside the target's alphabet, a register above its k or a missing move
+    rejects the word: exactly the words whose normal form the DFA does not
+    accept.
     """
 
     def __init__(self, target: Automaton):
         self._canonical = canonicalize(target)
         self._registers = target.registers
-        self._blocks = label_blocks(target.alphabet, target.registers)
+        self._columns = label_columns(target.alphabet, target.registers)
 
     def membership(self, word: DataWord) -> bool:
         codes = snf_registers(word)
-        k = self._registers
-        if max(codes, default=0) > k:  # the word's session bound
+        if max(codes, default=0) > self._registers:  # the word's session bound
             return False
-        blocks, rows, state = self._blocks, self._canonical.rows, 0
+        columns, rows, state = self._columns, self._canonical.rows, 0
         for (a, _), c in zip(word, codes):
-            base = blocks.get(a)
-            if base is None:
+            label = columns.get(a)
+            if label is None:
                 return False
-            state = rows[state][base + c - 1 if c > 0 else base + k - c - 1]
+            state = rows[state][label[c]]
             if state < 0:
                 return False
         return state in self._canonical.finals

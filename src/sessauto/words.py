@@ -21,8 +21,8 @@ teacher walks its canonical DFA along them without building any letter.
 Letters (TransitionLabel) and register operations (RegisterOp) are named
 tuples and OpKind hashes by identity, so words hash and compare in C; a
 letter equals the plain tuple (label, op).  ``snf`` builds its letters with
-``tuple.__new__``, once per label and session bound, so a letter costs it no
-Python-level constructor call.
+``tuple.__new__``, once per distinct letter of the word, so a letter costs
+it no Python-level constructor call.
 """
 
 from __future__ import annotations
@@ -118,11 +118,16 @@ def symbolic_alphabet(labels: frozenset[str], max_register: int) -> frozenset[Tr
     )
 
 
-def label_blocks(labels: frozenset[str], max_register: int) -> dict[str, int]:
-    """Each label's first column in a DFA over ``symbolic_alphabet(labels, max_register)``,
-    whose columns follow ``letter_key``: with k = max_register, the j-th label in sorted order
-    takes the 2k columns from 2k*j on, fresh r at 2k*j + r-1 and reuse r at 2k*j + k + r-1."""
-    return {label: 2 * max_register * j for j, label in enumerate(sorted(labels))}
+def label_columns(labels: frozenset[str], max_register: int) -> dict[str, tuple]:
+    """Each label's columns in a DFA over ``symbolic_alphabet(labels, max_register)``, whose
+    columns follow ``letter_key``, indexed by ``snf_registers`` code: fresh r at r, reuse r
+    at -r (index 0 is unused).  The j-th label in sorted order takes 2k columns from 2k*j on,
+    k = max_register: its fresh writes of registers 1..k, then its reuses of them."""
+    k, columns = max_register, {}
+    for j, label in enumerate(sorted(labels)):
+        fresh = range(2 * k * j, 2 * k * j + k)
+        columns[label] = (None, *fresh, *reversed(range(fresh.stop, fresh.stop + k)))
+    return columns
 
 
 def occurrence_bounds(word: DataWord, value: int) -> tuple[int, int]:
@@ -227,51 +232,23 @@ def snf_registers(word: DataWord) -> list[int]:
     return out
 
 
-_SHARED = 8  # the largest session bound whose letters ``_letters`` keeps
-
-
-@lru_cache(maxsize=64)
-def _letters(label: str, registers: int) -> tuple:
-    """The label's letters over registers 1..``registers``, indexed by ``snf_registers`` code:
-    fresh r at r, reuse r at -r, shared by every ``snf`` of a word with that label and bound."""
-    new = tuple.__new__  # skips the constructors' checks: every register here is >= 1
-    ops = ([new(RegisterOp, (OpKind.FRESH, r)) for r in range(1, registers + 1)]
-           + [new(RegisterOp, (OpKind.REUSE, r)) for r in range(registers, 0, -1)])
-    return (None, *(new(TransitionLabel, (label, op)) for op in ops))
-
-
-class _Letters(dict):
-    """One label's letters by ``snf_registers`` code, each built when a word first reads it."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        super().__init__()
-        self.label = label
-
-    def __missing__(self, code: int) -> TransitionLabel:
-        op = tuple.__new__(RegisterOp, (OpKind.FRESH if code > 0 else OpKind.REUSE, abs(code)))
-        letter = self[code] = tuple.__new__(TransitionLabel, (self.label, op))
-        return letter
-
-
 def snf(word: DataWord) -> SymbolicWord:
     """Symbolic normal form of a data word: each letter's register operation is its code
     in ``snf_registers``, +r a fresh write of register r and -r a reuse of it.
 
-    A letter costs one dict lookup and one index into its label's letters,
-    read once per label of the word.  Up to a session bound m of ``_SHARED``
-    they are the 2m+1 letters of ``_letters``, built once and shared; above
-    it, where 2m+1 letters per label could outnumber the word's, a
-    ``_Letters`` builds each one the word reads.
+    Each distinct letter of the word is built once, by ``tuple.__new__``,
+    which skips the constructors' checks (every register here is >= 1), and
+    kept in a dict by (label, code); a letter read again costs one lookup.
     """
-    codes = snf_registers(word)
-    m, rows, out = max(codes, default=0), {}, []
-    for (a, _), c in zip(word, codes):
-        row = rows.get(a)
-        if row is None:
-            row = rows[a] = _letters(a, m) if m <= _SHARED else _Letters(a)
-        out.append(row[c])
+    new = tuple.__new__
+    letters: dict[tuple[str, int], TransitionLabel] = {}
+    out = []
+    for (a, _), c in zip(word, snf_registers(word)):
+        x = letters.get((a, c))
+        if x is None:
+            op = new(RegisterOp, (OpKind.FRESH, c) if c > 0 else (OpKind.REUSE, -c))
+            x = letters[a, c] = new(TransitionLabel, (a, op))
+        out.append(x)
     return tuple(out)
 
 

@@ -20,6 +20,7 @@ from helpers import (
     reference_nf_violation_witness,
     reference_register_dfa,
     sw,
+    universal,
 )
 from sessauto import (
     Automaton,
@@ -481,7 +482,7 @@ EMPTY_LABELS = Automaton("none", frozenset(), 1, frozenset({"q0"}), "q0", frozen
 @settings(max_examples=60, deadline=None)
 @given(
     target=(st.sampled_from(["fig5a", "fig1b", "fig2b", "tickets3"]).map(fixture)
-            | st.just(EMPTY_LABELS) | targets()),
+            | st.just(EMPTY_LABELS) | st.integers(1, 3).map(universal) | targets()),
     rng=st.randoms(),
     length=st.integers(100, 1000),
     pool=st.integers(1, 8),
@@ -490,7 +491,9 @@ def test_teacher_membership_agrees_with_the_normal_form_and_simulate(target, rng
     # The teacher walks the canonical DFA along snf_registers' codes; a scripted
     # teacher inherits the walk.  Words: the empty one, random short ones whose
     # bound may exceed k, one with k + 1 overlapping sessions, run words whose
-    # sessions overlap, and each of them with a label outside the alphabet.
+    # sessions overlap, and each of them with a label outside the alphabet.  A
+    # universal target accepts every normal form over k registers, so only the
+    # bound rejects its words of bound k + 1.
     k, labels = target.registers, sorted(target.alphabet) or ["a"]
     over = tuple((labels[0], v) for v in range(1, k + 2))
     words = [(), over + over[::-1]]

@@ -44,7 +44,7 @@ from sessauto import (
     snf,
     symbolic_alphabet,
 )
-from sessauto.words import snf_registers
+from sessauto.words import label_columns, snf_registers
 
 
 def test_snf_golden():
@@ -98,6 +98,20 @@ def long_data_words(draw):
     a large one makes most values occur once."""
     pool = draw(st.sampled_from((2, 6, 40, 100_000)))
     return tuple(draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, pool)), max_size=300)))
+
+
+@pytest.mark.parametrize("labels", [(), ("a",), ("b", "a", "c")])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_label_columns_follow_letter_key(labels, k):
+    # A code's column is its letter's index in the alphabet sorted by letter_key.
+    letters = sorted(symbolic_alphabet(frozenset(labels), k), key=letter_key)
+    columns = label_columns(frozenset(labels), k)
+    assert sorted(columns) == sorted(labels)
+    for a, row in columns.items():
+        assert len(row) == 2 * k + 1
+        for r in range(1, k + 1):
+            assert letters[row[r]] == TransitionLabel(a, RegisterOp(OpKind.FRESH, r))
+            assert letters[row[-r]] == TransitionLabel(a, RegisterOp(OpKind.REUSE, r))
 
 
 @settings(max_examples=80, deadline=None)
